@@ -45,8 +45,6 @@ from .optimizer import (
     optimize,
     sdma_restrict,
     threshold_strategy,
-    update_filters,
-    update_weights,
 )
 from .solver import ConvexSubproblem, SolverResult, certify, solve
 from .experiments import ExperimentConfig, ResultTable, cli_main, run_experiment

@@ -168,28 +168,22 @@ def mutual_info(h: np.ndarray, p_target: np.ndarray, intf: InterferenceTerms,
     return float(-np.log2(mse_opt(h, p_target, intf, stage)))
 
 
+def _streams(precoders: PrecoderSet, n: int) -> np.ndarray:
+    """Every precoder on subcarrier n stacked as rows: common, private, jamming."""
+    return np.concatenate([precoders.p_c[n][None], precoders.p[:, n], precoders.f[:, n]])
+
+
 def jamming_power_realized(g_true: np.ndarray, precoders: PrecoderSet, n: int) -> float:
     """Total transmit power focused on an adversary with true channel g_true."""
     gv = np.asarray(g_true, dtype=np.complex128).conj()
-    out = float(np.abs(gv @ precoders.p_c[n]) ** 2)
-    if precoders.K:
-        out += float(np.sum(np.abs(gv @ precoders.p[:, n].T) ** 2))
-    if precoders.L:
-        out += float(np.sum(np.abs(gv @ precoders.f[:, n].T) ** 2))
-    return out
+    return float(np.sum(np.abs(np.einsum("sa,a->s", _streams(precoders, n), gv)) ** 2))
 
 
 def jamming_power_avg(R: np.ndarray, precoders: PrecoderSet, n: int) -> float:
     """Statistically averaged focused power: sum of q^H R q over all streams."""
+    q = _streams(precoders, n)
     R = np.asarray(R, dtype=np.complex128)
-
-    def quad(q):
-        return float(np.real(q.conj() @ R @ q))
-
-    out = quad(precoders.p_c[n])
-    out += sum(quad(precoders.p[k, n]) for k in range(precoders.K))
-    out += sum(quad(precoders.f[l, n]) for l in range(precoders.L))
-    return out
+    return float(np.real(np.einsum("sa,ab,sb->", q.conj(), R, q)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ reporting time.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "SolveConfig",
     "VariableLayout",
     "WmmseState",
-    "augmented_mse_quadratic",
     "build_thresholds",
     "initialize",
     "jamming_threshold",
@@ -42,8 +41,6 @@ __all__ = [
     "optimize",
     "sdma_restrict",
     "threshold_strategy",
-    "update_filters",
-    "update_weights",
 ]
 
 _LN2 = float(np.log(2.0))
@@ -71,7 +68,6 @@ class SolveConfig:
     max_inner: int = 20
     thresholds: Optional[np.ndarray] = None    # (L, |pilot_set|) focused-power floors
     solver_tol: float = 1e-7
-    common_per_sample: bool = False            # decodability per sample instead of on average
 
     def __post_init__(self):
         if self.P_t <= 0.0:
@@ -100,7 +96,6 @@ class WmmseState:
     g_c: np.ndarray
     u_p: np.ndarray
     g_p: np.ndarray
-    objective_trace: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -135,18 +130,6 @@ class OptimizeResult:
 
 # ---------------------------------------------------------------------------
 # weight / filter updates
-
-
-def update_weights(samples: np.ndarray, precoders: PrecoderSet) -> Tuple[np.ndarray, np.ndarray]:
-    """Optimal surrogate weights u = 1/mse for the common and private streams."""
-    eps_c, eps_p, *_ = stream_mses(samples, precoders)
-    return 1.0 / eps_c, 1.0 / eps_p
-
-
-def update_filters(samples: np.ndarray, precoders: PrecoderSet) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sample scalar MMSE receive filters for the common and private streams."""
-    _, _, hp_c, hp_own, T_c, T_p = stream_mses(samples, precoders)
-    return np.conj(hp_c) / T_c, np.conj(hp_own) / T_p
 
 
 def _wmmse_state(samples: np.ndarray, precoders: PrecoderSet) -> WmmseState:
@@ -313,43 +296,6 @@ class VariableLayout:
         return PrecoderSet(p_c=p_c, p=p, f=f), X
 
 
-def augmented_mse_quadratic(layout: VariableLayout, n: int, k: int,
-                            u: float, g: complex, h: np.ndarray, stage: str):
-    """Augmented MSE u*E|g y - s|^2 - ln u as a quadratic in the subcarrier's
-    stacked real precoder variables.
-
-    Returns (Q, q, r) with value = zp @ Q @ zp + q @ zp + r over the precoder
-    columns of block n.  At the fresh weight/filter pair the value equals
-    1 - (mutual information in nats).
-    """
-    w = layout._prec_width(n)
-    base = layout.blocks[n][0]
-    Q = np.zeros((w, w))
-    q = np.zeros(w)
-    gram = _realrep(u * abs(g) ** 2 * np.outer(h, h.conj()))
-    sw = layout.slot_width
-
-    def local(off):
-        return int(off - base)
-
-    slots = []
-    if stage == "common":
-        slots.append(local(layout.pc_off[n]))
-        target = local(layout.pc_off[n])
-    elif stage == "private":
-        target = local(layout.p_off[k, n])
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
-    slots += [local(layout.p_off[i, n]) for i in range(layout.K)]
-    if layout.is_pilot[n]:
-        slots += [local(layout.f_off[l, n]) for l in range(layout.L)]
-    for s0 in slots:
-        Q[s0:s0 + sw, s0:s0 + sw] = gram
-    q[target:target + sw] = -2.0 * _revec(u * np.conj(g) * h)
-    r = u * (abs(g) ** 2 * NOISE_VAR + 1.0) - np.log(u)
-    return Q, q, float(r)
-
-
 def linearize_jamming(layout: VariableLayout, precoders_t: PrecoderSet,
                       R: np.ndarray, n: int):
     """First-order lower bound of the focused power at the running point.
@@ -477,7 +423,6 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
     for n in range(N):
         cols = layout.prec_cols_of(n)
         wp = cols.size
-        base = layout.blocks[n][0]
         n_slots = layout._n_streams(n)
         lead = sw if layout.rsma else 0  # common slot carries no private-MSE power
 
@@ -496,27 +441,12 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
             xcols = layout.x_cols_of(n)
             lin_cols.append(xcols)
             lin_vals.append(np.ones(K))
-            pc_local = int(layout.pc_off[n] - base)
-            if config.common_per_sample:
-                M = samples.shape[0]
-                for k in range(K):
-                    for m in range(M):
-                        u, g = state.u_c[m, k, n], state.g_c[m, k, n]
-                        h = samples[m, k, n]
-                        gram = _realrep(u * abs(g) ** 2 * np.outer(h, h.conj()))
-                        Qc = np.kron(np.eye(n_slots), gram)
-                        bc = np.concatenate([xcols, layout.slot(layout.pc_off[n])])
-                        coef = np.concatenate([np.ones(K), 2.0 * _revec(u * np.conj(g) * h)])
-                        rr = u * (abs(g) ** 2 * NOISE_VAR + 1.0) - np.log(u)
-                        q_cons.append(cvx.QConstraint(
-                            cvx.QuadTerm(cols, Qc), cvx.Affine(bc, coef, 1.0 - float(rr))))
-            else:
-                for k in range(K):
-                    Qc = np.kron(np.eye(n_slots), Rc[k, n])
-                    bc = np.concatenate([xcols, layout.slot(layout.pc_off[n])])
-                    coef = np.concatenate([np.ones(K), 2.0 * _revec(v_c[k, n])])
-                    q_cons.append(cvx.QConstraint(
-                        cvx.QuadTerm(cols, Qc), cvx.Affine(bc, coef, 1.0 - float(r_c[k, n]))))
+            for k in range(K):
+                Qc = np.kron(np.eye(n_slots), Rc[k, n])
+                bc = np.concatenate([xcols, layout.slot(layout.pc_off[n])])
+                coef = np.concatenate([np.ones(K), 2.0 * _revec(v_c[k, n])])
+                q_cons.append(cvx.QConstraint(
+                    cvx.QuadTerm(cols, Qc), cvx.Affine(bc, coef, 1.0 - float(r_c[k, n]))))
 
     thr = config.thresholds
     if thr is not None and L:

@@ -9,17 +9,21 @@ The canonical problem is
 
 with every quadratic PSD.  Problems may declare disjoint variable blocks;
 quadratics and constraint supports must then stay inside one block, except
-for diagonal quadratics (the total-power budget), which may couple blocks and
-are handled by a low-rank Woodbury correction of the blockwise Newton solve.
-The iteration schedule is fixed and free of randomness, so identical inputs
-produce bitwise-identical results.
+for diagonal quadratics (the total-power budget), which may couple blocks.
+Each problem is compiled once, with var_scale applied, into stacked arrays:
+blocks of equal width form a group that holds its objective Hessian blocks
+and its block-local constraints as dense quadratics, and block-coupling
+constraints are full-length rows whose gradients become a low-rank Woodbury
+correction of the blockwise Newton solve.  The IPM, certify and the eval_*
+functions all work from this one form.  The iteration schedule is fixed and
+free of randomness, so identical inputs produce bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -158,199 +162,198 @@ class SolverResult:
 
 
 # ---------------------------------------------------------------------------
-# canonical constraint records
+# compiled form
 
 
-_GLOBAL = -1
+def _dense(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """Sum vals at idx into a dense vector of the given length."""
+    return np.bincount(idx, vals, size).astype(np.float64, copy=False)
 
 
-class _Record:
-    """One canonical constraint c(z) <= 0 (or the objective) in solver form."""
+@dataclass
+class _Group:
+    """The blocks of one width, stacked, with the constraints that live inside
+    one of them.  Constraints are sorted by block row, so sums over the
+    constraints of each block are segment sums."""
 
-    __slots__ = ("kind", "block", "qpos", "Q", "dpos", "d", "lpos", "lin", "const",
-                 "qcols", "dcols", "lcols")
+    cols: np.ndarray     # (nb, w) variable columns of each block
+    H: np.ndarray        # (nb, w, w) objective quadratic
+    idx: np.ndarray      # (m,) canonical constraint numbers
+    row: np.ndarray      # (m,) block row of each constraint
+    Q: np.ndarray        # (m, w, w)
+    lin: np.ndarray      # (m, w)
 
-    def __init__(self):
-        self.kind = ""
-        self.block = _GLOBAL
-        self.qpos = None   # positions of quad cols inside the block
-        self.Q = None
-        self.dpos = None   # per-block positions for a diagonal quad (list per block)
-        self.d = None
-        self.lpos = None   # positions of linear cols inside the block
-        self.lin = None
-        self.const = 0.0
-        self.qcols = None  # global column indices (for evaluation when global)
-        self.dcols = None
-        self.lcols = None
+    def __post_init__(self):
+        self.rows, self.starts = np.unique(self.row, return_index=True)
+        self.diag = np.arange(self.cols.shape[1])
 
-
-def _canonical_constraints(problem: ConvexSubproblem):
-    """Flatten q/a/sign constraints into records of c_i(z) <= 0."""
-    recs = []
-    for i, qc in enumerate(problem.q_constraints):
-        r = _Record()
-        r.kind = f"q[{i}]"
-        if isinstance(qc.quad, QuadTerm):
-            r.qcols, r.Q = qc.quad.cols, qc.quad.Q
-        else:
-            r.dcols, r.d = qc.quad.cols, qc.quad.d
-        r.lcols = qc.bound.cols
-        r.lin = -qc.bound.coef
-        r.const = -qc.bound.const
-        recs.append(r)
-    for j, ac in enumerate(problem.a_constraints):
-        r = _Record()
-        r.kind = f"a[{j}]"
-        r.lcols = ac.aff.cols
-        r.lin = -ac.aff.coef
-        r.const = ac.lower - ac.aff.const
-        recs.append(r)
-    for t, col in enumerate(problem.sign_constraints):
-        r = _Record()
-        r.kind = f"sign[{t}]"
-        r.lcols = np.array([col], dtype=np.int64)
-        r.lin = np.array([1.0])
-        r.const = 0.0
-        recs.append(r)
-    return recs
+    def block_sum(self, X: np.ndarray) -> np.ndarray:
+        """Sum per-constraint arrays X (m, ...) into their blocks (nb, ...)."""
+        out = np.zeros(self.cols.shape[:1] + X.shape[1:])
+        out[self.rows] = np.add.reduceat(X, self.starts, axis=0)
+        return out
 
 
-class _Structure:
-    """Block decomposition of a problem: per-block column lists and the
-    assignment of constraints/objective terms to blocks or to the global
-    (diagonal + rank-one) part."""
+class _Compiled:
+    """A subproblem in solver form, over the scaled variables y = z / var_scale.
+
+    Constraints are canonical, c_i(y) = y'Q_i y + lin_i'y + const_i <= 0,
+    numbered q, then a, then sign.  Those whose support lies in one block are
+    stored densely in that block's width group; the others, whose quadratic
+    must be diagonal (the total-power budget), are full-length rows.
+    Evaluation, the Newton blocks and certify all read these arrays.
+    """
 
     def __init__(self, problem: ConvexSubproblem):
-        n = problem.n_vars
-        if problem.blocks is None:
-            self.blocks = [np.arange(n, dtype=np.int64)]
-        else:
-            self.blocks = problem.blocks
-        self.n = n
+        n = self.n = problem.n_vars
+        blocks = problem.blocks if problem.blocks is not None else [np.arange(n)]
         owner = np.full(n, -1, dtype=np.int64)
         pos = np.full(n, -1, dtype=np.int64)
-        for b, cols in enumerate(self.blocks):
+        for b, cols in enumerate(blocks):
             if np.any(owner[cols] >= 0):
                 raise ValueError("blocks must be disjoint")
             owner[cols] = b
             pos[cols] = np.arange(cols.size)
         if np.any(owner < 0):
             raise ValueError("blocks must cover every variable")
-        self.owner = owner
-        self.pos = pos
-        # blocks stacked by width so factorizations and solves can be batched
+        scale = self.scale = (problem.var_scale if problem.var_scale is not None
+                              else np.ones(n))
         by_width: dict = {}
-        for b, cols in enumerate(self.blocks):
+        for b, cols in enumerate(blocks):
             by_width.setdefault(cols.size, []).append(b)
-        self.groups = [(w, np.array(ids, dtype=np.int64),
-                        np.stack([self.blocks[b] for b in ids]))
-                       for w, ids in sorted(by_width.items())]
-        self.slot_of = np.empty(len(self.blocks), dtype=np.int64)   # (group, row)
-        self.group_of = np.empty(len(self.blocks), dtype=np.int64)
-        for gi, (_, ids, _) in enumerate(self.groups):
-            for row, b in enumerate(ids):
-                self.group_of[b] = gi
-                self.slot_of[b] = row
+        widths = sorted(by_width)
+        slot = {b: (gi, r) for gi, w in enumerate(widths) for r, b in enumerate(by_width[w])}
 
-    def classify(self, rec: _Record):
-        """Assign a record to one block if its support allows, else global."""
-        support = []
-        for cols in (rec.qcols, rec.dcols, rec.lcols):
-            if cols is not None and cols.size:
-                support.append(cols)
-        if not support:
-            rec.block = 0 if len(self.blocks) == 1 else _GLOBAL
-            return rec
-        allcols = np.concatenate(support)
-        owners = np.unique(self.owner[allcols])
-        if owners.size == 1:
-            rec.block = int(owners[0])
-            if rec.qcols is not None:
-                rec.qpos = self.pos[rec.qcols]
-            if rec.dcols is not None:
-                rec.dpos = self.pos[rec.dcols]
-            if rec.lcols is not None:
-                rec.lpos = self.pos[rec.lcols]
-        else:
-            if rec.Q is not None:
-                raise ValueError("a dense quadratic term may not span multiple blocks")
-            rec.block = _GLOBAL
-            if rec.dcols is not None:
-                # precompute where the diagonal lands inside each block
-                rec.dpos = []
-                for b, cols in enumerate(self.blocks):
-                    sel = self.owner[rec.dcols] == b
-                    if np.any(sel):
-                        rec.dpos.append((b, self.pos[rec.dcols[sel]], rec.d[sel]))
-        return rec
+        def place(quad, lcols, lcoef):
+            """((group, row), dense quadratic, linear part) on the block holding
+            the whole support, else (None, diagonal, linear part) over all of y."""
+            qcols = quad.cols if quad is not None else lcols[:0]
+            owners = owner[np.concatenate([qcols, lcols])]
+            if np.any(owners != owners[:1]):
+                if isinstance(quad, QuadTerm):
+                    raise ValueError("a dense quadratic term may not span multiple blocks")
+                d = (_dense(qcols, quad.d * scale[qcols] ** 2, n)
+                     if quad is not None else np.zeros(n))
+                return None, d, _dense(lcols, lcoef * scale[lcols], n)
+            b = int(owners[0]) if owners.size else 0
+            w = blocks[b].size
+            Q = np.zeros((w, w))
+            p, sc = pos[qcols], scale[qcols]
+            if isinstance(quad, QuadTerm):
+                Q[p[:, None], p] = quad.Q * np.outer(sc, sc)
+            elif quad is not None:
+                Q[np.diag_indices(w)] = _dense(p, quad.d * sc ** 2, w)
+            return slot[b], Q, _dense(pos[lcols], lcoef * scale[lcols], w)
 
+        sign = problem.sign_constraints
+        canon = ([(c.quad, c.bound.cols, -c.bound.coef, -c.bound.const, f"q[{i}]")
+                  for i, c in enumerate(problem.q_constraints)]
+                 + [(None, c.aff.cols, -c.aff.coef, c.lower - c.aff.const, f"a[{j}]")
+                    for j, c in enumerate(problem.a_constraints)]
+                 + [(None, sign[t:t + 1], np.ones(1), 0.0, f"sign[{t}]")
+                    for t in range(sign.size)])
+        self.kinds = [c[4] for c in canon]
+        self.m = len(canon)
+        self.const = np.array([c[3] for c in canon], dtype=np.float64)
+        self.feas_scale = 1.0 + float(np.max(np.abs(self.const), initial=0.0))
 
-# ---------------------------------------------------------------------------
-# evaluation
+        local: List[list] = [[] for _ in widths]
+        span = []
+        for i, (quad, lcols, lcoef, *_) in enumerate(canon):
+            at, Q, lin = place(quad, lcols, lcoef)
+            if at is None:
+                span.append((i, Q, lin))
+            else:
+                local[at[0]].append((at[1], i, Q, lin))
 
+        H = [np.zeros((len(by_width[w]), w, w)) for w in widths]
+        obj_diag = np.zeros(n)
+        empty = np.zeros(0, dtype=np.int64)
+        for t in problem.objective.quads:
+            at, Q, _ = place(t, empty, np.zeros(0))
+            if at is None:
+                obj_diag += Q
+            else:
+                H[at[0]][at[1]] += Q
+        aff = problem.objective.affine
+        self.q0 = _dense(aff.cols, aff.coef * scale[aff.cols], n)
+        self.c0 = float(aff.const)
 
-def _eval_record(rec: _Record, z: np.ndarray) -> float:
-    v = rec.const
-    if rec.Q is not None:
-        zq = z[rec.qcols]
-        v += float(zq @ rec.Q @ zq)
-    if rec.d is not None:
-        zd = z[rec.dcols]
-        v += float(rec.d @ (zd * zd))
-    if rec.lin is not None and rec.lin.size:
-        v += float(rec.lin @ z[rec.lcols])
-    return v
+        self.groups: List[_Group] = []
+        for gi, w in enumerate(widths):
+            cols = np.stack([blocks[b] for b in by_width[w]])
+            recs = sorted(local[gi], key=lambda r: r[0])
+            g = _Group(cols=cols, H=H[gi],
+                       idx=np.array([r[1] for r in recs], dtype=np.int64),
+                       row=np.array([r[0] for r in recs], dtype=np.int64),
+                       Q=np.array([r[2] for r in recs]).reshape(-1, w, w),
+                       lin=np.array([r[3] for r in recs]).reshape(-1, w))
+            g.H[:, g.diag, g.diag] += obj_diag[cols]
+            self.groups.append(g)
+        self.span_idx = np.array([r[0] for r in span], dtype=np.int64)
+        self.span_D = np.array([r[1] for r in span]).reshape(-1, n)
+        self.span_A = np.array([r[2] for r in span]).reshape(-1, n)
 
+    def objective(self, y: np.ndarray):
+        """Objective value and gradient at y."""
+        f = float(self.q0 @ y) + self.c0
+        grad = self.q0.copy()
+        for g in self.groups:
+            yb = y[g.cols]
+            Hy = np.matmul(g.H, yb[..., None])[..., 0]
+            f += float(np.sum(yb * Hy))
+            grad[g.cols] += 2.0 * Hy
+        return f, grad
 
-def _grad_record_block(rec: _Record, z: np.ndarray, width: int) -> np.ndarray:
-    """Gradient of a block-local record, densified on its block."""
-    g = np.zeros(width)
-    if rec.Q is not None:
-        np.add.at(g, rec.qpos, 2.0 * (rec.Q @ z[rec.qcols]))
-    if rec.d is not None:
-        np.add.at(g, rec.dpos, 2.0 * rec.d * z[rec.dcols])
-    if rec.lin is not None and rec.lin.size:
-        np.add.at(g, rec.lpos, rec.lin)
-    return g
+    def constraints(self, y: np.ndarray):
+        """Constraint values at y and the Jacobian: one (m, w) array of
+        block-local gradients per group, then the spanning rows' gradients."""
+        c = self.const.copy()
+        jac = []
+        for g in self.groups:
+            yl = y[g.cols][g.row]
+            Qy = np.matmul(g.Q, yl[..., None])[..., 0]
+            c[g.idx] += np.sum(yl * (Qy + g.lin), axis=1)
+            jac.append(2.0 * Qy + g.lin)
+        c[self.span_idx] += self.span_D @ (y * y) + self.span_A @ y
+        jac.append(2.0 * self.span_D * y + self.span_A)
+        return c, jac
 
+    def jac_t(self, jac, v: np.ndarray) -> np.ndarray:
+        """J' v."""
+        out = v[self.span_idx] @ jac[-1]
+        for g, G in zip(self.groups, jac):
+            out[g.cols] += g.block_sum(v[g.idx, None] * G)
+        return out
 
-def _grad_record_dense(rec: _Record, z: np.ndarray, n: int) -> np.ndarray:
-    g = np.zeros(n)
-    if rec.Q is not None:
-        np.add.at(g, rec.qcols, 2.0 * (rec.Q @ z[rec.qcols]))
-    if rec.d is not None:
-        np.add.at(g, rec.dcols, 2.0 * rec.d * z[rec.dcols])
-    if rec.lin is not None and rec.lin.size:
-        np.add.at(g, rec.lcols, rec.lin)
-    return g
+    def jac_dot(self, jac, dy: np.ndarray) -> np.ndarray:
+        """J dy."""
+        out = np.empty(self.m)
+        for g, G in zip(self.groups, jac):
+            out[g.idx] = np.sum(G * dy[g.cols][g.row], axis=1)
+        out[self.span_idx] = jac[-1] @ dy
+        return out
 
-
-def _objective_records(problem: ConvexSubproblem):
-    """Objective as (records for quads, dense linear vector, constant)."""
-    recs = []
-    for t in problem.objective.quads:
-        r = _Record()
-        r.kind = "obj"
-        if isinstance(t, QuadTerm):
-            r.qcols, r.Q = t.cols, t.Q
-        else:
-            r.dcols, r.d = t.cols, t.d
-        recs.append(r)
-    q0 = np.zeros(problem.n_vars)
-    aff = problem.objective.affine
-    np.add.at(q0, aff.cols, aff.coef)
-    return recs, q0, float(aff.const)
+    def hessian(self, lam: np.ndarray):
+        """Per group, the blocks of the Lagrangian's quadratic part at lam."""
+        diag = lam[self.span_idx] @ self.span_D
+        out = []
+        for g in self.groups:
+            Hb = g.H + g.block_sum(lam[g.idx, None, None] * g.Q)
+            Hb[:, g.diag, g.diag] += diag[g.cols]
+            out.append(Hb)
+        return out
 
 
 def eval_objective(problem: ConvexSubproblem, z: np.ndarray) -> float:
-    recs, q0, c0 = _objective_records(problem)
-    return sum(_eval_record(r, z) for r in recs) + float(q0 @ z) + c0
+    comp = _Compiled(problem)
+    return comp.objective(np.asarray(z, dtype=np.float64) / comp.scale)[0]
 
 
 def eval_constraints(problem: ConvexSubproblem, z: np.ndarray) -> np.ndarray:
     """Values of every canonical constraint c_i(z) (feasible means <= 0)."""
-    return np.array([_eval_record(r, z) for r in _canonical_constraints(problem)])
+    comp = _Compiled(problem)
+    return comp.constraints(np.asarray(z, dtype=np.float64) / comp.scale)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +374,19 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 class _BlockKKT:
     """Factorization of blockdiag(M_b) + U U' for one IPM iteration.
 
-    Same-width blocks are stacked and factorized with batched kernels; solves
-    use the Woodbury identity for the low-rank coupling plus iterative
+    Same-width blocks arrive stacked and are factorized with batched kernels;
+    solves use the Woodbury identity for the low-rank coupling plus iterative
     refinement, which recovers the accuracy lost when the complementarity
     scaling becomes extreme near the solution.
     """
 
-    def __init__(self, struct: "_Structure", Ms, U):
-        self.struct = struct
-        self.Mg = []    # per group: stacked (nb, w, w)
+    def __init__(self, cols: List[np.ndarray], Mg: List[np.ndarray],
+                 U: Optional[np.ndarray]):
+        self.cols = cols  # per group: (nb, w) columns
+        self.Mg = Mg      # per group: stacked (nb, w, w)
         self.Minv = []
-        for w, ids, _cols in struct.groups:
-            M = np.stack([Ms[b] for b in ids])
+        for M in Mg:
+            w = M.shape[-1]
             tr = np.einsum("bii->b", M)
             reg = _REG_BASE * (1.0 + tr / max(1, w))
             eye = np.eye(w)
@@ -395,7 +399,6 @@ class _BlockKKT:
             else:
                 raise SolverError("Newton system could not be factorized")
             Li = np.linalg.inv(L)
-            self.Mg.append(M)
             self.Minv.append(np.matmul(Li.swapaxes(-1, -2), Li))
         self.U = U  # (n, G) already scaled by sqrt(weight); may be None
         if U is not None and U.shape[1]:
@@ -407,14 +410,14 @@ class _BlockKKT:
 
     def _block_solve(self, R: np.ndarray) -> np.ndarray:
         out = np.empty_like(R)
-        for (w, ids, cols), Minv in zip(self.struct.groups, self.Minv):
+        for cols, Minv in zip(self.cols, self.Minv):
             out[cols] = np.matmul(Minv, R[cols])
         return out
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         xc = x.reshape(-1, 1)
-        for (w, ids, cols), M in zip(self.struct.groups, self.Mg):
+        for cols, M in zip(self.cols, self.Mg):
             out[cols.reshape(-1)] = np.matmul(M, xc[cols]).reshape(-1)
         if self.U is not None:
             out += self.U @ (self.U.T @ x)
@@ -438,32 +441,6 @@ class _BlockKKT:
         return x
 
 
-def _scale_problem(problem: ConvexSubproblem) -> ConvexSubproblem:
-    """Substitute z = S y (S = diag(var_scale)); values of all expressions are
-    preserved, only the parametrization changes."""
-    s = problem.var_scale
-
-    def sq(t: QuadLike) -> QuadLike:
-        if isinstance(t, QuadTerm):
-            sc = s[t.cols]
-            return QuadTerm(t.cols, t.Q * np.outer(sc, sc))
-        return DiagTerm(t.cols, t.d * s[t.cols] ** 2)
-
-    def sa(a: Affine) -> Affine:
-        return Affine(a.cols, a.coef * s[a.cols], a.const)
-
-    return ConvexSubproblem(
-        n_vars=problem.n_vars,
-        objective=Objective(tuple(sq(t) for t in problem.objective.quads),
-                            sa(problem.objective.affine)),
-        q_constraints=[QConstraint(sq(c.quad), sa(c.bound)) for c in problem.q_constraints],
-        a_constraints=[AConstraint(sa(c.aff), c.lower) for c in problem.a_constraints],
-        sign_constraints=problem.sign_constraints,
-        blocks=problem.blocks,
-        var_scale=None,
-    )
-
-
 def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> SolverResult:
     """Solve the subproblem to the given scaled KKT tolerance.
 
@@ -473,51 +450,21 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> 
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    scaled = problem.var_scale is not None
-    work = _scale_problem(problem) if scaled else problem
-
-    struct = _Structure(work)
-    cons = [struct.classify(r) for r in _canonical_constraints(work)]
-    obj_recs, q0, c0 = _objective_records(work)
-    obj_recs = [struct.classify(r) for r in obj_recs]
-    n, m = work.n_vars, len(cons)
-    nblocks = len(struct.blocks)
-    widths = [c.size for c in struct.blocks]
-
-    feas_scale = 1.0 + max((abs(r.const) for r in cons), default=0.0)
+    comp = _Compiled(problem)
+    n, m = comp.n, comp.m
+    cols = [g.cols for g in comp.groups]
     z = np.zeros(n)
-
-    def _add_hessian(Ms, rec, weight):
-        if rec.block != _GLOBAL:
-            if rec.Q is not None:
-                Ms[rec.block][np.ix_(rec.qpos, rec.qpos)] += weight * 2.0 * rec.Q
-            if rec.d is not None:
-                Ms[rec.block][rec.dpos, rec.dpos] += weight * 2.0 * rec.d
-        elif rec.dpos is not None:
-            for b, p, dv in rec.dpos:
-                Ms[b][p, p] += weight * 2.0 * dv
 
     if m == 0:
         # unconstrained convex QP: one Newton solve
-        Ms = [np.zeros((w, w)) for w in widths]
-        for r in obj_recs:
-            _add_hessian(Ms, r, 1.0)
-        kkt = _BlockKKT(struct, Ms, None)
-        z = kkt.solve(-q0)
-        if scaled:
-            z = z * problem.var_scale
-        return SolverResult(primal=z, objective_value=eval_objective(problem, z),
+        z = _BlockKKT(cols, [2.0 * g.H for g in comp.groups], None).solve(-comp.q0)
+        return SolverResult(primal=z * comp.scale, objective_value=comp.objective(z)[0],
                             status="optimal", kkt_residual=0.0, duality_gap=0.0,
                             iterations=1, multipliers=np.zeros(0))
 
-    cvals = np.array([_eval_record(r, z) for r in cons])
+    cvals, _ = comp.constraints(z)
     s = np.maximum(1.0, -cvals)
     lam = np.ones(m)
-
-    # objective Hessian contributions are iterate-independent
-    Ms_static = [np.zeros((w, w)) for w in widths]
-    for r in obj_recs:
-        _add_hessian(Ms_static, r, 1.0)
 
     status = "max_iter"
     it = 0
@@ -528,35 +475,16 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> 
     no_progress = 0
 
     for it in range(1, max_iter + 1):
-        # constraint values and gradients at the current iterate
-        cvals = np.empty(m)
-        grads_local = [None] * m      # block-local dense gradients
-        grads_global = [None] * m     # full-length gradients for global records
-        for i, r in enumerate(cons):
-            cvals[i] = _eval_record(r, z)
-            if r.block == _GLOBAL:
-                grads_global[i] = _grad_record_dense(r, z, n)
-            else:
-                grads_local[i] = _grad_record_block(r, z, widths[r.block])
-
-        gradf = q0.copy()
-        for r in obj_recs:
-            gradf += _grad_record_dense(r, z, n)
-        fval = sum(_eval_record(r, z) for r in obj_recs) + float(q0 @ z) + c0
-
-        r_d = gradf.copy()
-        for i, r in enumerate(cons):
-            if r.block == _GLOBAL:
-                r_d += lam[i] * grads_global[i]
-            else:
-                r_d[struct.blocks[r.block]] += lam[i] * grads_local[i]
+        cvals, jac = comp.constraints(z)
+        fval, gradf = comp.objective(z)
+        r_d = gradf + comp.jac_t(jac, lam)
         r_p = cvals + s
         mu = float(s @ lam) / m
 
         pinf = float(np.max(cvals, initial=0.0))
         kkt_rel = float(np.max(np.abs(r_d))) / (1.0 + float(np.max(np.abs(gradf))))
         gap_rel = mu / (1.0 + abs(fval))
-        score = max(pinf / feas_scale, kkt_rel, gap_rel)
+        score = max(pinf / comp.feas_scale, kkt_rel, gap_rel)
         if best is None or score < 0.98 * best[0]:
             best = (score, z.copy(), lam.copy(), kkt_rel, gap_rel)
             no_progress = 0
@@ -565,44 +493,24 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> 
         # degenerate multipliers can floor the stationarity residual well above
         # the gap/feasibility level; weak duality keeps the certificate sound,
         # so optimality asks a factor-100 looser dual residual
-        if (pinf <= tol * feas_scale and kkt_rel <= 100.0 * tol and gap_rel <= tol):
+        if (pinf <= tol * comp.feas_scale and kkt_rel <= 100.0 * tol and gap_rel <= tol):
             status = "optimal"
             break
         if stalled >= 2 or (no_progress >= 8 and best[0] <= 1e-4):
             break  # endgame thrash: settle for the best near-optimal iterate
 
-        # Newton matrix: per-block dense parts + global diagonal and rank-one parts
-        Ms = [M.copy() for M in Ms_static]
+        # Newton matrix: Lagrangian Hessian plus d_i g_i g_i' per constraint;
+        # the spanning rows' rank-one terms are the Woodbury columns
         sinv = 1.0 / np.maximum(s, 1e-30)
-        d = np.minimum(lam * sinv, 1e14)
-
-        for i, r in enumerate(cons):
-            _add_hessian(Ms, r, lam[i])
-            if r.block != _GLOBAL:
-                g = grads_local[i]
-                Ms[r.block] += d[i] * np.outer(g, g)
-        g_idx = [i for i, r in enumerate(cons) if r.block == _GLOBAL]
-        U = (np.column_stack([grads_global[i] * np.sqrt(d[i]) for i in g_idx])
-             if g_idx else None)
-
-        kkt = _BlockKKT(struct, Ms, U)
+        d = np.minimum(lam, 1e14 * s) * sinv
+        Ms = [2.0 * Hb + g.block_sum(d[g.idx, None, None] * (G[:, :, None] * G[:, None, :]))
+              for g, Hb, G in zip(comp.groups, comp.hessian(lam), jac)]
+        kkt = _BlockKKT(cols, Ms, (jac[-1] * np.sqrt(d[comp.span_idx])[:, None]).T)
 
         def solve_direction(r_c):
             w = (-r_c + lam * r_p) * sinv
-            rhs = -r_d.copy()
-            for i, r in enumerate(cons):
-                if r.block == _GLOBAL:
-                    rhs -= w[i] * grads_global[i]
-                else:
-                    rhs[struct.blocks[r.block]] -= w[i] * grads_local[i]
-            dz = kkt.solve(rhs)
-            jdz = np.empty(m)
-            for i, r in enumerate(cons):
-                if r.block == _GLOBAL:
-                    jdz[i] = grads_global[i] @ dz
-                else:
-                    jdz[i] = grads_local[i] @ dz[struct.blocks[r.block]]
-            ds = -r_p - jdz
+            dz = kkt.solve(-r_d - comp.jac_t(jac, w))
+            ds = -r_p - comp.jac_dot(jac, dz)
             dlam = (-r_c - lam * ds) * sinv
             return dz, ds, dlam
 
@@ -644,16 +552,15 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> 
 
     if status != "optimal" and best is not None:
         _, z, lam, kkt_rel, gap_rel = best
-    cvals = np.array([_eval_record(r, z) for r in cons])
-    violations = [(i, cons[i].kind, float(cvals[i]))
-                  for i in range(m) if cvals[i] > tol * feas_scale]
+    cvals, _ = comp.constraints(z)
+    violations = [(i, comp.kinds[i], float(cvals[i]))
+                  for i in range(m) if cvals[i] > tol * comp.feas_scale]
     if status != "optimal" and violations and float(np.max(lam)) > 1e8:
         status = "infeasible"
 
-    z_out = z * problem.var_scale if scaled else z
     return SolverResult(
-        primal=z_out,
-        objective_value=eval_objective(problem, z_out),
+        primal=z * comp.scale,
+        objective_value=comp.objective(z)[0],
         status=status,
         kkt_residual=float(kkt_rel),
         duality_gap=float(gap_rel),
@@ -677,48 +584,34 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
     """
     if result.status != "optimal":
         return False
-    z = np.asarray(result.primal, dtype=np.float64)
+    comp = _Compiled(problem)
     lam = result.multipliers
-    cons = _canonical_constraints(problem)
-    if lam is None or lam.size != len(cons):
+    if lam is None or lam.size != comp.m:
         return False
     if np.any(lam < -tol):
         return False
 
-    feas_scale = 1.0 + max((abs(r.const) for r in cons), default=0.0)
-    cvals = np.array([_eval_record(r, z) for r in cons]) if cons else np.zeros(0)
-    if cvals.size and float(np.max(cvals)) > tol * feas_scale:
+    y = np.asarray(result.primal, dtype=np.float64) / comp.scale
+    cvals, _ = comp.constraints(y)
+    if cvals.size and float(np.max(cvals)) > tol * comp.feas_scale:
         return False
 
-    n = problem.n_vars
+    # Lagrangian y'Hy + lin'y + const; its affine part is read off at y = 0
+    n = comp.n
+    f0, lin = comp.objective(np.zeros(n))
+    c0, jac0 = comp.constraints(np.zeros(n))
+    lin = lin + comp.jac_t(jac0, lam)
+    const = f0 + float(lam @ c0)
     H = np.zeros((n, n))
-    lin = np.zeros(n)
-    const = 0.0
-
-    def add_quad(rec, weight):
-        nonlocal const
-        if rec.Q is not None:
-            H[np.ix_(rec.qcols, rec.qcols)] += weight * rec.Q
-        if rec.d is not None:
-            H[rec.dcols, rec.dcols] += weight * rec.d
-        if rec.lin is not None and rec.lin.size:
-            np.add.at(lin, rec.lcols, weight * rec.lin)
-        const += weight * rec.const
-
-    obj_recs, q0, c0 = _objective_records(problem)
-    for r in obj_recs:
-        add_quad(r, 1.0)
-    lin += q0
-    const += c0
-    for i, r in enumerate(cons):
-        add_quad(r, float(lam[i]))
+    for g, Hb in zip(comp.groups, comp.hessian(lam)):
+        H[g.cols[:, :, None], g.cols[:, None, :]] = Hb
 
     zbar, *_ = np.linalg.lstsq(2.0 * H, -lin, rcond=None)
     resid = float(np.max(np.abs(2.0 * H @ zbar + lin)))
     if resid > 1e-6 * (1.0 + float(np.max(np.abs(lin)))):
         return False  # dual unbounded below in a null direction
     dual_val = float(zbar @ H @ zbar + lin @ zbar + const)
-    fval = eval_objective(problem, z)
+    fval = comp.objective(y)[0]
     gap = fval - dual_val
     return gap <= tol * (1.0 + abs(fval))
 

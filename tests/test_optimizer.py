@@ -16,10 +16,14 @@ from jamcom.channel import (
     csit_error_variance,
 )
 from jamcom.metrics import PrecoderSet, jamming_power_avg, mutual_info, interference_terms
+from jamcom import solver as cvx
 from jamcom.optimizer import (
     SolveConfig,
     VariableLayout,
-    augmented_mse_quadratic,
+    WmmseState,
+    _assemble_subproblem,
+    _surrogate_coefficients,
+    _wmmse_state,
     build_thresholds,
     initialize,
     InfeasibleError,
@@ -28,8 +32,6 @@ from jamcom.optimizer import (
     optimize,
     sdma_restrict,
     threshold_strategy,
-    update_filters,
-    update_weights,
 )
 from oracles import water_filling_rate_bits
 
@@ -59,23 +61,23 @@ def scalar_setup():
 class TestWeightUpdates:
     def test_scalar_weight_is_inverse_mse(self):
         samples, pre = scalar_setup()
-        u_c, u_p = update_weights(samples, pre)
+        u_p = _wmmse_state(samples, pre).u_p
         assert u_p[0, 0, 0] == pytest.approx(4.0, rel=1e-12)  # mse 1/4
 
     def test_zero_precoders_unit_weights(self):
         samples, _ = scalar_setup()
-        u_c, u_p = update_weights(samples, PrecoderSet.zeros(4, 1, 1, 0))
-        assert np.all(u_c == 1.0) and np.all(u_p == 1.0)
+        state = _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0))
+        assert np.all(state.u_c == 1.0) and np.all(state.u_p == 1.0)
 
     def test_scalar_filter(self):
         samples, pre = scalar_setup()
-        g_c, g_p = update_filters(samples, pre)
+        g_p = _wmmse_state(samples, pre).g_p
         assert g_p[0, 0, 0] == pytest.approx(np.sqrt(3) / 4, rel=1e-12)
 
     def test_zero_precoders_zero_filters(self):
         samples, _ = scalar_setup()
-        g_c, g_p = update_filters(samples, PrecoderSet.zeros(4, 1, 1, 0))
-        assert np.all(g_c == 0.0) and np.all(g_p == 0.0)
+        state = _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0))
+        assert np.all(state.g_c == 0.0) and np.all(state.g_p == 0.0)
 
     def test_filters_minimize_sampled_mse(self, rng):
         chan, csit, stats = paper_setup()
@@ -84,7 +86,7 @@ class TestWeightUpdates:
             p_c=rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)),
             p=rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4)),
             f=rng.standard_normal((1, 8, 4)) + 1j * rng.standard_normal((1, 8, 4)))
-        g_c, g_p = update_filters(samples, pre)
+        g_p = _wmmse_state(samples, pre).g_p
         m, k, n = 2, 1, 5
         h = samples[m, k, n]
         t = interference_terms(h, pre, n, k)
@@ -102,51 +104,70 @@ class TestWeightUpdates:
 
 
 class TestAugmentedMseQuadratic:
-    def _layout(self, N=4):
-        return VariableLayout(4, N, 2, 1, np.array([0, 2]), rsma=True)
+    """The augmented MSEs of the assembled subproblem, at M=1."""
 
-    def test_identity_at_fresh_weights(self, rng):
-        # evaluated at the linearization precoders with fresh (u, g): 1 - I nats
+    def _setup(self, rng):
         chan, csit, stats = paper_setup(N=4)
-        layout = self._layout()
+        layout = VariableLayout(4, 4, 2, 1, stats.pilot_idx, rsma=True)
         samples = draw_csit_samples(csit, 1, 5)
         pre = PrecoderSet(
             p_c=rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
             p=rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)),
             f=rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
-        pre.f[:, np.array([1, 3])] = 0.0  # jamming exists on pilots only
-        u_c, u_p = update_weights(samples, pre)
-        g_c, g_p = update_filters(samples, pre)
+        off_pilot = np.setdiff1d(np.arange(4), stats.pilot_idx)
+        pre.f[:, off_pilot] = 0.0  # jamming exists on pilots only
+        prob = _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre,
+                                    stats, SolveConfig(P_t=10.0, M=1))
+        return layout, samples, pre, prob
+
+    def test_identity_at_fresh_weights(self, rng):
+        # objective at the linearization precoders: sum of 1 - I_private nats
+        layout, samples, pre, prob = self._setup(rng)
         z = layout.pack(pre, np.zeros((2, 4)))
+        target = 0.0
         for n in range(4):
-            cols = layout.prec_cols_of(n)
-            zp = z[cols]
             for k in range(2):
                 h = samples[0, k, n]
-                for stage, u, g in (("common", u_c[0, k, n], g_c[0, k, n]),
-                                    ("private", u_p[0, k, n], g_p[0, k, n])):
-                    Q, q, r = augmented_mse_quadratic(layout, n, k, u, g, h, stage)
-                    xi = zp @ Q @ zp + q @ zp + r
-                    t = interference_terms(h, pre, n, k)
-                    target = pre.p_c[n] if stage == "common" else pre.p[k, n]
-                    info_nats = mutual_info(h, target, t, stage) * np.log(2.0)
-                    assert xi == pytest.approx(1.0 - info_nats, abs=1e-12)
+                t = interference_terms(h, pre, n, k)
+                target += 1.0 - mutual_info(h, pre.p[k, n], t, "private") * np.log(2.0)
+        assert cvx.eval_objective(prob, z) == pytest.approx(target, abs=1e-12)
+
+    def test_common_constraint_is_minus_common_information(self, rng):
+        layout, samples, pre, prob = self._setup(rng)
+        c = cvx.eval_constraints(prob, layout.pack(pre, np.zeros((2, 4))))
+        for n in range(4):
+            for k in range(2):
+                h = samples[0, k, n]
+                t = interference_terms(h, pre, n, k)
+                info_nats = mutual_info(h, pre.p_c[n], t, "common") * np.log(2.0)
+                assert c[2 * n + k] == pytest.approx(-info_nats, abs=1e-12)
 
     def test_unit_weight_zero_filter_gives_one(self):
-        layout = self._layout()
-        h = np.ones(4, dtype=complex)
-        Q, q, r = augmented_mse_quadratic(layout, 0, 0, 1.0, 0.0, h, "private")
-        assert r == pytest.approx(1.0, abs=0)
-        assert np.all(Q == 0.0) and np.count_nonzero(q) == 0
+        samples, _ = scalar_setup()
+        ones, zeros = np.ones((1, 1, 1)), np.zeros((1, 1, 1), dtype=complex)
+        Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(
+            samples, WmmseState(u_c=ones, g_c=zeros, u_p=ones, g_p=zeros))
+        assert r_c[0, 0] == pytest.approx(1.0, abs=0)
+        assert r_p[0, 0] == pytest.approx(1.0, abs=0)
+        assert np.all(Rc == 0.0) and np.all(Rp == 0.0)
+        assert np.count_nonzero(v_c) == 0 and np.count_nonzero(v_p) == 0
 
     def test_hessian_psd(self, rng):
-        layout = self._layout()
-        for _ in range(20):
-            h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            u = float(1.0 + abs(rng.standard_normal()))
-            g = complex(rng.standard_normal(), rng.standard_normal())
-            Q, _, _ = augmented_mse_quadratic(layout, 0, 1, u, g, h, "common")
-            assert np.linalg.eigvalsh((Q + Q.T) / 2).min() >= -1e-10
+        chan, csit, stats = paper_setup(N=4)
+        layout = VariableLayout(4, 4, 2, 1, stats.pilot_idx, rsma=True)
+        samples = draw_csit_samples(csit, 1, 5)
+        shape = (1, 2, 4)
+        for _ in range(5):
+            u = 1.0 + np.abs(rng.standard_normal((2,) + shape))
+            g = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
+            state = WmmseState(u_c=u[0], g_c=g[0], u_p=u[1], g_p=g[1])
+            prob = _assemble_subproblem(layout, samples, state, PrecoderSet.zeros(4, 4, 2, 1),
+                                        stats, SolveConfig(P_t=10.0, M=1))
+            quads = list(prob.objective.quads) + [
+                c.quad for c in prob.q_constraints if isinstance(c.quad, cvx.QuadTerm)]
+            assert len(quads) == 4 + 8
+            for t in quads:
+                assert np.linalg.eigvalsh((t.Q + t.Q.T) / 2).min() >= -1e-10
 
 
 class TestJammingLinearization:

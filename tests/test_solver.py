@@ -185,14 +185,23 @@ class TestDeterminismAndStructure:
         assert np.all(res.primal[prob.sign_constraints] <= 1e-8)
 
     def test_cross_block_dense_quadratic_rejected(self):
-        bad = ConvexSubproblem(
+        blocks = [np.arange(2), np.arange(2, 4)]
+        spanning = QuadTerm(np.arange(4), np.eye(4))
+        in_objective = ConvexSubproblem(
             n_vars=4,
-            objective=Objective((QuadTerm(np.arange(4), np.eye(4)),),
-                                Affine.constant(0.0)),
-            blocks=[np.arange(2), np.arange(2, 4)],
+            objective=Objective((spanning,), Affine.constant(0.0)),
+            blocks=blocks,
         )
-        with pytest.raises(ValueError):
-            solve(bad, 1e-8)
+        in_constraint = ConvexSubproblem(
+            n_vars=4,
+            objective=Objective((QuadTerm(blocks[0], np.eye(2)),
+                                 QuadTerm(blocks[1], np.eye(2))), Affine.constant(0.0)),
+            q_constraints=[QConstraint(spanning, Affine.constant(1.0))],
+            blocks=blocks,
+        )
+        for bad in (in_objective, in_constraint):
+            with pytest.raises(ValueError):
+                solve(bad, 1e-8)
 
 
 class TestSerialization:
@@ -215,3 +224,28 @@ class TestSerialization:
         assert res.status in ("infeasible", "max_iter")
         kinds = {kind for _, kind, _ in res.violations}
         assert any(k.startswith("a[") or k.startswith("q[") for k in kinds)
+
+    def test_infeasible_two_block_reports_canonical_order(self):
+        # x3 >= 1 (a[0]) contradicts x3 <= 0 (sign[1]); both q-constraints and
+        # sign[0] stay slack
+        blocks = [np.arange(0, 2), np.arange(2, 4)]
+        prob = ConvexSubproblem(
+            n_vars=4,
+            objective=Objective((QuadTerm(blocks[0], np.eye(2)),
+                                 QuadTerm(blocks[1], np.eye(2))), Affine([0], [1.0], 0.0)),
+            q_constraints=[QConstraint(QuadTerm(blocks[0], np.eye(2)), Affine.constant(4.0)),
+                           QConstraint(DiagTerm(np.arange(4), np.ones(4)),
+                                       Affine.constant(9.0))],
+            a_constraints=[AConstraint(Affine([3], [1.0], 0.0), 1.0)],
+            sign_constraints=np.array([1, 3]),
+            blocks=blocks,
+        )
+        res = solve(prob, 1e-8, max_iter=60)
+        assert res.status in ("infeasible", "max_iter")
+        assert [(i, kind) for i, kind, _ in res.violations] == [(2, "a[0]"), (4, "sign[1]")]
+        c = eval_constraints(prob, res.primal)
+        for i, _, value in res.violations:
+            assert value == pytest.approx(c[i], abs=1e-12)
+        lam = res.multipliers
+        assert lam.shape == (5,)  # q[0], q[1], a[0], sign[0], sign[1]
+        assert min(lam[2], lam[4]) > 1.0 and max(lam[0], lam[1]) < 0.1
