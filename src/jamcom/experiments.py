@@ -290,12 +290,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _csv_quote(s: str) -> str:
-    if any(c in s for c in ',"\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def emit_csv(table: ResultTable, path: str) -> None:
     """Write the fixed-column CSV; float fields use shortest round-trip repr,
     so identical tables produce byte-identical files."""
@@ -306,7 +300,7 @@ def emit_csv(table: ResultTable, path: str) -> None:
               + ["jam_margin", "iters", "wall_ms"])
     lines = [",".join(header)]
     for row in table.rows:
-        lines.append(",".join(_csv_quote(_fmt(v)) for v in row.csv_tuple()))
+        lines.append(",".join(_fmt(v) for v in row.csv_tuple()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -22,8 +22,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .channel import AuStatistics, CsitModel, draw_csit_samples
-from .metrics import (NOISE_VAR, PrecoderSet, RateReport, jamming_power_avg,
-                      rate_report, stream_mses)
+from .metrics import (NOISE_VAR, PrecoderSet, RateReport, _streams,
+                      jamming_power_avg, rate_report, stream_mses)
 from . import solver as cvx
 
 __all__ = [
@@ -110,10 +110,6 @@ class CommonSplitVars:
             raise ValueError("X must be <= 0")
 
     @property
-    def C_nats(self) -> np.ndarray:
-        return -self.X
-
-    @property
     def C_bits(self) -> np.ndarray:
         return -self.X / _LN2
 
@@ -123,7 +119,6 @@ class OptimizeResult:
     precoders: PrecoderSet
     split: CommonSplitVars
     report: RateReport
-    state: WmmseState
     converged: bool
     outer_iterations: int
 
@@ -188,9 +183,15 @@ def _revec(v: np.ndarray) -> np.ndarray:
 
 
 class VariableLayout:
-    """Index map from (stream, subcarrier) precoders and split variables to the
-    stacked real solver vector.  Jamming precoders exist only on pilot
-    subcarriers; the common stream and split variables only under RSMA."""
+    """Index map from precoders and split variables to the real solver vector.
+
+    The vector stacks, in order: the common precoders (N, 2n_t), RSMA only;
+    the private precoders (K, N, 2n_t); the jamming precoders of the pilot
+    subcarriers (L, |pilots|, 2n_t), in subcarrier order; and the splits X
+    (K, N), RSMA only.  A precoder q occupies 2n_t entries [Re q; Im q].
+    blocks[n] gathers subcarrier n's columns: common, private 1..K, jamming
+    1..L (pilots only), then split 1..K.
+    """
 
     def __init__(self, n_t: int, N: int, K: int, L: int,
                  pilot_idx: np.ndarray, rsma: bool):
@@ -198,51 +199,30 @@ class VariableLayout:
         self.pilot_idx = np.asarray(pilot_idx, dtype=np.int64)
         self.is_pilot = np.zeros(N, dtype=bool)
         self.is_pilot[self.pilot_idx] = True
-        w = 2 * n_t
-        self.slot_width = w
-        self.pc_off = np.full(N, -1, dtype=np.int64)
-        self.p_off = np.full((K, N), -1, dtype=np.int64)
-        self.f_off = np.full((L, N), -1, dtype=np.int64)
-        self.x_off = np.full((K, N), -1, dtype=np.int64)
-        self.blocks: List[np.ndarray] = []
-        off = 0
-        for n in range(N):
-            start = off
-            if rsma:
-                self.pc_off[n] = off
-                off += w
-            for k in range(K):
-                self.p_off[k, n] = off
-                off += w
-            if self.is_pilot[n]:
-                for l in range(L):
-                    self.f_off[l, n] = off
-                    off += w
-            if rsma:
-                for k in range(K):
-                    self.x_off[k, n] = off
-                    off += 1
-            self.blocks.append(np.arange(start, off, dtype=np.int64))
-        self.n_vars = off
-        self.prec_cols = np.concatenate(
-            [b[: self._prec_width(n)] for n, b in enumerate(self.blocks)])
-        self.x_cols = (np.array([self.x_off[k, n] for n in range(N) for k in range(K)],
-                                dtype=np.int64) if rsma else np.zeros(0, dtype=np.int64))
+        w = self.slot_width = 2 * n_t
+        self._shapes = ((N if rsma else 0, w), (K, N, w), (L, int(self.is_pilot.sum()), w))
+        self._ends = np.cumsum([int(np.prod(sh)) for sh in self._shapes])
+        self.pc_cols, self.p_cols, self.f_cols = self._split(np.arange(self._ends[-1]))
+        # slots[n, s]: columns of stream s (common, private 1..K, jamming 1..L)
+        slots = self.slots = np.full((N, 1 + K + L, w), -1, dtype=np.int64)
+        if rsma:
+            slots[:, 0] = self.pc_cols
+        slots[:, 1:1 + K] = self.p_cols.swapaxes(0, 1)
+        slots[self.is_pilot, 1 + K:] = self.f_cols.swapaxes(0, 1)
+        self.streams = slots[:, :, 0] >= 0     # (N, 1+K+L) streams present
+        self.prec_cols = np.arange(self._ends[-1])
+        self.x_cols = self._ends[-1] + np.arange(K * N if rsma else 0).reshape(-1, N)
+        self.n_vars = self._ends[-1] + self.x_cols.size
+        self.blocks: List[np.ndarray] = [
+            np.concatenate([self.prec_cols_of(n), self.x_cols[:, n]]) for n in range(N)]
 
-    def _n_streams(self, n: int) -> int:
-        return (1 if self.rsma else 0) + self.K + (self.L if self.is_pilot[n] else 0)
-
-    def _prec_width(self, n: int) -> int:
-        return self._n_streams(n) * self.slot_width
-
-    def slot(self, off: int) -> np.ndarray:
-        return np.arange(off, off + self.slot_width, dtype=np.int64)
+    def _split(self, v: np.ndarray):
+        """Common, private and jamming parts of v, shaped as in the vector."""
+        return [a.reshape(sh) for a, sh in
+                zip(np.split(v[:self._ends[-1]], self._ends[:2]), self._shapes)]
 
     def prec_cols_of(self, n: int) -> np.ndarray:
-        return self.blocks[n][: self._prec_width(n)]
-
-    def x_cols_of(self, n: int) -> np.ndarray:
-        return np.array([self.x_off[k, n] for k in range(self.K)], dtype=np.int64)
+        return self.slots[n, self.streams[n]].ravel()
 
     def var_scale(self, P_t: float) -> np.ndarray:
         s = np.ones(self.n_vars)
@@ -252,48 +232,20 @@ class VariableLayout:
     # conversions -----------------------------------------------------------
 
     def pack(self, precoders: PrecoderSet, X: Optional[np.ndarray]) -> np.ndarray:
-        z = np.zeros(self.n_vars)
-
-        def put(off, vec):
-            z[off: off + self.n_t] = vec.real
-            z[off + self.n_t: off + 2 * self.n_t] = vec.imag
-
-        for n in range(self.N):
-            if self.rsma:
-                put(self.pc_off[n], precoders.p_c[n])
-            for k in range(self.K):
-                put(self.p_off[k, n], precoders.p[k, n])
-            if self.is_pilot[n]:
-                for l in range(self.L):
-                    put(self.f_off[l, n], precoders.f[l, n])
-        if self.rsma and X is not None:
-            for n in range(self.N):
-                for k in range(self.K):
-                    z[self.x_off[k, n]] = X[k, n]
-        return z
+        parts = [_revec(precoders.p_c)] if self.rsma else []
+        parts += [_revec(precoders.p), _revec(precoders.f[:, self.is_pilot])]
+        if self.rsma:
+            parts.append(np.zeros((self.K, self.N)) if X is None else X)
+        return np.concatenate([np.ravel(a) for a in parts])
 
     def unpack(self, z: np.ndarray) -> Tuple[PrecoderSet, Optional[np.ndarray]]:
-        nt = self.n_t
-
-        def get(off):
-            return z[off: off + nt] + 1j * z[off + nt: off + 2 * nt]
-
-        p_c = np.zeros((self.N, nt), dtype=np.complex128)
-        p = np.zeros((self.K, self.N, nt), dtype=np.complex128)
-        f = np.zeros((self.L, self.N, nt), dtype=np.complex128)
-        for n in range(self.N):
-            if self.rsma:
-                p_c[n] = get(self.pc_off[n])
-            for k in range(self.K):
-                p[k, n] = get(self.p_off[k, n])
-            if self.is_pilot[n]:
-                for l in range(self.L):
-                    f[l, n] = get(self.f_off[l, n])
-        X = None
-        if self.rsma:
-            X = np.array([[z[self.x_off[k, n]] for n in range(self.N)]
-                          for k in range(self.K)])
-        return PrecoderSet(p_c=p_c, p=p, f=f), X
+        nt, N, K = self.n_t, self.N, self.K
+        pc, p, f_pil = (a[..., :nt] + 1j * a[..., nt:] for a in self._split(z))
+        f = np.zeros((self.L, N, nt), dtype=np.complex128)
+        f[:, self.is_pilot] = f_pil
+        if not self.rsma:
+            return PrecoderSet(p_c=np.zeros((N, nt)), p=p, f=f), None
+        return PrecoderSet(p_c=pc, p=p, f=f), z[self._ends[-1]:].reshape(K, N).copy()
 
 
 def linearize_jamming(layout: VariableLayout, precoders_t: PrecoderSet,
@@ -304,27 +256,10 @@ def linearize_jamming(layout: VariableLayout, precoders_t: PrecoderSet,
     coef @ z[cols] + const equals the linearized focused power; it matches the
     true quadratic at the expansion point and never exceeds it elsewhere.
     """
-    cols = layout.prec_cols_of(n)
-    coef = np.zeros(cols.size)
-    base = layout.blocks[n][0]
-    const = 0.0
-    sw = layout.slot_width
-
-    def add(off, p_t):
-        nonlocal const
-        w = R @ p_t
-        s0 = int(off - base)
-        coef[s0:s0 + sw] += 2.0 * _revec(w)
-        const -= float(np.real(np.vdot(p_t, w)))
-
-    if layout.rsma:
-        add(layout.pc_off[n], precoders_t.p_c[n])
-    for k in range(layout.K):
-        add(layout.p_off[k, n], precoders_t.p[k, n])
-    if layout.is_pilot[n]:
-        for l in range(layout.L):
-            add(layout.f_off[l, n], precoders_t.f[l, n])
-    return cols, coef, const
+    q = _streams(precoders_t, n)[layout.streams[n]]
+    Rq = q @ np.asarray(R).T                   # row s: R q_s
+    return (layout.prec_cols_of(n), 2.0 * _revec(Rq).ravel(),
+            -float(np.real(np.vdot(q, Rq))))
 
 
 # ---------------------------------------------------------------------------
@@ -409,44 +344,26 @@ def _surrogate_coefficients(samples: np.ndarray, state: WmmseState):
 def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
                          state: WmmseState, taylor: PrecoderSet,
                          stats: AuStatistics, config: SolveConfig) -> cvx.ConvexSubproblem:
-    K, N, L = layout.K, layout.N, layout.L
-    sw = layout.slot_width
+    K, L, sw = layout.K, layout.L, layout.slot_width
     Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(samples, state)
+    x = layout.x_cols
 
     obj_quads = []
-    lin_cols: List[np.ndarray] = []
-    lin_vals: List[np.ndarray] = []
-    const = float(np.sum(r_p))
     q_cons: List[cvx.QConstraint] = []
     a_cons: List[cvx.AConstraint] = []
-
-    for n in range(N):
+    for n in range(layout.N):
         cols = layout.prec_cols_of(n)
-        wp = cols.size
-        n_slots = layout._n_streams(n)
         lead = sw if layout.rsma else 0  # common slot carries no private-MSE power
-
-        E = Rp[:, n].sum(axis=0)
-        Q = np.zeros((wp, wp))
-        if n_slots - (1 if layout.rsma else 0) > 0:
-            Q[lead:, lead:] = np.kron(np.eye(n_slots - (1 if layout.rsma else 0)), E)
+        Q = np.zeros((cols.size, cols.size))
+        Q[lead:, lead:] = np.kron(np.eye((cols.size - lead) // sw), Rp[:, n].sum(axis=0))
         obj_quads.append(cvx.QuadTerm(cols, Q))
-
-        for k in range(K):
-            off = layout.p_off[k, n]
-            lin_cols.append(layout.slot(off))
-            lin_vals.append(-2.0 * _revec(v_p[k, n]))
-
         if layout.rsma:
-            xcols = layout.x_cols_of(n)
-            lin_cols.append(xcols)
-            lin_vals.append(np.ones(K))
+            bc = np.concatenate([x[:, n], layout.pc_cols[n]])
             for k in range(K):
-                Qc = np.kron(np.eye(n_slots), Rc[k, n])
-                bc = np.concatenate([xcols, layout.slot(layout.pc_off[n])])
                 coef = np.concatenate([np.ones(K), 2.0 * _revec(v_c[k, n])])
                 q_cons.append(cvx.QConstraint(
-                    cvx.QuadTerm(cols, Qc), cvx.Affine(bc, coef, 1.0 - float(r_c[k, n]))))
+                    cvx.QuadTerm(cols, np.kron(np.eye(cols.size // sw), Rc[k, n])),
+                    cvx.Affine(bc, coef, 1.0 - float(r_c[k, n]))))
 
     thr = config.thresholds
     if thr is not None and L:
@@ -463,12 +380,13 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
 
     return cvx.ConvexSubproblem(
         n_vars=layout.n_vars,
-        objective=cvx.Objective(tuple(obj_quads),
-                                cvx.Affine(np.concatenate(lin_cols),
-                                           np.concatenate(lin_vals), const)),
+        objective=cvx.Objective(tuple(obj_quads), cvx.Affine(
+            np.concatenate([layout.p_cols.ravel(), x.ravel()]),
+            np.concatenate([-2.0 * _revec(v_p).ravel(), np.ones(x.size)]),
+            float(np.sum(r_p)))),
         q_constraints=q_cons,
         a_constraints=a_cons,
-        sign_constraints=layout.x_cols,
+        sign_constraints=x.T.ravel(),
         blocks=layout.blocks,
         var_scale=layout.var_scale(config.P_t),
     )
@@ -485,12 +403,12 @@ def _project_power(precoders: PrecoderSet, P_t: float) -> PrecoderSet:
     return precoders
 
 
-def _wsr_nats(samples: np.ndarray, precoders: PrecoderSet,
-              X: Optional[np.ndarray]) -> float:
-    eps_c, eps_p, *_ = stream_mses(samples, precoders)
-    wsr = float(np.sum(np.mean(-np.log(eps_p), axis=0)))
+def _wsr_nats(state: WmmseState, X: Optional[np.ndarray]) -> float:
+    """Sampled private mutual information plus the common-rate split, in nats,
+    at the point where ``state`` was computed."""
+    wsr = float(np.sum(np.mean(np.log(state.u_p), axis=0)))
     if X is not None:
-        wsr += float(-np.sum(X))
+        wsr -= float(np.sum(X))
     return wsr
 
 
@@ -510,12 +428,10 @@ def _max_violation(precoders: PrecoderSet, stats: AuStatistics,
     return viol
 
 
-def _clamp_split(samples: np.ndarray, precoders: PrecoderSet,
-                 X: np.ndarray) -> np.ndarray:
+def _clamp_split(state: WmmseState, X: np.ndarray) -> np.ndarray:
     """Shrink the common-rate split where needed so every subcarrier's total
     stays decodable by the weakest user (a no-op for converged solutions)."""
-    eps_c, *_ = stream_mses(samples, precoders)
-    cap = np.min(np.mean(-np.log(eps_c), axis=0), axis=0)  # (N,), nats
+    cap = np.min(np.mean(np.log(state.u_c), axis=0), axis=0)  # (N,), nats
     C = -X
     total = C.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -563,6 +479,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         inner_config = dataclasses.replace(
             config, thresholds=np.where(thr > 0.0, thr + jam_margin, thr))
 
+    state = _wmmse_state(samples, prec)
     wsr_prev = 0.0
     converged = False
     wsr_trace: List[float] = []
@@ -571,15 +488,13 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     outer_done = 0
 
     for i in range(config.max_outer):
-        state = _wmmse_state(samples, prec)
-        snapshot = (prec, None if X is None else X.copy())
+        snapshot = (prec, None if X is None else X.copy(), state)
         inner_vals: List[float] = []
         taylor = prec
-        wm_prev: Optional[float] = None
+        # at fresh weights the surrogate equals K*N minus the weighted sum rate
+        wm_prev = csit.K * csit.N - _wsr_nats(state, X)
         for t in range(config.max_inner):
             prob = _assemble_subproblem(layout, samples, state, taylor, stats, inner_config)
-            if wm_prev is None:
-                wm_prev = float(cvx.eval_objective(prob, layout.pack(prec, X)))
             res = cvx.solve(prob, tol=config.solver_tol)
             if res.status != "optimal":
                 _accept_solve(res, config, jam_margin)
@@ -606,11 +521,12 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             wm_prev = wm
         wmmse_trace.append(inner_vals)
 
-        wsr = _wsr_nats(samples, taylor, X)
+        state = _wmmse_state(samples, taylor)
+        wsr = _wsr_nats(state, X)
         outer_done = i + 1
         if wsr < wsr_prev - 1e-9 and i > 0:
             # only reachable through solver slop; progress is exhausted
-            prec, X = snapshot
+            prec, X, state = snapshot
             converged = True
             break
         prec = taylor
@@ -626,8 +542,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         wsr_prev = wsr
 
     if X is not None:
-        X = _clamp_split(samples, prec, X)
-    state = _wmmse_state(samples, prec)
+        X = _clamp_split(state, X)
     split = CommonSplitVars(X=X if X is not None else np.zeros((csit.K, csit.N)))
     diagnostics = {
         "converged": converged,
@@ -641,8 +556,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     report = rate_report(samples, prec, split.C_bits, stats=stats,
                          diagnostics=diagnostics)
     return OptimizeResult(precoders=prec, split=split, report=report,
-                          state=state, converged=converged,
-                          outer_iterations=outer_done)
+                          converged=converged, outer_iterations=outer_done)
 
 
 def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
@@ -679,7 +593,6 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         precoders=restricted.precoders,
         split=CommonSplitVars(X=np.zeros((csit.K, csit.N))),
         report=report,
-        state=restricted.state,
         converged=restricted.converged,
         outer_iterations=restricted.outer_iterations,
     )

@@ -24,6 +24,7 @@ from jamcom.optimizer import (
     _assemble_subproblem,
     _surrogate_coefficients,
     _wmmse_state,
+    _wsr_nats,
     build_thresholds,
     initialize,
     InfeasibleError,
@@ -106,9 +107,10 @@ class TestWeightUpdates:
 class TestAugmentedMseQuadratic:
     """The augmented MSEs of the assembled subproblem, at M=1."""
 
-    def _setup(self, rng):
+    def _setup(self, rng, scheme="RSMA"):
         chan, csit, stats = paper_setup(N=4)
-        layout = VariableLayout(4, 4, 2, 1, stats.pilot_idx, rsma=True)
+        rsma = scheme == "RSMA"
+        layout = VariableLayout(4, 4, 2, 1, stats.pilot_idx, rsma=rsma)
         samples = draw_csit_samples(csit, 1, 5)
         pre = PrecoderSet(
             p_c=rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
@@ -116,24 +118,34 @@ class TestAugmentedMseQuadratic:
             f=rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
         off_pilot = np.setdiff1d(np.arange(4), stats.pilot_idx)
         pre.f[:, off_pilot] = 0.0  # jamming exists on pilots only
-        prob = _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre,
-                                    stats, SolveConfig(P_t=10.0, M=1))
-        return layout, samples, pre, prob
+        if not rsma:
+            pre.p_c[:] = 0.0
+        state = _wmmse_state(samples, pre)
+        prob = _assemble_subproblem(layout, samples, state, pre, stats,
+                                    SolveConfig(P_t=10.0, M=1, scheme=scheme))
+        return layout, samples, pre, prob, state
 
     def test_identity_at_fresh_weights(self, rng):
-        # objective at the linearization precoders: sum of 1 - I_private nats
-        layout, samples, pre, prob = self._setup(rng)
-        z = layout.pack(pre, np.zeros((2, 4)))
-        target = 0.0
-        for n in range(4):
-            for k in range(2):
-                h = samples[0, k, n]
-                t = interference_terms(h, pre, n, k)
-                target += 1.0 - mutual_info(h, pre.p[k, n], t, "private") * np.log(2.0)
-        assert cvx.eval_objective(prob, z) == pytest.approx(target, abs=1e-12)
+        # objective at the linearization precoders: sum of 1 - I_private nats,
+        # plus the split under RSMA; i.e. K*N minus the weighted sum rate
+        for scheme in ("RSMA", "SDMA"):
+            layout, samples, pre, prob, state = self._setup(rng, scheme)
+            target = 0.0
+            for n in range(4):
+                for k in range(2):
+                    h = samples[0, k, n]
+                    t = interference_terms(h, pre, n, k)
+                    target += 1.0 - mutual_info(h, pre.p[k, n], t, "private") * np.log(2.0)
+            z = layout.pack(pre, np.zeros((2, 4)))
+            assert cvx.eval_objective(prob, z) == pytest.approx(target, abs=1e-12)
+            X = -np.abs(rng.standard_normal((2, 4)))
+            wm = cvx.eval_objective(prob, layout.pack(pre, X))
+            assert wm == pytest.approx(2 * 4 - _wsr_nats(state, X if layout.rsma else None),
+                                       abs=1e-12)
+            assert wm == pytest.approx(target + (X.sum() if layout.rsma else 0.0), abs=1e-12)
 
     def test_common_constraint_is_minus_common_information(self, rng):
-        layout, samples, pre, prob = self._setup(rng)
+        layout, samples, pre, prob, _ = self._setup(rng)
         c = cvx.eval_constraints(prob, layout.pack(pre, np.zeros((2, 4))))
         for n in range(4):
             for k in range(2):
