@@ -39,7 +39,7 @@ results = {}
 sdma = None
 for scheme in ("SDMA", "RSMA"):
     cfg = SolveConfig(P_t=P_t, scheme=scheme, M=4, seed=11, thresholds=thr,
-                      eps_r=1e-3, eps_m=1e-3)
+                      eps_r=1e-3)
     res = optimize(csit, stats, cfg, restricted=sdma)
     if scheme == "SDMA":
         sdma = res

@@ -28,7 +28,7 @@ for strategy in (1, 2):
         snr_db_list=[10.0, 20.0, 25.0],
         scheme_list=["RSMA", "SDMA"],
         channel_model={"type": "deterministic", "theta": theta, "beta": beta},
-        strategy=strategy, M=4, seed=7, eps_r=1e-3, eps_m=1e-3,
+        strategy=strategy, M=4, seed=7, eps_r=1e-3,
     )
     table = run_experiment(config)
     emit_csv(table, os.path.join(out_dir, f"strategy{strategy}.csv"))

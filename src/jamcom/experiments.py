@@ -54,9 +54,7 @@ class ExperimentConfig:
     alpha: float = 0.6
     M: int = 16
     eps_r: float = 1e-4
-    eps_m: float = 1e-4
     max_outer: int = 200
-    max_inner: int = 20
     solver_tol: float = 1e-7
     seed: int = 0
     out_dir: Optional[str] = None
@@ -204,8 +202,7 @@ def _run_pair(args) -> List[ResultRow]:
     def solve_cfg(scheme):
         return opt.SolveConfig(
             P_t=P_t, scheme=scheme, M=config.M, seed=cell_seed,
-            eps_r=config.eps_r, eps_m=config.eps_m,
-            max_outer=config.max_outer, max_inner=config.max_inner,
+            eps_r=config.eps_r, max_outer=config.max_outer,
             thresholds=thr, solver_tol=config.solver_tol)
 
     def run_one(scheme, restricted):
@@ -367,7 +364,7 @@ def _apply_quick(config: ExperimentConfig) -> ExperimentConfig:
     pilot_sets = tuple(
         min(p if isinstance(p, int) else len(p), 8) for p in config.pilot_sets)
     return dataclasses.replace(
-        config, N=8, M=4, eps_r=1e-3, eps_m=1e-3, max_outer=60,
+        config, N=8, M=4, eps_r=1e-3, max_outer=60,
         pilot_sets=pilot_sets)
 
 

@@ -1,11 +1,13 @@
 """Alternating precoder optimization for joint communications and jamming.
 
-The nonconvex sum-mutual-information problem is handled by an outer loop that
-refreshes per-sample MMSE filters and weights (turning the rate objective into
-an augmented weighted-MSE surrogate) and an inner loop that repeatedly solves
-the convex subproblem obtained by linearizing the focused-power constraint at
-the running point.  Channel uncertainty enters through sample averaging over
-draws from the CSI error model.
+The nonconvex sum-mutual-information problem is handled by one loop.  Each
+iteration refreshes the per-sample MMSE filters and weights at the running
+point (turning the rate objective into an augmented weighted-MSE surrogate,
+tight there), linearizes the focused-power constraint at the same point (an
+inner approximation of the true floors that contains it), and solves the
+resulting convex subproblem once, so the sampled sum rate never decreases.
+Channel uncertainty enters through sample averaging over draws from the CSI
+error model.
 
 Internal bookkeeping uses natural logarithms, for which the weight u = 1/mse
 is the exact stationary point of u*mse - ln(u) and the optimized surrogate
@@ -62,10 +64,9 @@ class SolveConfig:
     scheme: str = "RSMA"                       # RSMA | SDMA
     M: int = 16
     seed: int = 0
-    eps_r: float = 1e-4                        # outer (rate) tolerance, nats
-    eps_m: float = 1e-4                        # inner (surrogate) tolerance, nats
+    eps_r: float = 1e-4                        # rate tolerance, nats
+    eps_m: float = 1e-4                        # unread: kept only as perfbench/workloads.py wide_instances passes it
     max_outer: int = 200
-    max_inner: int = 20
     thresholds: Optional[np.ndarray] = None    # (L, |pilot_set|) focused-power floors
     solver_tol: float = 1e-7
 
@@ -74,10 +75,10 @@ class SolveConfig:
             raise ValueError("P_t must be positive")
         if self.scheme not in ("RSMA", "SDMA"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.M < 1 or self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("M and iteration caps must be >= 1")
-        if self.eps_r <= 0.0 or self.eps_m <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.M < 1 or self.max_outer < 1:
+            raise ValueError("M and the iteration cap must be >= 1")
+        if self.eps_r <= 0.0:
+            raise ValueError("eps_r must be positive")
         if self.thresholds is not None:
             object.__setattr__(self, "thresholds",
                                np.asarray(self.thresholds, dtype=np.float64))
@@ -330,8 +331,9 @@ def _surrogate_coefficients(samples: np.ndarray, state: WmmseState):
     M = samples.shape[0]
     w_c = state.u_c * np.abs(state.g_c) ** 2 / M
     w_p = state.u_p * np.abs(state.g_p) ** 2 / M
-    S_c = np.einsum("mkn,mkna,mknb->knab", w_c, samples, samples.conj())
-    S_p = np.einsum("mkn,mkna,mknb->knab", w_p, samples, samples.conj())
+    conj = samples.conj()
+    S_c = np.einsum("mkna,mknb->knab", w_c[..., None] * samples, conj, optimize=True)
+    S_p = np.einsum("mkna,mknb->knab", w_p[..., None] * samples, conj, optimize=True)
     v_c = np.einsum("mkn,mkna->kna", state.u_c * np.conj(state.g_c), samples) / M
     v_p = np.einsum("mkn,mkna->kna", state.u_p * np.conj(state.g_p), samples) / M
     r_c = np.mean(state.u_c * (np.abs(state.g_c) ** 2 * NOISE_VAR + 1.0)
@@ -393,7 +395,7 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the two-loop algorithm
+# the WMMSE/SCA loop
 
 
 def _project_power(precoders: PrecoderSet, P_t: float) -> PrecoderSet:
@@ -471,69 +473,52 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     # The solver meets constraints to a tolerance that scales with their
     # magnitude; tightening the floors by that much keeps the true focused
     # power above the requested threshold with room to spare.
-    inner_config = config
+    floored = config.thresholds is not None and config.thresholds.size > 0
+    tight_config = config
     jam_margin = 0.0
-    if config.thresholds is not None and config.thresholds.size:
+    if floored:
         thr = config.thresholds
         jam_margin = 10.0 * config.solver_tol * (1.0 + max(float(thr.max()), config.P_t))
-        inner_config = dataclasses.replace(
+        tight_config = dataclasses.replace(
             config, thresholds=np.where(thr > 0.0, thr + jam_margin, thr))
 
     state = _wmmse_state(samples, prec)
     wsr_prev = 0.0
     converged = False
     wsr_trace: List[float] = []
-    wmmse_trace: List[List[float]] = []
     solver_status_flags: List[str] = []
     outer_done = 0
 
     for i in range(config.max_outer):
-        snapshot = (prec, None if X is None else X.copy(), state)
-        inner_vals: List[float] = []
-        taylor = prec
-        # at fresh weights the surrogate equals K*N minus the weighted sum rate
-        wm_prev = csit.K * csit.N - _wsr_nats(state, X)
-        for t in range(config.max_inner):
-            prob = _assemble_subproblem(layout, samples, state, taylor, stats, inner_config)
-            res = cvx.solve(prob, tol=config.solver_tol)
-            if res.status != "optimal":
-                _accept_solve(res, config, jam_margin)
-                solver_status_flags.append(f"{i}.{t}:{res.status}")
-            new_prec, new_X = layout.unpack(res.primal)
-            new_prec = _project_power(new_prec, config.P_t)
-            if new_X is not None:
-                new_X = np.minimum(new_X, 0.0)
-            wm = float(res.objective_value)
-            if wm > wm_prev + 1e-9:
-                break  # numerical slop would degrade the surrogate; keep the old point
-            if config.thresholds is not None and config.thresholds.size:
-                # never leave the true feasible set: the running point is the
-                # fallback whenever repairs pushed the step below a floor
-                shortfall = _max_violation(new_prec, stats, config)
-                if shortfall > 1e-9 * (1.0 + float(config.thresholds.max())):
-                    break
-            taylor, X = new_prec, new_X
-            inner_vals.append(wm)
-            if not prob.a_constraints:
-                break  # no running-point dependence: the solve is already exact
-            if abs(wm - wm_prev) <= config.eps_m:
-                break
-            wm_prev = wm
-        wmmse_trace.append(inner_vals)
-
-        state = _wmmse_state(samples, taylor)
-        wsr = _wsr_nats(state, X)
+        # prec is both the point of the weights and filters and the Taylor
+        # point of the floors, so one solve refreshes all three together
+        prob = _assemble_subproblem(layout, samples, state, prec, stats, tight_config)
+        res = cvx.solve(prob, tol=config.solver_tol)
         outer_done = i + 1
-        if wsr < wsr_prev - 1e-9 and i > 0:
-            # only reachable through solver slop; progress is exhausted
-            prec, X, state = snapshot
+        if res.status != "optimal":
+            _accept_solve(res, config, jam_margin)
+            solver_status_flags.append(f"{i}:{res.status}")
+        new_prec, new_X = layout.unpack(res.primal)
+        new_prec = _project_power(new_prec, config.P_t)
+        if new_X is not None:
+            new_X = np.minimum(new_X, 0.0)
+        # a candidate is accepted only if it passes both checks below; each
+        # failure is reachable only through solver slop or the repairs above,
+        # so progress is exhausted and the running point is kept
+        if floored and (_max_violation(new_prec, stats, config)
+                        > 1e-9 * (1.0 + float(config.thresholds.max()))):
             converged = True
             break
-        prec = taylor
+        new_state = _wmmse_state(samples, new_prec)
+        wsr = _wsr_nats(new_state, new_X)
+        if wsr < wsr_prev - 1e-9 and i > 0:
+            converged = True
+            break
+        prec, X, state = new_prec, new_X, new_state
         wsr_trace.append(wsr)
         if trace_sink is not None:
             trace_sink({
-                "outer": i, "wsr_nats": wsr, "wmmse": inner_vals,
+                "outer": i, "wsr_nats": wsr,
                 "max_violation": _max_violation(prec, stats, config),
             })
         if abs(wsr - wsr_prev) <= config.eps_r:
@@ -548,7 +533,6 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         "converged": converged,
         "outer_iterations": outer_done,
         "wsr_trace_nats": wsr_trace,
-        "wmmse_trace": wmmse_trace,
         "max_violation": _max_violation(prec, stats, config),
         "solver_flags": solver_status_flags,
         "scheme": config.scheme,

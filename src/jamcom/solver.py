@@ -361,6 +361,7 @@ def eval_constraints(problem: ConvexSubproblem, z: np.ndarray) -> np.ndarray:
 
 
 _FTB_MIN = 0.99
+_CENTER_FLOOR = 1e-2
 _REG_BASE = 1e-11
 
 
@@ -465,6 +466,7 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> 
     cvals, _ = comp.constraints(z)
     s = np.maximum(1.0, -cvals)
     lam = np.ones(m)
+    mu0 = float(s @ lam) / m
 
     status = "max_iter"
     it = 0
@@ -520,7 +522,12 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> 
             alpha_p = _max_step(s, ds_a)
             alpha_d = _max_step(lam, dlam_a)
             mu_aff = float((s + alpha_p * ds_a) @ (lam + alpha_d * dlam_a)) / m
-            sigma = min(0.999, max((mu_aff / mu) ** 3, 1e-10)) if mu > 0 else 0.1
+            # keep complementarity from outrunning the primal residual: once the
+            # multipliers vanish ahead of feasibility, nothing in the Newton
+            # system pulls the iterate back (Kojima-Megiddo-Mizuno neighbourhood)
+            mu_floor = _CENTER_FLOOR * mu0 * float(np.max(np.abs(r_p))) / comp.feas_scale
+            sigma = (min(0.999, max((mu_aff / mu) ** 3, 1e-10, mu_floor / mu))
+                     if mu > 0 else 0.1)
 
             r_c = s * lam - sigma * mu + ds_a * dlam_a
             dz, ds, dlam = solve_direction(r_c)

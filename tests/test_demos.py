@@ -1,5 +1,4 @@
-"""The demos run to completion.  Demo 04 (a full strategy sweep, about 100 s)
-is left out."""
+"""The demos run to completion."""
 
 import os
 import subprocess
@@ -9,7 +8,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = ["01_channels_and_csi.py", "02_rates_and_jamming_metrics.py",
-         "03_single_optimization_run.py", "05_solver_direct.py"]
+         "03_single_optimization_run.py", "04_strategy_sweep.py",
+         "05_solver_direct.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

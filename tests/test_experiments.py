@@ -27,7 +27,7 @@ def tiny_config(**overrides):
         snr_db_list=[10.0],
         scheme_list=["RSMA", "SDMA"],
         channel_model={"type": "deterministic", "theta": THETA, "beta": BETA},
-        strategy=1, M=2, seed=3, eps_r=1e-3, eps_m=1e-3, max_outer=40,
+        strategy=1, M=2, seed=3, eps_r=1e-3, max_outer=40,
     )
     doc.update(overrides)
     return ExperimentConfig(**doc)
@@ -97,8 +97,7 @@ class TestRunExperiment:
                                           spawn_key=(0,)).generate_state(1)[0])
         direct = opt.optimize(csit, stats, opt.SolveConfig(
             P_t=P_t, scheme="SDMA", M=cfg.M, seed=seed,
-            eps_r=cfg.eps_r, eps_m=cfg.eps_m, max_outer=cfg.max_outer,
-            max_inner=cfg.max_inner,
+            eps_r=cfg.eps_r, max_outer=cfg.max_outer,
             thresholds=opt.build_thresholds(stats, 0.0, P_t),
             solver_tol=cfg.solver_tol))
         assert row.sum_rate == direct.report.R_sum
@@ -174,7 +173,7 @@ class TestCli:
             n_t=4, K=2, L=1, N=8, pilot_sets=[2], snr_db_list=[10.0],
             scheme_list=["RSMA", "SDMA"],
             channel_model={"type": "deterministic", "theta": THETA, "beta": BETA},
-            strategy=1, M=2, seed=3, eps_r=1e-3, eps_m=1e-3, max_outer=40,
+            strategy=1, M=2, seed=3, eps_r=1e-3, max_outer=40,
         )
         doc.update(overrides)
         path = tmp_path / "config.json"
@@ -240,7 +239,7 @@ class TestCli:
         trace = out / "trace_cell000.jsonl"
         assert trace.exists()
         first = json.loads(trace.read_text().splitlines()[0])
-        assert {"outer", "wsr_nats", "wmmse", "max_violation"} <= set(first)
+        assert {"outer", "wsr_nats", "max_violation"} <= set(first)
 
     def test_quick_mode_runs_reduced_scale(self, tmp_path):
         cfg = self._write_config(tmp_path, N=32, M=16, pilot_sets=[16],
