@@ -55,7 +55,6 @@ class ExperimentConfig:
     M: int = 16
     eps_r: float = 1e-4
     max_outer: int = 200
-    solver_tol: float = 1e-7
     seed: int = 0
     out_dir: Optional[str] = None
 
@@ -203,7 +202,7 @@ def _run_pair(args) -> List[ResultRow]:
         return opt.SolveConfig(
             P_t=P_t, scheme=scheme, M=config.M, seed=cell_seed,
             eps_r=config.eps_r, max_outer=config.max_outer,
-            thresholds=thr, solver_tol=config.solver_tol)
+            thresholds=thr)
 
     def run_one(scheme, restricted):
         trace: list = []

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _LN2 = float(np.log(2.0))
+_SOLVER_TOL = 1e-7    # scaled KKT tolerance of every subproblem solve
 
 
 class OptimizerError(RuntimeError):
@@ -68,7 +69,6 @@ class SolveConfig:
     eps_m: float = 1e-4                        # unread: kept only as perfbench/workloads.py wide_instances passes it
     max_outer: int = 200
     thresholds: Optional[np.ndarray] = None    # (L, |pilot_set|) focused-power floors
-    solver_tol: float = 1e-7
 
     def __post_init__(self):
         if self.P_t <= 0.0:
@@ -188,10 +188,10 @@ class VariableLayout:
 
     The vector stacks, in order: the common precoders (N, 2n_t), RSMA only;
     the private precoders (K, N, 2n_t); the jamming precoders of the pilot
-    subcarriers (L, |pilots|, 2n_t), in subcarrier order; and the splits X
-    (K, N), RSMA only.  A precoder q occupies 2n_t entries [Re q; Im q].
-    blocks[n] gathers subcarrier n's columns: common, private 1..K, jamming
-    1..L (pilots only), then split 1..K.
+    subcarriers (L, |pilots|, 2n_t), in subcarrier order; and the split X
+    (N,), one total per subcarrier, RSMA only.  A precoder q occupies 2n_t
+    entries [Re q; Im q].  blocks[n] gathers subcarrier n's columns: common,
+    private 1..K, jamming 1..L (pilots only), then the split.
     """
 
     def __init__(self, n_t: int, N: int, K: int, L: int,
@@ -212,10 +212,10 @@ class VariableLayout:
         slots[self.is_pilot, 1 + K:] = self.f_cols.swapaxes(0, 1)
         self.streams = slots[:, :, 0] >= 0     # (N, 1+K+L) streams present
         self.prec_cols = np.arange(self._ends[-1])
-        self.x_cols = self._ends[-1] + np.arange(K * N if rsma else 0).reshape(-1, N)
+        self.x_cols = self._ends[-1] + np.arange(N if rsma else 0)
         self.n_vars = self._ends[-1] + self.x_cols.size
         self.blocks: List[np.ndarray] = [
-            np.concatenate([self.prec_cols_of(n), self.x_cols[:, n]]) for n in range(N)]
+            np.concatenate([self.prec_cols_of(n), self.x_cols[n:n + 1]]) for n in range(N)]
 
     def _split(self, v: np.ndarray):
         """Common, private and jamming parts of v, shaped as in the vector."""
@@ -233,20 +233,23 @@ class VariableLayout:
     # conversions -----------------------------------------------------------
 
     def pack(self, precoders: PrecoderSet, X: Optional[np.ndarray]) -> np.ndarray:
+        """Solver vector of the precoders and the (N,) split; SDMA ignores X."""
         parts = [_revec(precoders.p_c)] if self.rsma else []
         parts += [_revec(precoders.p), _revec(precoders.f[:, self.is_pilot])]
         if self.rsma:
-            parts.append(np.zeros((self.K, self.N)) if X is None else X)
+            if np.shape(X) != (self.N,):
+                raise ValueError(f"split has shape {np.shape(X)}, expected ({self.N},)")
+            parts.append(X)
         return np.concatenate([np.ravel(a) for a in parts])
 
-    def unpack(self, z: np.ndarray) -> Tuple[PrecoderSet, Optional[np.ndarray]]:
-        nt, N, K = self.n_t, self.N, self.K
+    def unpack(self, z: np.ndarray) -> Tuple[PrecoderSet, np.ndarray]:
+        nt, N = self.n_t, self.N
         pc, p, f_pil = (a[..., :nt] + 1j * a[..., nt:] for a in self._split(z))
         f = np.zeros((self.L, N, nt), dtype=np.complex128)
         f[:, self.is_pilot] = f_pil
         if not self.rsma:
-            return PrecoderSet(p_c=np.zeros((N, nt)), p=p, f=f), None
-        return PrecoderSet(p_c=pc, p=p, f=f), z[self._ends[-1]:].reshape(K, N).copy()
+            return PrecoderSet(p_c=np.zeros((N, nt)), p=p, f=f), np.zeros(N)
+        return PrecoderSet(p_c=pc, p=p, f=f), z[self.x_cols]
 
 
 def linearize_jamming(layout: VariableLayout, precoders_t: PrecoderSet,
@@ -274,6 +277,17 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * np.exp(-1j * np.angle(v[i]))
 
 
+def _floors(stats: AuStatistics,
+            thresholds: Optional[np.ndarray]) -> List[Tuple[int, int, float]]:
+    """(adversary, subcarrier, floor) of every active focused-power floor, in
+    adversary-major order; no thresholds means no floors."""
+    if thresholds is None:
+        return []
+    return [(l, int(n), float(thresholds[l, j]))
+            for l in range(stats.L) for j, n in enumerate(stats.pilot_idx)
+            if thresholds[l, j] > 0.0]
+
+
 def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> PrecoderSet:
     """Feasible starting point: jamming precoders meet every focused-power
     floor with equality along the dominant covariance eigenvector; half the
@@ -284,22 +298,16 @@ def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> Pre
     L = stats.L
     rsma = config.scheme == "RSMA"
     thr = config.thresholds
-    if thr is None:
-        thr = np.zeros((L, stats.pilot_idx.size))
-    if thr.shape != (L, stats.pilot_idx.size):
+    if thr is not None and thr.shape != (L, stats.pilot_idx.size):
         raise ValueError("thresholds must have shape (L, |pilot_set|)")
 
     f = np.zeros((L, N, n_t), dtype=np.complex128)
     jam_power = 0.0
-    for l in range(L):
-        for j, n in enumerate(stats.pilot_idx):
-            if thr[l, j] <= 0.0:
-                continue
-            tau = stats.tau[l, n]
-            evals, evecs = np.linalg.eigh(stats.R[l, n])
-            v = _phase_fix(evecs[:, -1])
-            f[l, n] = np.sqrt(thr[l, j] / tau) * v
-            jam_power += thr[l, j] / tau
+    for l, n, floor in _floors(stats, thr):
+        tau = stats.tau[l, n]
+        _, evecs = np.linalg.eigh(stats.R[l, n])
+        f[l, n] = np.sqrt(floor / tau) * _phase_fix(evecs[:, -1])
+        jam_power += floor / tau
     if jam_power > config.P_t * (1.0 + 1e-12):
         raise InfeasibleError(
             f"jamming floors need power {jam_power:.6g} > budget {config.P_t:.6g}")
@@ -346,13 +354,12 @@ def _surrogate_coefficients(samples: np.ndarray, state: WmmseState):
 def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
                          state: WmmseState, taylor: PrecoderSet,
                          stats: AuStatistics, config: SolveConfig) -> cvx.ConvexSubproblem:
-    K, L, sw = layout.K, layout.L, layout.slot_width
+    K, sw = layout.K, layout.slot_width
     Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(samples, state)
     x = layout.x_cols
 
     obj_quads = []
     q_cons: List[cvx.QConstraint] = []
-    a_cons: List[cvx.AConstraint] = []
     for n in range(layout.N):
         cols = layout.prec_cols_of(n)
         lead = sw if layout.rsma else 0  # common slot carries no private-MSE power
@@ -360,21 +367,16 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
         Q[lead:, lead:] = np.kron(np.eye((cols.size - lead) // sw), Rp[:, n].sum(axis=0))
         obj_quads.append(cvx.QuadTerm(cols, Q))
         if layout.rsma:
-            bc = np.concatenate([x[:, n], layout.pc_cols[n]])
+            bc = np.concatenate([x[n:n + 1], layout.pc_cols[n]])
             for k in range(K):
-                coef = np.concatenate([np.ones(K), 2.0 * _revec(v_c[k, n])])
+                coef = np.concatenate([[1.0], 2.0 * _revec(v_c[k, n])])
                 q_cons.append(cvx.QConstraint(
                     cvx.QuadTerm(cols, np.kron(np.eye(cols.size // sw), Rc[k, n])),
                     cvx.Affine(bc, coef, 1.0 - float(r_c[k, n]))))
 
-    thr = config.thresholds
-    if thr is not None and L:
-        for l in range(L):
-            for j, n in enumerate(stats.pilot_idx):
-                if thr[l, j] <= 0.0:
-                    continue
-                jcols, coef, c0 = linearize_jamming(layout, taylor, stats.R[l, n], int(n))
-                a_cons.append(cvx.AConstraint(cvx.Affine(jcols, coef, c0), float(thr[l, j])))
+    a_cons = [
+        cvx.AConstraint(cvx.Affine(*linearize_jamming(layout, taylor, stats.R[l, n], n)), floor)
+        for l, n, floor in _floors(stats, config.thresholds)]
 
     q_cons.append(cvx.QConstraint(
         cvx.DiagTerm(layout.prec_cols, np.ones(layout.prec_cols.size)),
@@ -383,12 +385,12 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
     return cvx.ConvexSubproblem(
         n_vars=layout.n_vars,
         objective=cvx.Objective(tuple(obj_quads), cvx.Affine(
-            np.concatenate([layout.p_cols.ravel(), x.ravel()]),
+            np.concatenate([layout.p_cols.ravel(), x]),
             np.concatenate([-2.0 * _revec(v_p).ravel(), np.ones(x.size)]),
             float(np.sum(r_p)))),
         q_constraints=q_cons,
         a_constraints=a_cons,
-        sign_constraints=x.T.ravel(),
+        sign_constraints=x,
         blocks=layout.blocks,
         var_scale=layout.var_scale(config.P_t),
     )
@@ -405,41 +407,26 @@ def _project_power(precoders: PrecoderSet, P_t: float) -> PrecoderSet:
     return precoders
 
 
-def _wsr_nats(state: WmmseState, X: Optional[np.ndarray]) -> float:
+def _wsr_nats(state: WmmseState, X: np.ndarray) -> float:
     """Sampled private mutual information plus the common-rate split, in nats,
     at the point where ``state`` was computed."""
-    wsr = float(np.sum(np.mean(np.log(state.u_p), axis=0)))
-    if X is not None:
-        wsr -= float(np.sum(X))
-    return wsr
+    return float(np.sum(np.mean(np.log(state.u_p), axis=0))) - float(np.sum(X))
 
 
 def _max_violation(precoders: PrecoderSet, stats: AuStatistics,
                    config: SolveConfig) -> float:
     """Worst shortfall of the true (not linearized) focused power, plus any
     power-budget excess."""
-    viol = max(precoders.total_power() - config.P_t, 0.0)
-    thr = config.thresholds
-    if thr is not None and stats.L:
-        for l in range(stats.L):
-            for j, n in enumerate(stats.pilot_idx):
-                if thr[l, j] <= 0.0:
-                    continue
-                lam = jamming_power_avg(stats.R[l, int(n)], precoders, int(n))
-                viol = max(viol, thr[l, j] - lam)
-    return viol
+    return max([precoders.total_power() - config.P_t, 0.0]
+               + [floor - jamming_power_avg(stats.R[l, n], precoders, n)
+                  for l, n, floor in _floors(stats, config.thresholds)])
 
 
 def _clamp_split(state: WmmseState, X: np.ndarray) -> np.ndarray:
-    """Shrink the common-rate split where needed so every subcarrier's total
-    stays decodable by the weakest user (a no-op for converged solutions)."""
+    """Cap each subcarrier's common-rate total at what the weakest user can
+    decode (a no-op for converged solutions)."""
     cap = np.min(np.mean(np.log(state.u_c), axis=0), axis=0)  # (N,), nats
-    C = -X
-    total = C.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        factor = np.where(total > 1e-30, np.minimum(
-            1.0, np.maximum(cap - 1e-9, 0.0) / np.where(total > 1e-30, total, 1.0)), 1.0)
-    return -(C * factor[None, :])
+    return np.maximum(X, -np.maximum(cap - 1e-9, 0.0))
 
 
 def _accept_solve(res: cvx.SolverResult, config: SolveConfig,
@@ -464,11 +451,10 @@ def _accept_solve(res: cvx.SolverResult, config: SolveConfig,
 def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                      trace_sink: Optional[Callable[[dict], None]]) -> OptimizeResult:
     samples = draw_csit_samples(csit, config.M, config.seed)
-    rsma = config.scheme == "RSMA"
     layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L,
-                            stats.pilot_idx, rsma)
+                            stats.pilot_idx, config.scheme == "RSMA")
     prec = initialize(csit, stats, config)
-    X = np.zeros((csit.K, csit.N)) if rsma else None
+    X = np.zeros(csit.N)
 
     # The solver meets constraints to a tolerance that scales with their
     # magnitude; tightening the floors by that much keeps the true focused
@@ -478,7 +464,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     jam_margin = 0.0
     if floored:
         thr = config.thresholds
-        jam_margin = 10.0 * config.solver_tol * (1.0 + max(float(thr.max()), config.P_t))
+        jam_margin = 10.0 * _SOLVER_TOL * (1.0 + max(float(thr.max()), config.P_t))
         tight_config = dataclasses.replace(
             config, thresholds=np.where(thr > 0.0, thr + jam_margin, thr))
 
@@ -493,15 +479,14 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         # prec is both the point of the weights and filters and the Taylor
         # point of the floors, so one solve refreshes all three together
         prob = _assemble_subproblem(layout, samples, state, prec, stats, tight_config)
-        res = cvx.solve(prob, tol=config.solver_tol)
+        res = cvx.solve(prob, tol=_SOLVER_TOL)
         outer_done = i + 1
         if res.status != "optimal":
             _accept_solve(res, config, jam_margin)
             solver_status_flags.append(f"{i}:{res.status}")
         new_prec, new_X = layout.unpack(res.primal)
         new_prec = _project_power(new_prec, config.P_t)
-        if new_X is not None:
-            new_X = np.minimum(new_X, 0.0)
+        new_X = np.minimum(new_X, 0.0)
         # a candidate is accepted only if it passes both checks below; each
         # failure is reachable only through solver slop or the repairs above,
         # so progress is exhausted and the running point is kept
@@ -526,9 +511,8 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             break
         wsr_prev = wsr
 
-    if X is not None:
-        X = _clamp_split(state, X)
-    split = CommonSplitVars(X=X if X is not None else np.zeros((csit.K, csit.N)))
+    # the rate depends on each subcarrier's total only; report it evenly split
+    split = CommonSplitVars(X=np.tile(_clamp_split(state, X) / csit.K, (csit.K, 1)))
     diagnostics = {
         "converged": converged,
         "outer_iterations": outer_done,
@@ -575,7 +559,7 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                          scheme="RSMA"))
     return OptimizeResult(
         precoders=restricted.precoders,
-        split=CommonSplitVars(X=np.zeros((csit.K, csit.N))),
+        split=restricted.split,
         report=report,
         converged=restricted.converged,
         outer_iterations=restricted.outer_iterations,

@@ -442,6 +442,10 @@ class _BlockKKT:
         return x
 
 
+def _finite(arrays) -> bool:
+    return all(bool(np.all(np.isfinite(a))) for a in arrays)
+
+
 def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> SolverResult:
     """Solve the subproblem to the given scaled KKT tolerance.
 
@@ -530,28 +534,27 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> 
                      if mu > 0 else 0.1)
 
             r_c = s * lam - sigma * mu + ds_a * dlam_a
-            dz, ds, dlam = solve_direction(r_c)
-        if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(ds))
-                and np.all(np.isfinite(dlam))):
-            with np.errstate(over="ignore", invalid="ignore"):
-                dz, ds, dlam = solve_direction(s * lam - 0.5 * mu)
-            if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(ds))
-                    and np.all(np.isfinite(dlam))):
-                break
+            step = solve_direction(r_c)
 
         ftb = min(0.9999, max(_FTB_MIN, 1.0 - mu))
-        alpha_p = min(1.0, ftb * _max_step(s, ds))
-        alpha_d = min(1.0, ftb * _max_step(lam, dlam))
-        if min(alpha_p, alpha_d) < 1e-8:
-            # corrector step blocked; fall back to a plain centering step
+
+        def step_lengths(d):
+            return min(1.0, ftb * _max_step(s, d[1])), min(1.0, ftb * _max_step(lam, d[2]))
+
+        finite = _finite(step)
+        alpha_p, alpha_d = step_lengths(step) if finite else (0.0, 0.0)
+        if not finite or min(alpha_p, alpha_d) < 1e-8:
+            # corrector unusable or blocked: fall back to a plain centering step
+            # if it is finite and the corrector was not, or if it steps further
             with np.errstate(over="ignore", invalid="ignore"):
-                dz2, ds2, dlam2 = solve_direction(s * lam - 0.5 * mu)
-            if (np.all(np.isfinite(dz2)) and np.all(np.isfinite(ds2))
-                    and np.all(np.isfinite(dlam2))):
-                ap2 = min(1.0, ftb * _max_step(s, ds2))
-                ad2 = min(1.0, ftb * _max_step(lam, dlam2))
-                if min(ap2, ad2) > min(alpha_p, alpha_d):
-                    dz, ds, dlam, alpha_p, alpha_d = dz2, ds2, dlam2, ap2, ad2
+                center = solve_direction(s * lam - 0.5 * mu)
+            if _finite(center):
+                ap2, ad2 = step_lengths(center)
+                if not finite or min(ap2, ad2) > min(alpha_p, alpha_d):
+                    step, finite, alpha_p, alpha_d = center, True, ap2, ad2
+            if not finite:
+                break
+        dz, ds, dlam = step
         stalled = stalled + 1 if max(alpha_p, alpha_d) < 1e-10 else 0
         z = z + alpha_p * dz
         s = np.maximum(s + alpha_p * ds, 1e-30)

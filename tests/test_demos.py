@@ -15,7 +15,9 @@ DEMOS = ["01_channels_and_csi.py", "02_rates_and_jamming_metrics.py",
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
+    # RuntimeWarnings are errors, as in the in-process tests (pyproject.toml)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           os.path.join(ROOT, "demos", name)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

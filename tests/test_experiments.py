@@ -98,8 +98,7 @@ class TestRunExperiment:
         direct = opt.optimize(csit, stats, opt.SolveConfig(
             P_t=P_t, scheme="SDMA", M=cfg.M, seed=seed,
             eps_r=cfg.eps_r, max_outer=cfg.max_outer,
-            thresholds=opt.build_thresholds(stats, 0.0, P_t),
-            solver_tol=cfg.solver_tol))
+            thresholds=opt.build_thresholds(stats, 0.0, P_t)))
         assert row.sum_rate == direct.report.R_sum
         assert row.rate_u == tuple(float(v) for v in direct.report.R_k)
 

@@ -29,7 +29,7 @@ def _random_point(layout, seed):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     pre = PrecoderSet(p_c=c(N, nt), p=c(K, N, nt), f=c(L, N, nt))
-    return pre, -np.abs(rng.standard_normal((K, N)))
+    return pre, -np.abs(rng.standard_normal(N))
 
 
 def _re(v):
@@ -52,7 +52,16 @@ def test_pack_unpack_round_trip(case):
         assert np.array_equal(X_out, X)
     else:
         assert np.all(out.p_c == 0.0)
-        assert X_out is None
+        assert np.array_equal(X_out, np.zeros(layout.N))
+
+
+def test_pack_rejects_a_split_of_the_wrong_shape():
+    layout = VariableLayout(2, 4, 2, 0, np.zeros(0, dtype=np.int64), rsma=True)
+    pre = PrecoderSet.zeros(2, 4, 2, 0)
+    assert layout.pack(pre, np.zeros(4)).shape == (layout.n_vars,)
+    for bad in (np.zeros((2, 4)), np.zeros(8), None):
+        with pytest.raises(ValueError):
+            layout.pack(pre, bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,14 +80,14 @@ def test_blocks_partition_and_order(case):
     prec = np.zeros(layout.n_vars, dtype=bool)
     for n, cols in enumerate(layout.blocks):
         streams = int(layout.rsma) + layout.K + (layout.L if n in pilots else 0)
-        assert cols.size == streams * w + layout.K * int(layout.rsma)
+        assert cols.size == streams * w + int(layout.rsma)
         assert np.array_equal(layout.prec_cols_of(n), cols[: streams * w])
         prec[layout.prec_cols_of(n)] = True
-        # common, private 1..K, jamming 1..L, split 1..K
+        # common, private 1..K, jamming 1..L, then the split
         want = ([_re(pre.p_c[n])] if layout.rsma else []) \
             + [_re(pre.p[k, n]) for k in range(layout.K)] \
             + ([_re(pre.f[l, n]) for l in range(layout.L)] if n in pilots else []) \
-            + ([X[:, n]] if layout.rsma else [])
+            + ([X[n:n + 1]] if layout.rsma else [])
         assert np.array_equal(z[cols], np.concatenate(want))
 
     P_t = 7.0

@@ -138,17 +138,17 @@ class TestAugmentedMseQuadratic:
                     h = samples[0, k, n]
                     t = interference_terms(h, pre, n, k)
                     target += 1.0 - mutual_info(h, pre.p[k, n], t, "private") * np.log(2.0)
-            z = layout.pack(pre, np.zeros((2, 4)))
+            z = layout.pack(pre, np.zeros(4))
             assert cvx.eval_objective(prob, z) == pytest.approx(target, abs=1e-12)
-            X = -np.abs(rng.standard_normal((2, 4)))
+            X = -np.abs(rng.standard_normal(4))
             wm = cvx.eval_objective(prob, layout.pack(pre, X))
-            assert wm == pytest.approx(2 * 4 - _wsr_nats(state, X if layout.rsma else None),
+            assert wm == pytest.approx(2 * 4 - _wsr_nats(state, X if layout.rsma else np.zeros(4)),
                                        abs=1e-12)
             assert wm == pytest.approx(target + (X.sum() if layout.rsma else 0.0), abs=1e-12)
 
     def test_common_constraint_is_minus_common_information(self, rng):
         layout, samples, pre, prob, _ = self._setup(rng)
-        c = cvx.eval_constraints(prob, layout.pack(pre, np.zeros((2, 4))))
+        c = cvx.eval_constraints(prob, layout.pack(pre, np.zeros(4)))
         for n in range(4):
             for k in range(2):
                 h = samples[0, k, n]
@@ -198,7 +198,7 @@ class TestJammingLinearization:
     def test_exact_at_expansion_point(self, rng):
         layout, pre, R = self._setup(rng)
         cols, coef, const = linearize_jamming(layout, pre, R, 0)
-        z = layout.pack(pre, np.zeros((2, 4)))
+        z = layout.pack(pre, np.zeros(4))
         val = coef @ z[cols] + const
         assert val == pytest.approx(jamming_power_avg(R, pre, 0), rel=1e-10)
 
@@ -217,7 +217,7 @@ class TestJammingLinearization:
                 f=rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
             other.f[:, np.array([1, 3])] = 0.0
             cols, coef, const = linearize_jamming(layout, pre, R, 0)
-            z = layout.pack(other, np.zeros((2, 4)))
+            z = layout.pack(other, np.zeros(4))
             assert coef @ z[cols] + const <= jamming_power_avg(R, other, 0) + 1e-9
 
 
@@ -263,7 +263,7 @@ class TestInitialization:
         cfg = SolveConfig(P_t=10.0, thresholds=thr, M=2)
         pre = initialize(csit, stats, cfg)
         layout = VariableLayout(4, 8, 2, 1, stats.pilot_idx, True)
-        z = layout.pack(pre, np.zeros((2, 8)))
+        z = layout.pack(pre, np.zeros(8))
         for j, n in enumerate(stats.pilot_idx):
             cols, coef, const = linearize_jamming(layout, pre, stats.R[0, n], int(n))
             assert coef @ z[cols] + const >= thr[0, j] - 1e-9
@@ -398,6 +398,24 @@ class TestOptimize:
         lam = [jamming_power_avg(stats.R[0, n], res.precoders, int(n)) for n in stats.pilot_idx]
         assert min(lam / thr[0]) <= 1.0 + 1e-3, "the floors must be active"
         assert len(calls) == res.outer_iterations
+
+    def test_one_split_variable_per_subcarrier(self):
+        chan, csit, stats = paper_setup(sigma2=0.0)
+        thr = build_thresholds(stats, 0.45, 10.0)
+        samples = draw_csit_samples(csit, 1, 3)
+        pre = initialize(csit, stats, SolveConfig(P_t=10.0, thresholds=thr, M=1))
+        for rsma, width in ((True, 8), (False, 0)):
+            layout = VariableLayout(4, 8, 2, 1, stats.pilot_idx, rsma=rsma)
+            prob = _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre, stats,
+                                        SolveConfig(P_t=10.0, M=1, thresholds=thr))
+            assert layout.x_cols.shape == (width,)
+            assert len(prob.sign_constraints) == width
+        res = optimize(csit, stats, SolveConfig(P_t=10.0, scheme="RSMA", M=1, seed=3,
+                                                thresholds=thr, eps_r=1e-3))
+        assert "fallback_from" not in res.report.diagnostics
+        assert res.split.X.shape == res.report.C.shape == (2, 8)
+        assert np.any(res.split.X < 0.0), "the common stream must carry rate"
+        assert np.array_equal(res.split.X[0], res.split.X[1])
 
 
 @st.composite
