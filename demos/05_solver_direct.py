@@ -1,9 +1,12 @@
 """Driving the convex subproblem solver directly.
 
 Builds a small quadratically-constrained problem by hand, solves it, checks
-the independent certificate, and round-trips the instance through the JSON
-debug format so it could be replayed against an external solver.
+the independent certificate, round-trips the instance through the JSON debug
+format so it could be replayed against an external solver, and re-solves a
+perturbed copy warm from the first solution.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -58,3 +61,19 @@ print("round-trip bitwise equal:", bool(np.array_equal(res.primal, res2.primal))
 # Constraint activity at the optimum.
 print("norm budget used:", round(float(res.primal @ res.primal), 6), "of 4")
 print("halfspace value :", round(float(res.primal[0] + res.primal[3]), 6), ">= 1")
+
+# A neighbouring problem (objective tilted, budget tightened by 5%) solved
+# cold and warm from the first solution's primal and multipliers, the way
+# the optimizer chains its per-iteration subproblems.
+tilted = dataclasses.replace(
+    prob,
+    objective=Objective(prob.objective.quads,
+                        Affine(np.arange(6), prob.objective.affine.coef * 1.05, 0.0)),
+    q_constraints=[QConstraint(DiagTerm(np.arange(6), np.ones(6)), Affine.constant(3.8))])
+cold = solve(tilted, tol=1e-9)
+warm = solve(tilted, tol=1e-9, start=(res.primal, res.multipliers))
+print("perturbed copy, cold:", cold.status, cold.iterations, "iterations")
+print("perturbed copy, warm:", warm.status, warm.iterations, "iterations,",
+      "certified:", certify(tilted, warm, 1e-6))
+print("objectives agree    :", abs(warm.objective_value - cold.objective_value)
+      <= 1e-6 * abs(cold.objective_value))

@@ -6,6 +6,8 @@ point (turning the rate objective into an augmented weighted-MSE surrogate,
 tight there), linearizes the focused-power constraint at the same point (an
 inner approximation of the true floors that contains it), and solves the
 resulting convex subproblem once, so the sampled sum rate never decreases.
+Successive subproblems differ only in these refreshed terms, so each solve
+after an optimal one is warm-started from that solve's primal and multipliers.
 Channel uncertainty enters through sample averaging over draws from the CSI
 error model.
 
@@ -351,6 +353,16 @@ def _surrogate_coefficients(samples: np.ndarray, state: WmmseState):
     return _realrep(S_c), _realrep(S_p), v_c, v_p, r_c, r_p
 
 
+def _block_diag(R: np.ndarray, count: int, lead: int = 0) -> np.ndarray:
+    """count copies of each R (..., w, w) down the diagonal after lead zero rows
+    and columns, i.e. np.kron(np.eye(count), R) padded in front."""
+    w = R.shape[-1]
+    out = np.zeros(R.shape[:-2] + (lead + count * w,) * 2)
+    for at in range(lead, lead + count * w, w):
+        out[..., at:at + w, at:at + w] = R
+    return out
+
+
 def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
                          state: WmmseState, taylor: PrecoderSet,
                          stats: AuStatistics, config: SolveConfig) -> cvx.ConvexSubproblem:
@@ -363,15 +375,15 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
     for n in range(layout.N):
         cols = layout.prec_cols_of(n)
         lead = sw if layout.rsma else 0  # common slot carries no private-MSE power
-        Q = np.zeros((cols.size, cols.size))
-        Q[lead:, lead:] = np.kron(np.eye((cols.size - lead) // sw), Rp[:, n].sum(axis=0))
-        obj_quads.append(cvx.QuadTerm(cols, Q))
+        obj_quads.append(cvx.QuadTerm(
+            cols, _block_diag(Rp[:, n].sum(axis=0), (cols.size - lead) // sw, lead)))
         if layout.rsma:
             bc = np.concatenate([x[n:n + 1], layout.pc_cols[n]])
+            Qc = _block_diag(Rc[:, n], cols.size // sw)
             for k in range(K):
                 coef = np.concatenate([[1.0], 2.0 * _revec(v_c[k, n])])
                 q_cons.append(cvx.QConstraint(
-                    cvx.QuadTerm(cols, np.kron(np.eye(cols.size // sw), Rc[k, n])),
+                    cvx.QuadTerm(cols, Qc[k]),
                     cvx.Affine(bc, coef, 1.0 - float(r_c[k, n]))))
 
     a_cons = [
@@ -469,6 +481,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             config, thresholds=np.where(thr > 0.0, thr + jam_margin, thr))
 
     state = _wmmse_state(samples, prec)
+    start = None
     wsr_prev = 0.0
     converged = False
     wsr_trace: List[float] = []
@@ -479,7 +492,10 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         # prec is both the point of the weights and filters and the Taylor
         # point of the floors, so one solve refreshes all three together
         prob = _assemble_subproblem(layout, samples, state, prec, stats, tight_config)
-        res = cvx.solve(prob, tol=_SOLVER_TOL)
+        res = cvx.solve(prob, tol=_SOLVER_TOL, start=start)
+        # only an optimal solve seeds the next one: a stalled or capped solve's
+        # multipliers may be huge and would trip the next solve's infeasible rule
+        start = (res.primal, res.multipliers) if res.status == "optimal" else None
         outer_done = i + 1
         if res.status != "optimal":
             _accept_solve(res, config, jam_margin)

@@ -17,13 +17,23 @@ constraints are full-length rows whose gradients become a low-rank Woodbury
 correction of the blockwise Newton solve.  The IPM, certify and the eval_*
 functions all work from this one form.  The iteration schedule is fixed and
 free of randomness, so identical inputs produce bitwise-identical results.
+
+A solve starts cold, at z = 0 with unit multipliers, or warm from a caller's
+(primal, multipliers), typically the solution of a neighbouring problem.  A
+warm start keeps the primal point and lifts every multiplier to at least
+δ = _WARM_GAP = 1e-2 and every slack to at least δ times the constraint
+scale, so the iterate is strictly interior and can still leave a constraint
+that was active before (Gondzio & Grothey, "Reoptimization with the
+primal-dual interior point method", SIAM J. Optim. 2003; Yildirim & Wright,
+"Warm-start strategies in interior-point methods for linear programming",
+SIAM J. Optim. 2002).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -207,92 +217,114 @@ class _Compiled:
     def __init__(self, problem: ConvexSubproblem):
         n = self.n = problem.n_vars
         blocks = problem.blocks if problem.blocks is not None else [np.arange(n)]
-        owner = np.full(n, -1, dtype=np.int64)
-        pos = np.full(n, -1, dtype=np.int64)
-        for b, cols in enumerate(blocks):
-            if np.any(owner[cols] >= 0):
-                raise ValueError("blocks must be disjoint")
-            owner[cols] = b
-            pos[cols] = np.arange(cols.size)
-        if np.any(owner < 0):
-            raise ValueError("blocks must cover every variable")
+        sizes = np.array([cols.size for cols in blocks])
+        every = np.concatenate(blocks)
+        count = np.bincount(every, minlength=n)
+        if np.any(count > 1):
+            raise ValueError("blocks must be disjoint")
+        if count.size > n or np.any(count == 0):
+            raise ValueError("blocks must cover exactly the n_vars variables")
+        owner = np.empty(n, dtype=np.int64)
+        pos = np.empty(n, dtype=np.int64)
+        owner[every] = np.repeat(np.arange(len(blocks)), sizes)
+        pos[every] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         scale = self.scale = (problem.var_scale if problem.var_scale is not None
                               else np.ones(n))
         by_width: dict = {}
         for b, cols in enumerate(blocks):
             by_width.setdefault(cols.size, []).append(b)
         widths = sorted(by_width)
-        slot = {b: (gi, r) for gi, w in enumerate(widths) for r, b in enumerate(by_width[w])}
+        grp = np.empty(len(blocks), dtype=np.int64)    # width group of each block
+        row = np.empty(len(blocks), dtype=np.int64)    # its row in that group
+        for gi, w in enumerate(widths):
+            grp[by_width[w]] = gi
+            row[by_width[w]] = np.arange(len(by_width[w]))
 
-        def place(quad, lcols, lcoef):
-            """((group, row), dense quadratic, linear part) on the block holding
-            the whole support, else (None, diagonal, linear part) over all of y."""
-            qcols = quad.cols if quad is not None else lcols[:0]
-            owners = owner[np.concatenate([qcols, lcols])]
-            if np.any(owners != owners[:1]):
-                if isinstance(quad, QuadTerm):
-                    raise ValueError("a dense quadratic term may not span multiple blocks")
-                d = (_dense(qcols, quad.d * scale[qcols] ** 2, n)
-                     if quad is not None else np.zeros(n))
-                return None, d, _dense(lcols, lcoef * scale[lcols], n)
-            b = int(owners[0]) if owners.size else 0
-            w = blocks[b].size
-            Q = np.zeros((w, w))
-            p, sc = pos[qcols], scale[qcols]
-            if isinstance(quad, QuadTerm):
-                Q[p[:, None], p] = quad.Q * np.outer(sc, sc)
-            elif quad is not None:
-                Q[np.diag_indices(w)] = _dense(p, quad.d * sc ** 2, w)
-            return slot[b], Q, _dense(pos[lcols], lcoef * scale[lcols], w)
+        def locate(terms, lt, lc):
+            """Block of each term's support (block 0 if empty) and whether the
+            support spans several blocks; term i's support is its quadratic's
+            columns plus the linear columns lc[lt == i]."""
+            quad_cols = [t.cols if t is not None else lc[:0] for t in terms]
+            term = np.concatenate([np.repeat(np.arange(len(terms)),
+                                             [c.size for c in quad_cols]), lt])
+            var = owner[np.concatenate(quad_cols + [lc])]
+            blk = np.zeros(len(terms), dtype=np.int64)
+            blk[term[::-1]] = var[::-1]
+            spans = np.zeros(len(terms), dtype=bool)
+            spans[term[var != blk[term]]] = True
+            if any(isinstance(terms[i], QuadTerm) for i in np.flatnonzero(spans)):
+                raise ValueError("a dense quadratic term may not span multiple blocks")
+            return blk, spans
 
-        sign = problem.sign_constraints
-        canon = ([(c.quad, c.bound.cols, -c.bound.coef, -c.bound.const, f"q[{i}]")
-                  for i, c in enumerate(problem.q_constraints)]
-                 + [(None, c.aff.cols, -c.aff.coef, c.lower - c.aff.const, f"a[{j}]")
-                    for j, c in enumerate(problem.a_constraints)]
-                 + [(None, sign[t:t + 1], np.ones(1), 0.0, f"sign[{t}]")
-                    for t in range(sign.size)])
-        self.kinds = [c[4] for c in canon]
-        self.m = len(canon)
-        self.const = np.array([c[3] for c in canon], dtype=np.float64)
-        self.feas_scale = 1.0 + float(np.max(np.abs(self.const), initial=0.0))
-
-        local: List[list] = [[] for _ in widths]
-        span = []
-        for i, (quad, lcols, lcoef, *_) in enumerate(canon):
-            at, Q, lin = place(quad, lcols, lcoef)
-            if at is None:
-                span.append((i, Q, lin))
+        def add(Q, t):
+            """Add the quadratic term t, local to Q's block, into Q."""
+            p, sc = pos[t.cols], scale[t.cols]
+            if isinstance(t, QuadTerm):
+                Q[p[:, None], p] += t.Q * (sc[:, None] * sc)
             else:
-                local[at[0]].append((at[1], i, Q, lin))
+                Q[np.diag_indices(Q.shape[0])] += _dense(p, t.d * sc ** 2, Q.shape[0])
+
+        # canonical constraints, q then a then sign, with every linear entry
+        # as (constraint lt, column lc, scaled coefficient lv)
+        qc, ac, sign = problem.q_constraints, problem.a_constraints, problem.sign_constraints
+        self.kinds = ([f"q[{i}]" for i in range(len(qc))] + [f"a[{j}]" for j in range(len(ac))]
+                      + [f"sign[{t}]" for t in range(sign.size)])
+        m = self.m = len(self.kinds)
+        self.const = np.concatenate([[-c.bound.const for c in qc],
+                                     [c.lower - c.aff.const for c in ac], np.zeros(sign.size)])
+        self.feas_scale = 1.0 + float(np.max(np.abs(self.const), initial=0.0))
+        quads = [c.quad for c in qc] + [None] * (m - len(qc))
+        affs = [c.bound for c in qc] + [c.aff for c in ac]
+        lt = np.repeat(np.arange(m), [a.cols.size for a in affs] + [1] * sign.size)
+        lc = np.concatenate([a.cols for a in affs] + [sign])
+        lv = np.concatenate([-a.coef for a in affs] + [np.ones(sign.size)]) * scale[lc]
+        blk, spans = locate(quads, lt, lc)
+
+        # spanning constraints: full-length diagonal and linear rows
+        self.span_idx = np.flatnonzero(spans)
+        span_row = np.cumsum(spans) - 1
+        self.span_D = np.zeros((self.span_idx.size, n))
+        for i in self.span_idx[self.span_idx < len(qc)]:
+            t = quads[i]
+            self.span_D[span_row[i]] = _dense(t.cols, t.d * scale[t.cols] ** 2, n)
+        e = spans[lt]
+        self.span_A = _dense(span_row[lt[e]] * n + lc[e], lv[e],
+                             self.span_D.size).reshape(-1, n)
+
+        # block-local constraints, ordered by group, block row and number
+        local = np.flatnonzero(~spans)
+        local = local[np.lexsort((local, row[blk[local]], grp[blk[local]]))]
+        local_grp = grp[blk[local]]
+        slot = np.empty(m, dtype=np.int64)             # position in its group
+        slot[local] = (np.arange(local.size)
+                       - np.searchsorted(local_grp, np.arange(len(widths)))[local_grp])
+        Q = [np.zeros((np.count_nonzero(local_grp == gi), w, w)) for gi, w in enumerate(widths)]
+        for i in local:
+            if quads[i] is not None:
+                add(Q[grp[blk[i]]][slot[i]], quads[i])
 
         H = [np.zeros((len(by_width[w]), w, w)) for w in widths]
         obj_diag = np.zeros(n)
-        empty = np.zeros(0, dtype=np.int64)
-        for t in problem.objective.quads:
-            at, Q, _ = place(t, empty, np.zeros(0))
-            if at is None:
-                obj_diag += Q
+        oq = problem.objective.quads
+        for t, b, spanning in zip(oq, *locate(oq, lt[:0], lc[:0])):
+            if spanning:
+                obj_diag += _dense(t.cols, t.d * scale[t.cols] ** 2, n)
             else:
-                H[at[0]][at[1]] += Q
+                add(H[grp[b]][row[b]], t)
         aff = problem.objective.affine
         self.q0 = _dense(aff.cols, aff.coef * scale[aff.cols], n)
         self.c0 = float(aff.const)
 
         self.groups: List[_Group] = []
         for gi, w in enumerate(widths):
-            cols = np.stack([blocks[b] for b in by_width[w]])
-            recs = sorted(local[gi], key=lambda r: r[0])
-            g = _Group(cols=cols, H=H[gi],
-                       idx=np.array([r[1] for r in recs], dtype=np.int64),
-                       row=np.array([r[0] for r in recs], dtype=np.int64),
-                       Q=np.array([r[2] for r in recs]).reshape(-1, w, w),
-                       lin=np.array([r[3] for r in recs]).reshape(-1, w))
-            g.H[:, g.diag, g.diag] += obj_diag[cols]
+            idx = local[local_grp == gi]
+            e = ~spans[lt] & (grp[blk[lt]] == gi)
+            g = _Group(cols=np.stack([blocks[b] for b in by_width[w]]), H=H[gi], idx=idx,
+                       row=row[blk[idx]], Q=Q[gi],
+                       lin=_dense(slot[lt[e]] * w + pos[lc[e]], lv[e],
+                                  idx.size * w).reshape(-1, w))
+            g.H[:, g.diag, g.diag] += obj_diag[g.cols]
             self.groups.append(g)
-        self.span_idx = np.array([r[0] for r in span], dtype=np.int64)
-        self.span_D = np.array([r[1] for r in span]).reshape(-1, n)
-        self.span_A = np.array([r[2] for r in span]).reshape(-1, n)
 
     def objective(self, y: np.ndarray):
         """Objective value and gradient at y."""
@@ -363,6 +395,7 @@ def eval_constraints(problem: ConvexSubproblem, z: np.ndarray) -> np.ndarray:
 _FTB_MIN = 0.99
 _CENTER_FLOOR = 1e-2
 _REG_BASE = 1e-11
+_WARM_GAP = 1e-2    # least slack (relative) and multiplier of a warm start
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -446,12 +479,20 @@ def _finite(arrays) -> bool:
     return all(bool(np.all(np.isfinite(a))) for a in arrays)
 
 
-def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> SolverResult:
+def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
+          start: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> SolverResult:
     """Solve the subproblem to the given scaled KKT tolerance.
 
     The returned kkt_residual and duality_gap are the scaled dual
     infeasibility and complementarity gap at the final iterate; an "optimal"
     status means both, and the scaled constraint violation, are below tol.
+
+    ``start`` = (primal, multipliers), of lengths n_vars and the canonical
+    constraint count (as in a SolverResult), warm-starts the IPM at that
+    primal point, with slacks max(-c(z), δ * feas_scale) and multipliers
+    max(multipliers, δ), δ = _WARM_GAP; the primal point need not be
+    feasible.  Other lengths raise ValueError.  Without a start the IPM
+    begins at z = 0, with slacks max(1, -c(0)) and unit multipliers.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -459,6 +500,12 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> 
     n, m = comp.n, comp.m
     cols = [g.cols for g in comp.groups]
     z = np.zeros(n)
+    if start is not None:
+        primal, lam0 = (np.asarray(a, dtype=np.float64).reshape(-1) for a in start)
+        if primal.size != n or lam0.size != m:
+            raise ValueError(f"start has lengths ({primal.size}, {lam0.size}), "
+                             f"expected ({n}, {m})")
+        z = primal / comp.scale
 
     if m == 0:
         # unconstrained convex QP: one Newton solve
@@ -468,8 +515,12 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100) -> 
                             iterations=1, multipliers=np.zeros(0))
 
     cvals, _ = comp.constraints(z)
-    s = np.maximum(1.0, -cvals)
-    lam = np.ones(m)
+    if start is None:
+        s = np.maximum(1.0, -cvals)
+        lam = np.ones(m)
+    else:
+        s = np.maximum(-cvals, _WARM_GAP * comp.feas_scale)
+        lam = np.maximum(lam0, _WARM_GAP)
     mu0 = float(s @ lam) / m
 
     status = "max_iter"

@@ -399,6 +399,42 @@ class TestOptimize:
         assert min(lam / thr[0]) <= 1.0 + 1e-3, "the floors must be active"
         assert len(calls) == res.outer_iterations
 
+    def test_warm_start_from_previous_optimal_solve(self, monkeypatch):
+        chan, csit, stats = paper_setup(sigma2=0.0)
+        thr = build_thresholds(stats, 0.45, 10.0)
+        cfg = SolveConfig(P_t=10.0, scheme="SDMA", M=2, seed=5, thresholds=thr, eps_r=1e-3)
+        solve = cvx.solve
+        for capped in (None, 1):
+            calls = []
+
+            def spy(prob, **kw):
+                res = solve(prob, **kw)
+                if len(calls) == capped:  # report this solve as capped, not optimal
+                    res = dataclasses.replace(res, status="max_iter")
+                calls.append((kw.get("start"), res))
+                return res
+
+            monkeypatch.setattr(cvx, "solve", spy)
+            res = optimize(csit, stats, cfg)
+            assert len(calls) == res.outer_iterations >= 3
+            assert calls[0][0] is None
+            for (start, _), (_, prev) in zip(calls[1:], calls):
+                if prev.status == "optimal":
+                    assert start[0] is prev.primal and start[1] is prev.multipliers
+                else:
+                    assert start is None
+            assert capped is None or calls[capped + 1][0] is None
+
+    def test_identical_runs_are_bitwise_equal(self):
+        chan, csit, stats = paper_setup(sigma2=0.4)
+        thr = build_thresholds(stats, 0.9, 10.0)
+        cfg = SolveConfig(P_t=10.0, scheme="RSMA", M=4, seed=21, thresholds=thr, eps_r=1e-3)
+        a, b = optimize(csit, stats, cfg), optimize(csit, stats, cfg)
+        for f in ("p_c", "p", "f"):
+            assert np.array_equal(getattr(a.precoders, f), getattr(b.precoders, f))
+        assert np.array_equal(a.split.X, b.split.X)
+        assert a.report.R_sum == b.report.R_sum
+
     def test_one_split_variable_per_subcarrier(self):
         chan, csit, stats = paper_setup(sigma2=0.0)
         thr = build_thresholds(stats, 0.45, 10.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,54 @@ class TestDeterminismAndStructure:
         for bad in (in_objective, in_constraint):
             with pytest.raises(ValueError):
                 solve(bad, 1e-8)
+
+
+def perturbed(prob, eps):
+    """The problem with its linear objective scaled by 1 + eps and every
+    q-constraint bound tightened by the factor 1 - eps."""
+    aff = prob.objective.affine
+    return dataclasses.replace(
+        prob,
+        objective=Objective(prob.objective.quads,
+                            Affine(aff.cols, aff.coef * (1 + eps), aff.const)),
+        q_constraints=[QConstraint(c.quad, Affine(c.bound.cols, c.bound.coef,
+                                                  c.bound.const * (1 - eps)))
+                       for c in prob.q_constraints])
+
+
+class TestWarmStart:
+    def test_warm_start_from_neighbouring_solution(self):
+        for seed in range(5):
+            prev = solve(random_block_problem(seed), 1e-9)
+            prob = perturbed(random_block_problem(seed), 1e-2)
+            cold = solve(prob, 1e-9)
+            warm = solve(prob, 1e-9, start=(prev.primal, prev.multipliers))
+            assert cold.status == warm.status == "optimal"
+            assert certify(prob, warm, 1e-6)
+            assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-6)
+            assert warm.iterations < cold.iterations
+            again = solve(prob, 1e-9, start=(prev.primal, prev.multipliers))
+            assert np.array_equal(warm.primal, again.primal)
+            assert np.array_equal(warm.multipliers, again.multipliers)
+            assert warm.objective_value == again.objective_value
+
+    def test_start_outside_budget_with_zero_multipliers(self):
+        prob = random_block_problem(4)
+        cold = solve(prob, 1e-9)
+        start = np.full(prob.n_vars, 3.0)  # ||z||^2 = 90 > 4, and both sign bounds violated
+        assert eval_constraints(prob, start).max() > 1.0
+        res = solve(prob, 1e-9, start=(start, np.zeros(cold.multipliers.size)))
+        assert res.status == "optimal"
+        assert certify(prob, res, 1e-6)
+        assert res.objective_value == pytest.approx(cold.objective_value, rel=1e-6)
+
+    def test_start_of_wrong_length_rejected(self):
+        prob = random_block_problem(2)
+        m = solve(prob, 1e-8).multipliers.size
+        for bad in ((np.zeros(prob.n_vars + 1), np.zeros(m)),
+                    (np.zeros(prob.n_vars), np.zeros(m - 1))):
+            with pytest.raises(ValueError):
+                solve(prob, 1e-8, start=bad)
 
 
 class TestSerialization:
