@@ -1,7 +1,9 @@
-"""Rate and jamming metrics: SINR, MMSE, mutual information, focused power.
+"""Rate and jamming metrics: MSE, SINR, mutual information, focused power.
 
-Shows the rate-MSE identity that drives the optimizer and the two views of
-the jamming performance (realized vs statistically averaged).
+Everything comes from the library's one evaluation path, ``stream_mses`` and
+``rate_report``.  Shows the rate-MSE identity that drives the optimizer and
+the two views of the jamming performance (realized vs statistically
+averaged).
 """
 
 import numpy as np
@@ -9,16 +11,12 @@ import numpy as np
 from jamcom import (
     PrecoderSet,
     au_statistics_uniform_phase,
-    interference_terms,
     jamming_power_avg,
     jamming_power_realized,
     make_deterministic_scenario,
-    mmse_filter,
-    mse_opt,
-    mutual_info,
     rate_report,
-    sinr,
 )
+from jamcom.metrics import attach_realized_jamming, stream_mses
 
 theta, beta = 4 * np.pi / 9, 2 * np.pi / 9
 chan = make_deterministic_scenario(theta, beta, n_t=4, N=8)
@@ -31,17 +29,16 @@ pre = PrecoderSet(
 )
 pre = pre.scaled(10.0 / pre.total_power())  # 10 dB budget
 
-# Per-stream quantities at user 0, subcarrier 3.
-h = chan.h[0, 3]
-t = interference_terms(h, pre, n=3, k=0)
-print("interference terms:", t)
-for stage, target in (("common", pre.p_c[3]), ("private", pre.p[0, 3])):
-    s = sinr(h, target, t, stage)
-    e = mse_opt(h, target, t, stage)
-    i = mutual_info(h, target, t, stage)
-    print(f"{stage:8s}: sinr={s:7.3f}  mse={e:.4f}  bits={i:.4f}  "
+# Per-stream quantities at user 0, subcarrier 3, with the true channel as the
+# single sample.  T_c and T_p are the received powers (signal, interference,
+# jamming and noise) at the common and private decoding stages.
+eps_c, eps_p, hp_c, hp_own, T_c, T_p = (a[0, 0, 3] for a in stream_mses(chan.h[None], pre))
+print(f"received power: common stage {T_c:.4f}, private stage {T_p:.4f}")
+for stage, e, hp, T in (("common", eps_c, hp_c, T_c), ("private", eps_p, hp_own, T_p)):
+    s = abs(hp) ** 2 / (T - abs(hp) ** 2)
+    print(f"{stage:8s}: sinr={s:7.3f}  mse={e:.4f}  bits={-np.log2(e):.4f}  "
           f"identity gap={abs(-np.log2(e) - np.log2(1 + s)):.1e}")
-print("mmse filter (private):", np.round(mmse_filter(h, pre.p[0, 3], t), 4))
+print("mmse filter (private):", np.round(np.conj(hp_own) / T_p, 4))
 
 # Focused power on the adversary: the realized value needs the true channel,
 # the average only its covariance; for a rank-one covariance they coincide.
@@ -51,7 +48,7 @@ print("\nrealized focused power :", round(jamming_power_realized(chan.g[0, n], p
 print("average focused power  :", round(jamming_power_avg(stats.R[0, n], pre, n), 4))
 
 # A full rate report: per-user rates, the common-rate split, jamming powers.
-report = rate_report(chan, pre, None, stats=stats, channels=chan)
+report = attach_realized_jamming(rate_report(chan, pre, None, stats=stats), chan, pre)
 print("\nper-user rates:", np.round(report.R_k, 4), " sum:", round(report.R_sum, 4))
 print("avg focused power on pilots:", np.round(report.lambda_avg, 3))
 print("realized on pilots         :", np.round(report.lambda_realized, 3))

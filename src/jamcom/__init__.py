@@ -20,17 +20,11 @@ from .channel import (
     synth_selective_channel,
 )
 from .metrics import (
-    InterferenceTerms,
     PrecoderSet,
     RateReport,
-    interference_terms,
     jamming_power_avg,
     jamming_power_realized,
-    mmse_filter,
-    mse_opt,
-    mutual_info,
     rate_report,
-    sinr,
 )
 from .optimizer import (
     CommonSplitVars,

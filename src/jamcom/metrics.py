@@ -1,9 +1,10 @@
-"""SINR, MMSE, mutual-information, and jamming-power evaluation.
+"""MMSE, mutual-information, and jamming-power evaluation.
 
 All reported rates are base-2 (bits); the noise variance is fixed to one, so
-SNR in dB is 10*log10 of the power budget.  The scalar functions here are the
-reference definitions; vectorized sample-averaged evaluation lives in
-:func:`stream_mses` and :func:`rate_report`.
+SNR in dB is 10*log10 of the power budget.  :func:`stream_mses` and
+:func:`rate_report` are the one evaluation path: every stream's mutual
+information is -log2 of its MMSE-filter MSE, i.e. log2(1 + SINR).  The
+independent references they are checked against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -16,18 +17,12 @@ import numpy as np
 from .channel import AuStatistics, ChannelSet
 
 __all__ = [
-    "InterferenceTerms",
     "PrecoderSet",
     "RateReport",
     "attach_realized_jamming",
-    "interference_terms",
     "jamming_power_avg",
     "jamming_power_realized",
-    "mmse_filter",
-    "mse_opt",
-    "mutual_info",
     "rate_report",
-    "sinr",
     "stream_mses",
 ]
 
@@ -96,76 +91,6 @@ class PrecoderSet:
             p=np.zeros((K, N, n_t), dtype=np.complex128),
             f=np.zeros((L, N, n_t), dtype=np.complex128),
         )
-
-
-@dataclass(frozen=True)
-class InterferenceTerms:
-    """Received interference powers at one user on one subcarrier.
-
-    Z_c counts every private stream (common-stream decoding stage), Z only the
-    other users' private streams, J the jamming leakage.
-    """
-
-    Z_c: float
-    Z: float
-    J: float
-    N0: float = NOISE_VAR
-
-    def __post_init__(self):
-        if not (np.isfinite(self.Z_c) and np.isfinite(self.Z) and np.isfinite(self.J)):
-            raise ValueError("interference terms must be finite")
-        if self.Z < -1e-15 or self.J < -1e-15 or self.Z_c < self.Z - 1e-12:
-            raise ValueError("interference terms must satisfy Z_c >= Z >= 0 and J >= 0")
-
-
-def interference_terms(h: np.ndarray, precoders: PrecoderSet, n: int, k: int) -> InterferenceTerms:
-    """Interference powers seen by user k on subcarrier n for channel h."""
-    hv = np.asarray(h, dtype=np.complex128)
-    priv = np.abs(hv.conj() @ precoders.p[:, n].T) ** 2 if precoders.K else np.zeros(0)
-    jam = np.abs(hv.conj() @ precoders.f[:, n].T) ** 2 if precoders.L else np.zeros(0)
-    Z_c = float(priv.sum())
-    Z = float(priv.sum() - priv[k]) if precoders.K else 0.0
-    return InterferenceTerms(Z_c=Z_c, Z=max(Z, 0.0), J=float(jam.sum()))
-
-
-def _denominator_interference(intf: InterferenceTerms, stage: str) -> float:
-    if stage == "common":
-        return intf.Z_c + intf.J + intf.N0
-    if stage == "private":
-        return intf.Z + intf.J + intf.N0
-    raise ValueError(f"unknown stage {stage!r}")
-
-
-def sinr(h: np.ndarray, p_target: np.ndarray, intf: InterferenceTerms,
-         stage: str = "private") -> float:
-    """Signal-to-interference-plus-noise ratio of the target stream."""
-    sig = float(np.abs(np.vdot(h, p_target)) ** 2)
-    return sig / _denominator_interference(intf, stage)
-
-
-def mmse_filter(h: np.ndarray, p_target: np.ndarray, intf: InterferenceTerms,
-                stage: str = "private") -> complex:
-    """Scalar receive filter minimizing the stream MSE."""
-    hp = np.vdot(h, p_target)  # h^H p
-    total = float(np.abs(hp) ** 2) + _denominator_interference(intf, stage)
-    return complex(np.conj(hp) / total)
-
-
-def mse_opt(h: np.ndarray, p_target: np.ndarray, intf: InterferenceTerms,
-            stage: str = "private") -> float:
-    """MSE achieved by the MMSE filter; lies in (0, 1] and equals 1/(1+SINR)."""
-    denom = _denominator_interference(intf, stage)
-    sig = float(np.abs(np.vdot(h, p_target)) ** 2)
-    total = sig + denom
-    if total <= 0.0:
-        return 1.0
-    return denom / total
-
-
-def mutual_info(h: np.ndarray, p_target: np.ndarray, intf: InterferenceTerms,
-                stage: str = "private") -> float:
-    """Stream mutual information in bits: -log2 of the optimal MSE."""
-    return float(-np.log2(mse_opt(h, p_target, intf, stage)))
 
 
 def _streams(precoders: PrecoderSet, n: int) -> np.ndarray:
@@ -241,7 +166,6 @@ class RateReport:
 def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
                 C: Optional[np.ndarray] = None, *,
                 stats: Optional[AuStatistics] = None,
-                channels: Optional[ChannelSet] = None,
                 diagnostics: Optional[dict] = None) -> RateReport:
     """Build a :class:`RateReport` from channels (or CSI samples) and precoders.
 
@@ -250,7 +174,7 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     sample averages.  ``C`` is the common-rate split in bits, validated
     against per-subcarrier decodability; omitted means an all-private scheme.
     ``stats`` adds the statistically averaged focused power on the pilot set;
-    ``channels`` (with ground-truth g) adds the realized focused power.
+    :func:`attach_realized_jamming` adds the realized one afterwards.
     """
     if isinstance(samples, ChannelSet):
         hs = samples.h[None]
@@ -288,8 +212,6 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
         report.lambda_avg = np.array(
             [[jamming_power_avg(stats.R[l, n], precoders, n) for n in pil]
              for l in range(stats.L)])
-    if channels is not None and channels.g is not None and report.pilot_set:
-        attach_realized_jamming(report, channels, precoders)
     return report
 
 

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .channel import AuStatistics, CsitModel, draw_csit_samples
-from .metrics import (NOISE_VAR, PrecoderSet, RateReport, _streams,
+from .metrics import (_LN2, NOISE_VAR, PrecoderSet, RateReport, _streams,
                       jamming_power_avg, rate_report, stream_mses)
 from . import solver as cvx
 
@@ -47,7 +47,6 @@ __all__ = [
     "threshold_strategy",
 ]
 
-_LN2 = float(np.log(2.0))
 _SOLVER_TOL = 1e-7    # scaled KKT tolerance of every subproblem solve
 
 
@@ -573,10 +572,4 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                          fallback_from="RSMA",
                          unrestricted_sum_rate=full.report.R_sum,
                          scheme="RSMA"))
-    return OptimizeResult(
-        precoders=restricted.precoders,
-        split=restricted.split,
-        report=report,
-        converged=restricted.converged,
-        outer_iterations=restricted.outer_iterations,
-    )
+    return dataclasses.replace(restricted, report=report)

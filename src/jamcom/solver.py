@@ -148,6 +148,7 @@ class ConvexSubproblem:
     var_scale: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        self.n_vars = int(self.n_vars)
         self.sign_constraints = _idx(self.sign_constraints)
         if self.blocks is not None:
             self.blocks = [_idx(b) for b in self.blocks]

@@ -111,3 +111,17 @@ def mse_of_filter(g_filter, h, p_target, other_power):
     hp = np.conj(h) @ p_target
     total = abs(hp) ** 2 + other_power + 1.0
     return float(abs(g_filter) ** 2 * total - 2.0 * np.real(g_filter * hp) + 1.0)
+
+
+def stream_sinr_mse(h, pre, n, k, stage):
+    """SINR and MMSE-filter MSE of user k's common or private stream on
+    subcarrier n, for precoders pre with p_c (N, n_t), p (K, N, n_t) and f
+    (L, N, n_t).  The common stage sees every private stream as interference,
+    the private stage (common stream already removed) only the other users'.
+    """
+    Z_c, Z, J = interference_sums(h, list(pre.p[:, n]), list(pre.f[:, n]), k)
+    target = pre.p_c[n] if stage == "common" else pre.p[k, n]
+    other = (Z_c if stage == "common" else Z) + J
+    hp = np.conj(h) @ target
+    g = np.conj(hp) / (abs(hp) ** 2 + other + 1.0)
+    return abs(hp) ** 2 / (other + 1.0), mse_of_filter(g, h, target, other)

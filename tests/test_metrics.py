@@ -5,145 +5,147 @@ from hypothesis import strategies as st
 
 from jamcom.channel import make_deterministic_scenario, au_statistics_uniform_phase
 from jamcom.metrics import (
-    InterferenceTerms,
     PrecoderSet,
-    interference_terms,
+    attach_realized_jamming,
     jamming_power_avg,
     jamming_power_realized,
-    mmse_filter,
-    mse_opt,
-    mutual_info,
     rate_report,
-    sinr,
     stream_mses,
 )
 from oracles import (
     focused_power_terms,
     interference_sums,
-    mse_of_filter,
     sample_covariance_focused_power,
+    stream_sinr_mse,
 )
 
 THETA = 4 * np.pi / 9
 BETA = 2 * np.pi / 9
 
 
+def cn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_precoders(rng, n_t=4, N=3, K=2, L=1, scale=1.0):
-    def draw(*shape):
-        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-    return PrecoderSet(p_c=draw(N, n_t), p=draw(K, N, n_t), f=draw(L, N, n_t))
+    return PrecoderSet(p_c=scale * cn(rng, N, n_t), p=scale * cn(rng, K, N, n_t),
+                       f=scale * cn(rng, L, N, n_t))
 
 
-SCALAR_H = np.array([1.0, 0, 0, 0], dtype=complex)
-SCALAR_P = np.array([np.sqrt(3.0), 0, 0, 0], dtype=complex)
-NO_INTERFERENCE = InterferenceTerms(Z_c=0.0, Z=0.0, J=0.0)
+def one_subcarrier(h, p, p_c=None, f=None):
+    """One CSI sample of one subcarrier: h and p are (K, n_t), f is (L, n_t)."""
+    n_t = h.shape[1]
+    p_c = np.zeros(n_t) if p_c is None else p_c
+    f = np.zeros((0, n_t)) if f is None else f
+    return h[None, :, None], PrecoderSet(p_c=p_c[None], p=p[:, None], f=f[:, None])
+
+
+SCALAR_H = np.array([[1.0, 0, 0, 0]], dtype=complex)
+SCALAR_P = np.array([[np.sqrt(3.0), 0, 0, 0]], dtype=complex)
 
 
 class TestInterferenceTerms:
+    """The stage totals of stream_mses: T_p sums every private stream, the
+    jamming and the noise; T_c adds the common stream."""
+
     def test_zero_precoders(self):
-        pre = PrecoderSet.zeros(4, 2, 2, 1)
-        t = interference_terms(np.ones(4), pre, 0, 0)
-        assert (t.Z_c, t.Z, t.J) == (0.0, 0.0, 0.0)
+        *_, T_c, T_p = stream_mses(np.ones((1, 2, 2, 4)), PrecoderSet.zeros(4, 2, 2, 1))
+        assert np.all(T_c == 1.0) and np.all(T_p == 1.0)
 
     def test_single_user_has_no_private_interference(self, rng):
         pre = random_precoders(rng, K=1)
-        t = interference_terms(rng.standard_normal(4) + 0j, pre, 1, 0)
-        assert t.Z == 0.0 and t.Z_c > 0.0
+        hs = rng.standard_normal((1, 1, 3, 4)) + 0j
+        *_, hp_own, _, T_p = stream_mses(hs, pre)
+        for n in range(3):
+            Z_c, Z, J = interference_sums(hs[0, 0, n], [pre.p[0, n]], [pre.f[0, n]], 0)
+            assert Z == 0.0 and Z_c > 0.0
+            other = T_p[0, 0, n] - abs(hp_own[0, 0, n]) ** 2 - J - 1.0
+            assert abs(other) < 1e-12 * (1 + J)
 
     def test_matches_naive_resummation(self, rng):
         pre = random_precoders(rng)
+        hs = cn(rng, 1, 2, 3, 4)
+        *_, hp_own, T_c, T_p = stream_mses(hs, pre)
         for n in range(3):
             for k in range(2):
-                h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-                t = interference_terms(h, pre, n, k)
-                Z_c, Z, J = interference_sums(
-                    h, [pre.p[i, n] for i in range(2)], [pre.f[0, n]], k)
-                assert abs(t.Z_c - Z_c) < 1e-12 * (1 + Z_c)
-                assert abs(t.Z - Z) < 1e-12 * (1 + Z)
-                assert abs(t.J - J) < 1e-12 * (1 + J)
-
-    def test_ordering_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            InterferenceTerms(Z_c=1.0, Z=2.0, J=0.0)
+                h = hs[0, k, n]
+                Z_c, Z, J = interference_sums(h, [pre.p[i, n] for i in range(2)],
+                                              [pre.f[0, n]], k)
+                S_c = interference_sums(h, [pre.p_c[n]], [], 0)[0]
+                assert abs(T_p[0, k, n] - (Z_c + J + 1.0)) < 1e-12 * (1 + Z_c + J)
+                assert abs(T_c[0, k, n] - (S_c + Z_c + J + 1.0)) < 1e-12 * (1 + S_c + Z_c + J)
+                own = abs(hp_own[0, k, n]) ** 2
+                assert abs(T_p[0, k, n] - own - (Z + J + 1.0)) < 1e-12 * (1 + Z + J)
 
 
 class TestSinrAndMse:
+    """SINR = 1/MSE - 1 and the MSE of stream_mses, on one sample of one subcarrier."""
+
     def test_zero_target_zero_sinr(self):
-        assert sinr(SCALAR_H, np.zeros(4), NO_INTERFERENCE) == 0.0
+        # user 0's stream is silent while user 1's interferes
+        h = np.concatenate([SCALAR_H, SCALAR_H])
+        p = np.concatenate([np.zeros((1, 4)), SCALAR_P])
+        _, eps_p, *_ = stream_mses(*one_subcarrier(h, p))
+        assert 1.0 / eps_p[0, 0, 0] - 1.0 == 0.0
 
     def test_scalar_case(self):
-        assert sinr(SCALAR_H, SCALAR_P, NO_INTERFERENCE) == pytest.approx(3.0, abs=1e-14)
+        _, eps_p, *_ = stream_mses(*one_subcarrier(SCALAR_H, SCALAR_P))
+        assert 1.0 / eps_p[0, 0, 0] - 1.0 == pytest.approx(3.0, abs=1e-14)
 
     def test_mse_scalar_case(self):
-        assert mse_opt(SCALAR_H, SCALAR_P, NO_INTERFERENCE) == pytest.approx(0.25, abs=1e-14)
+        _, eps_p, *_ = stream_mses(*one_subcarrier(SCALAR_H, SCALAR_P))
+        assert eps_p[0, 0, 0] == pytest.approx(0.25, abs=1e-14)
 
     def test_mse_no_signal_is_one(self):
-        assert mse_opt(SCALAR_H, np.zeros(4), NO_INTERFERENCE) == 1.0
+        eps_c, eps_p, *_ = stream_mses(*one_subcarrier(SCALAR_H, np.zeros((1, 4))))
+        assert eps_c[0, 0, 0] == 1.0 and eps_p[0, 0, 0] == 1.0
 
     def test_mse_in_unit_interval(self, rng):
-        for _ in range(200):
-            h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            Z = abs(rng.standard_normal())
-            t = InterferenceTerms(Z_c=Z + 0.5, Z=Z, J=abs(rng.standard_normal()))
-            e = mse_opt(h, p, t)
-            assert 0.0 < e <= 1.0
+        eps_c, eps_p, *_ = stream_mses(cn(rng, 1, 2, 200, 4), random_precoders(rng, N=200))
+        for eps in (eps_c, eps_p):
+            assert np.all((0.0 < eps) & (eps <= 1.0))
 
     def test_rate_mse_identity(self, rng):
-        for _ in range(500):
-            h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            Z = abs(rng.standard_normal())
-            t = InterferenceTerms(Z_c=Z + 1.0, Z=Z, J=abs(rng.standard_normal()))
-            for stage in ("common", "private"):
-                lhs = -np.log2(mse_opt(h, p, t, stage))
-                rhs = np.log2(1.0 + sinr(h, p, t, stage))
-                assert abs(lhs - rhs) < 1e-10
+        hs, pre = cn(rng, 1, 2, 500, 4), random_precoders(rng, N=500)
+        eps_c, eps_p, *_ = stream_mses(hs, pre)
+        for n in range(500):
+            for k in range(2):
+                for stage, eps in (("common", eps_c), ("private", eps_p)):
+                    s, _ = stream_sinr_mse(hs[0, k, n], pre, n, k, stage)
+                    assert abs(-np.log2(eps[0, k, n]) - np.log2(1.0 + s)) < 1e-10
 
     @given(st.floats(0.0, 50.0), st.floats(0.0, 50.0), st.floats(0.1, 40.0))
     @settings(max_examples=200, deadline=None)
     def test_jamming_strictly_degrades(self, Z, J, sig):
-        h = np.array([1.0 + 0j])
-        p = np.array([np.sqrt(sig) + 0j])
-        base = InterferenceTerms(Z_c=Z, Z=Z, J=J)
-        worse = InterferenceTerms(Z_c=Z, Z=Z, J=J + 1.0)
-        assert sinr(h, p, worse) < sinr(h, p, base)
-        assert mutual_info(h, p, worse) < mutual_info(h, p, base)
+        # user 0 receives its own stream at power sig, user 1's at Z, jamming at J
+        h = np.ones((2, 1), dtype=complex)
+        p = np.sqrt([[sig], [Z]]) + 0j
 
+        def sinr_and_rate(jam):
+            hs, pre = one_subcarrier(h, p, f=np.sqrt([[jam]]) + 0j)
+            _, eps_p, *_ = stream_mses(hs, pre)
+            return 1.0 / eps_p[0, 0, 0] - 1.0, rate_report(hs, pre).I_private[0, 0]
 
-class TestMmseFilter:
-    def test_zero_target(self):
-        assert mmse_filter(SCALAR_H, np.zeros(4), NO_INTERFERENCE) == 0.0
-
-    def test_scalar_closed_form(self):
-        g = mmse_filter(SCALAR_H, SCALAR_P, NO_INTERFERENCE)
-        assert g == pytest.approx(np.sqrt(3.0) / 4.0, abs=1e-14)
-
-    def test_minimizes_mse_against_perturbations(self, rng):
-        h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        t = InterferenceTerms(Z_c=2.0, Z=1.3, J=0.7)
-        g = mmse_filter(h, p, t)
-        other = t.Z + t.J
-        best = mse_of_filter(g, h, p, other)
-        assert best == pytest.approx(mse_opt(h, p, t), abs=1e-12)
-        for _ in range(100):
-            gp = g + 0.1 * (rng.standard_normal() + 1j * rng.standard_normal())
-            assert mse_of_filter(gp, h, p, other) >= best - 1e-12
+        (s_base, i_base), (s_worse, i_worse) = sinr_and_rate(J), sinr_and_rate(J + 1.0)
+        assert s_worse < s_base
+        assert i_worse < i_base
 
 
 class TestMutualInfo:
     def test_unit_mse_zero_bits(self):
-        assert mutual_info(SCALAR_H, np.zeros(4), NO_INTERFERENCE) == 0.0
+        rep = rate_report(*one_subcarrier(SCALAR_H, np.zeros((1, 4))))
+        assert rep.I_private[0, 0] == 0.0
 
     def test_scalar_two_bits(self):
-        assert mutual_info(SCALAR_H, SCALAR_P, NO_INTERFERENCE) == pytest.approx(2.0, abs=1e-12)
+        rep = rate_report(*one_subcarrier(SCALAR_H, SCALAR_P))
+        assert rep.I_private[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_sum_equals_log_product(self, rng):
-        mses = 0.1 + 0.8 * rng.random(16)
-        termwise = np.sum(-np.log2(mses))
-        assert abs(termwise + np.log2(np.prod(mses))) < 1e-9
+        hs, pre = cn(rng, 1, 2, 16, 4), random_precoders(rng, N=16)
+        _, eps_p, *_ = stream_mses(hs, pre)
+        rep = rate_report(hs, pre)
+        for k in range(2):
+            assert abs(rep.R_k[k] * 16 + np.log2(np.prod(eps_p[0, k]))) < 1e-9
 
 
 class TestJammingPower:
@@ -200,16 +202,16 @@ class TestJammingPower:
 class TestStreamMses:
     def test_matches_scalar_reference(self, rng):
         pre = random_precoders(rng)
-        hs = rng.standard_normal((3, 2, 3, 4)) + 1j * rng.standard_normal((3, 2, 3, 4))
+        hs = cn(rng, 3, 2, 3, 4)
         eps_c, eps_p, *_ = stream_mses(hs, pre)
         for m in range(3):
             for k in range(2):
                 for n in range(3):
-                    t = interference_terms(hs[m, k, n], pre, n, k)
+                    h = hs[m, k, n]
                     assert eps_p[m, k, n] == pytest.approx(
-                        mse_opt(hs[m, k, n], pre.p[k, n], t, "private"), rel=1e-12)
+                        stream_sinr_mse(h, pre, n, k, "private")[1], rel=1e-12)
                     assert eps_c[m, k, n] == pytest.approx(
-                        mse_opt(hs[m, k, n], pre.p_c[n], t, "common"), rel=1e-12)
+                        stream_sinr_mse(h, pre, n, k, "common")[1], rel=1e-12)
 
 
 class TestRateReport:
@@ -258,7 +260,7 @@ class TestRateReport:
         cs = make_deterministic_scenario(THETA, BETA, 4, 4)
         stats = au_statistics_uniform_phase(2 * BETA, 4, 4, 1, (1, 3))
         pre = random_precoders(rng, N=4)
-        rep = rate_report(cs, pre, None, stats=stats, channels=cs)
+        rep = attach_realized_jamming(rate_report(cs, pre, None, stats=stats), cs, pre)
         assert rep.lambda_avg.shape == (1, 2)
         assert rep.lambda_realized.shape == (1, 2)
         for j, n in enumerate((0, 2)):

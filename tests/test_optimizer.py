@@ -17,7 +17,7 @@ from jamcom.channel import (
     synth_selective_channel,
     csit_error_variance,
 )
-from jamcom.metrics import PrecoderSet, jamming_power_avg, mutual_info, interference_terms
+from jamcom.metrics import PrecoderSet, jamming_power_avg, stream_mses
 from jamcom import solver as cvx
 from jamcom.optimizer import (
     SolveConfig,
@@ -36,7 +36,7 @@ from jamcom.optimizer import (
     sdma_restrict,
     threshold_strategy,
 )
-from oracles import water_filling_rate_bits
+from oracles import interference_sums, mse_of_filter, stream_sinr_mse, water_filling_rate_bits
 
 THETA = 4 * np.pi / 9
 BETA = 2 * np.pi / 9
@@ -90,20 +90,18 @@ class TestWeightUpdates:
             p=rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4)),
             f=rng.standard_normal((1, 8, 4)) + 1j * rng.standard_normal((1, 8, 4)))
         g_p = _wmmse_state(samples, pre).g_p
+        eps_p = stream_mses(samples, pre)[1]
         m, k, n = 2, 1, 5
         h = samples[m, k, n]
-        t = interference_terms(h, pre, n, k)
-
-        def priv_mse(g):
-            hp = np.vdot(h, pre.p[k, n])
-            total = abs(hp) ** 2 + t.Z + t.J + 1.0
-            return abs(g) ** 2 * total - 2 * np.real(g * hp) + 1.0
-
-        best = priv_mse(g_p[m, k, n])
-        for _ in range(100):
-            pert = g_p[m, k, n] + 0.05 * (rng.standard_normal()
-                                          + 1j * rng.standard_normal())
-            assert priv_mse(pert) >= best - 1e-12
+        _, Z, J = interference_sums(h, list(pre.p[:, n]), list(pre.f[:, n]), k)
+        best = mse_of_filter(g_p[m, k, n], h, pre.p[k, n], Z + J)
+        # the filter attains the optimal MSE, and no nearby filter does better
+        assert best == pytest.approx(eps_p[m, k, n], abs=1e-12)
+        for step in (0.05, 0.1):
+            for _ in range(100):
+                pert = g_p[m, k, n] + step * (rng.standard_normal()
+                                              + 1j * rng.standard_normal())
+                assert mse_of_filter(pert, h, pre.p[k, n], Z + J) >= best - 1e-12
 
 
 class TestAugmentedMseQuadratic:
@@ -135,9 +133,8 @@ class TestAugmentedMseQuadratic:
             target = 0.0
             for n in range(4):
                 for k in range(2):
-                    h = samples[0, k, n]
-                    t = interference_terms(h, pre, n, k)
-                    target += 1.0 - mutual_info(h, pre.p[k, n], t, "private") * np.log(2.0)
+                    mse = stream_sinr_mse(samples[0, k, n], pre, n, k, "private")[1]
+                    target += 1.0 + np.log(mse)
             z = layout.pack(pre, np.zeros(4))
             assert cvx.eval_objective(prob, z) == pytest.approx(target, abs=1e-12)
             X = -np.abs(rng.standard_normal(4))
@@ -151,9 +148,8 @@ class TestAugmentedMseQuadratic:
         c = cvx.eval_constraints(prob, layout.pack(pre, np.zeros(4)))
         for n in range(4):
             for k in range(2):
-                h = samples[0, k, n]
-                t = interference_terms(h, pre, n, k)
-                info_nats = mutual_info(h, pre.p_c[n], t, "common") * np.log(2.0)
+                mse = stream_sinr_mse(samples[0, k, n], pre, n, k, "common")[1]
+                info_nats = -np.log(mse)
                 assert c[2 * n + k] == pytest.approx(-info_nats, abs=1e-12)
 
     def test_unit_weight_zero_filter_gives_one(self):

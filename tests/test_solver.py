@@ -3,6 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from jamcom.channel import (CsitModel, au_statistics_uniform_phase, draw_csit_samples,
+                            make_deterministic_scenario)
+from jamcom.optimizer import (SolveConfig, VariableLayout, _assemble_subproblem,
+                              _wmmse_state, build_thresholds, initialize)
 from jamcom.solver import (
     AConstraint,
     Affine,
@@ -261,6 +265,24 @@ class TestSerialization:
         a = solve(prob, 1e-9)
         b = solve(back, 1e-9)
         assert np.array_equal(a.primal, b.primal)
+
+    def test_assembled_subproblem_round_trips(self):
+        # the first RSMA subproblem of a run whose focused-power floors bind
+        chan = make_deterministic_scenario(4 * np.pi / 9, 2 * np.pi / 9, 4, 4)
+        csit = CsitModel(h_hat=chan.h, sigma_ie2=0.3, alpha=0.6)
+        stats = au_statistics_uniform_phase(4 * np.pi / 9, 4, 4, 1, (1, 3))
+        config = SolveConfig(P_t=10.0, M=2, thresholds=build_thresholds(stats, 0.9, 10.0))
+        samples = draw_csit_samples(csit, 2, 0)
+        pre = initialize(csit, stats, config)
+        prob = _assemble_subproblem(VariableLayout(4, 4, 2, 1, stats.pilot_idx, rsma=True),
+                                    samples, _wmmse_state(samples, pre), pre, stats, config)
+        assert len(prob.a_constraints) == 2
+        a = solve(prob, 1e-7)
+        b = solve(problem_from_json(problem_to_json(prob)), 1e-7)
+        assert a.status == "optimal"
+        assert np.array_equal(a.primal, b.primal)
+        floors = eval_constraints(prob, a.primal)[len(prob.q_constraints):][:2]
+        assert np.all(np.abs(floors) < 1e-4)
 
     def test_infeasible_reports_violating_constraints(self):
         prob = ConvexSubproblem(
