@@ -93,8 +93,9 @@ class PrecoderSet:
         )
 
 
-def _streams(precoders: PrecoderSet, n: int) -> np.ndarray:
-    """Every precoder on subcarrier n stacked as rows: common, private, jamming."""
+def _streams(precoders: PrecoderSet, n) -> np.ndarray:
+    """Every precoder on subcarrier n stacked as rows: common, private, jamming
+    (1+K+L, n_t); n = slice(None) stacks all subcarriers, (1+K+L, N, n_t)."""
     return np.concatenate([precoders.p_c[n][None], precoders.p[:, n], precoders.f[:, n]])
 
 
@@ -118,25 +119,28 @@ def jamming_power_avg(R: np.ndarray, precoders: PrecoderSet, n: int) -> float:
 def stream_mses(samples: np.ndarray, precoders: PrecoderSet):
     """Per-sample MMSE-filter MSEs for the common and private streams.
 
-    samples has shape (M, K, N, n_t).  Returns (eps_c, eps_p, hp_c, hp_own,
+    samples is any (M, K, N, n_t) array.  Returns (eps_c, eps_p, hp_c, hp_own,
     T_c, T_p): the MSEs, the target-stream inner products h^H p, and the
     total received powers (signal + interference + noise) at the two SIC
-    stages, all shaped (M, K, N).
+    stages, all shaped (M, K, N).  The inner products of every stream come
+    from one batched matmul over the (K, N, n_t, M) transpose of samples, so
+    a subcarrier-major array (contiguous in that order, as the optimizer lays
+    out its samples) is fastest; the outputs are (M, K, N) views of
+    (K, N, M) arrays.
     """
     hs = np.asarray(samples, dtype=np.complex128)
-    hc = hs.conj()
-    hp_c = np.einsum("mkna,na->mkn", hc, precoders.p_c)
-    hp_p = np.einsum("mkna,ina->mkni", hc, precoders.p)
-    jam = (np.sum(np.abs(np.einsum("mkna,lna->mknl", hc, precoders.f)) ** 2, axis=-1)
-           if precoders.L else 0.0)
-    priv_tot = np.sum(np.abs(hp_p) ** 2, axis=-1)
-    hp_own = np.take_along_axis(
-        hp_p, np.arange(hs.shape[1])[None, :, None, None], axis=-1)[..., 0]
-    T_p = priv_tot + jam + NOISE_VAR           # private stage: common already removed
-    T_c = np.abs(hp_c) ** 2 + T_p              # common stage: all streams present
-    eps_p = (T_p - np.abs(hp_own) ** 2) / T_p
+    own = np.arange(hs.shape[1])
+    # y[k, n, s] = q_s^H h = conj(h^H q_s) for every stream s of subcarrier n
+    q = _streams(precoders, slice(None)).swapaxes(0, 1)        # (N, 1+K+L, n_t)
+    y = np.conj(q) @ hs.transpose(1, 2, 3, 0)                  # (K, N, 1+K+L, M)
+    pw = y.real ** 2 + y.imag ** 2
+    hp_c = np.conj(y[:, :, 0])
+    hp_own = np.conj(y[own, :, 1 + own])
+    T_p = pw[:, :, 1:].sum(axis=2) + NOISE_VAR  # private stage: common already removed
+    T_c = pw[:, :, 0] + T_p                      # common stage: all streams present
+    eps_p = (T_p - pw[own, :, 1 + own]) / T_p
     eps_c = T_p / T_c
-    return eps_c, eps_p, hp_c, hp_own, T_c, T_p
+    return tuple(a.transpose(2, 0, 1) for a in (eps_c, eps_p, hp_c, hp_own, T_c, T_p))
 
 
 @dataclass

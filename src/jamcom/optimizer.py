@@ -9,7 +9,9 @@ resulting convex subproblem once, so the sampled sum rate never decreases.
 Successive subproblems differ only in these refreshed terms, so each solve
 after an optimal one is warm-started from that solve's primal and multipliers.
 Channel uncertainty enters through sample averaging over draws from the CSI
-error model.
+error model; each run lays its samples out once, subcarrier-major (contiguous
+as (K, N, n_t, M)), so an iteration's sampled work, the MMSE state and the
+surrogate's grams and linear terms, is a few batched matmuls.
 
 Internal bookkeeping uses natural logarithms, for which the weight u = 1/mse
 is the exact stationary point of u*mse - ln(u) and the optimized surrogate
@@ -92,12 +94,23 @@ def sdma_restrict(config: SolveConfig) -> SolveConfig:
 
 @dataclass
 class WmmseState:
-    """Per-sample weights and filters, indexed (sample, user, subcarrier)."""
+    """The augmented-MSE weights of the common (c) and private (p) streams at
+    one point, with u = 1/mse the MSE weight and g the MMSE filter.
 
-    u_c: np.ndarray
-    g_c: np.ndarray
-    u_p: np.ndarray
-    g_p: np.ndarray
+    w_* = u|g|^2 (real) and a_* = u g^* (complex) are per (user, subcarrier,
+    sample), shaped (K, N, M); info_* = mean ln u (the sampled mutual
+    information, nats) and r_* = mean u(|g|^2 N0 + 1) - ln u (the surrogate's
+    constant) are sample means, shaped (K, N).
+    """
+
+    w_c: np.ndarray
+    a_c: np.ndarray
+    w_p: np.ndarray
+    a_p: np.ndarray
+    info_c: np.ndarray
+    info_p: np.ndarray
+    r_c: np.ndarray
+    r_p: np.ndarray
 
 
 @dataclass
@@ -129,10 +142,25 @@ class OptimizeResult:
 # weight / filter updates
 
 
+def _subcarrier_major(samples: np.ndarray) -> np.ndarray:
+    """The same (M, K, N, n_t) samples, stored contiguously as (K, N, n_t, M)."""
+    return np.ascontiguousarray(samples.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
 def _wmmse_state(samples: np.ndarray, precoders: PrecoderSet) -> WmmseState:
-    eps_c, eps_p, hp_c, hp_own, T_c, T_p = stream_mses(samples, precoders)
-    return WmmseState(u_c=1.0 / eps_c, g_c=np.conj(hp_c) / T_c,
-                      u_p=1.0 / eps_p, g_p=np.conj(hp_own) / T_p)
+    eps_c, eps_p, hp_c, hp_own, T_c, T_p = (
+        a.transpose(1, 2, 0) for a in stream_mses(samples, precoders))
+    # u_c = T_c/T_p, g_c = (h^H p_c)^*/T_c and u_p = T_p/D, g_p = (h^H p_k)^*/T_p
+    # with D = T_p - |h^H p_k|^2, so the weights need no complex division
+    P_c = hp_c.real ** 2 + hp_c.imag ** 2
+    P_own = hp_own.real ** 2 + hp_own.imag ** 2
+    D = T_p - P_own
+    w_c, w_p = P_c / (T_p * T_c), P_own / (T_p * D)
+    info_c, info_p = -np.mean(np.log(eps_c), axis=-1), -np.mean(np.log(eps_p), axis=-1)
+    return WmmseState(
+        w_c=w_c, a_c=hp_c / T_p, w_p=w_p, a_p=hp_own / D, info_c=info_c, info_p=info_p,
+        r_c=np.mean(w_c * NOISE_VAR + T_c / T_p, axis=-1) - info_c,
+        r_p=np.mean(w_p * NOISE_VAR + T_p / D, axis=-1) - info_p)
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +364,24 @@ def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> Pre
 
 def _surrogate_coefficients(samples: np.ndarray, state: WmmseState):
     """Sample-averaged gram matrices, linear vectors, and constants of the
-    augmented MSEs, per (user, subcarrier)."""
+    augmented MSEs, per (user, subcarrier): batched matmuls over the
+    (K, N, n_t, M) transpose of samples."""
     M = samples.shape[0]
-    w_c = state.u_c * np.abs(state.g_c) ** 2 / M
-    w_p = state.u_p * np.abs(state.g_p) ** 2 / M
-    conj = samples.conj()
-    S_c = np.einsum("mkna,mknb->knab", w_c[..., None] * samples, conj, optimize=True)
-    S_p = np.einsum("mkna,mknb->knab", w_p[..., None] * samples, conj, optimize=True)
-    v_c = np.einsum("mkn,mkna->kna", state.u_c * np.conj(state.g_c), samples) / M
-    v_p = np.einsum("mkn,mkna->kna", state.u_p * np.conj(state.g_p), samples) / M
-    r_c = np.mean(state.u_c * (np.abs(state.g_c) ** 2 * NOISE_VAR + 1.0)
-                  - np.log(state.u_c), axis=0)
-    r_p = np.mean(state.u_p * (np.abs(state.g_p) ** 2 * NOISE_VAR + 1.0)
-                  - np.log(state.u_p), axis=0)
-    return _realrep(S_c), _realrep(S_p), v_c, v_p, r_c, r_p
+    h = samples.transpose(1, 2, 3, 0)
+    wh = np.empty(h.shape, dtype=np.complex128)
+
+    def gram(w):
+        # conj(w h) @ h^T = conj(S) = S^T for S = sum_m w h h^H; conjugating the
+        # weighted copy keeps every matmul operand a plain or transposed view
+        np.multiply(h, w[:, :, None], out=wh)
+        np.conj(wh, out=wh)
+        return _realrep((wh @ h.swapaxes(-1, -2)).swapaxes(-1, -2) / M)
+
+    def linear(a):
+        return (h @ a[..., None])[..., 0] / M
+
+    return (gram(state.w_c), gram(state.w_p), linear(state.a_c), linear(state.a_p),
+            state.r_c, state.r_p)
 
 
 def _block_diag(R: np.ndarray, count: int, lead: int = 0) -> np.ndarray:
@@ -421,7 +453,7 @@ def _project_power(precoders: PrecoderSet, P_t: float) -> PrecoderSet:
 def _wsr_nats(state: WmmseState, X: np.ndarray) -> float:
     """Sampled private mutual information plus the common-rate split, in nats,
     at the point where ``state`` was computed."""
-    return float(np.sum(np.mean(np.log(state.u_p), axis=0))) - float(np.sum(X))
+    return float(np.sum(state.info_p)) - float(np.sum(X))
 
 
 def _max_violation(precoders: PrecoderSet, stats: AuStatistics,
@@ -436,7 +468,7 @@ def _max_violation(precoders: PrecoderSet, stats: AuStatistics,
 def _clamp_split(state: WmmseState, X: np.ndarray) -> np.ndarray:
     """Cap each subcarrier's common-rate total at what the weakest user can
     decode (a no-op for converged solutions)."""
-    cap = np.min(np.mean(np.log(state.u_c), axis=0), axis=0)  # (N,), nats
+    cap = np.min(state.info_c, axis=0)  # (N,), nats
     return np.maximum(X, -np.maximum(cap - 1e-9, 0.0))
 
 
@@ -461,7 +493,7 @@ def _accept_solve(res: cvx.SolverResult, config: SolveConfig,
 
 def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                      trace_sink: Optional[Callable[[dict], None]]) -> OptimizeResult:
-    samples = draw_csit_samples(csit, config.M, config.seed)
+    samples = _subcarrier_major(draw_csit_samples(csit, config.M, config.seed))
     layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L,
                             stats.pilot_idx, config.scheme == "RSMA")
     prec = initialize(csit, stats, config)

@@ -125,3 +125,19 @@ def stream_sinr_mse(h, pre, n, k, stage):
     hp = np.conj(h) @ target
     g = np.conj(hp) / (abs(hp) ** 2 + other + 1.0)
     return abs(hp) ** 2 / (other + 1.0), mse_of_filter(g, h, target, other)
+
+
+def surrogate_terms(samples, pre, n, k, stage):
+    """Per-sample loop: S = mean u|g|^2 h h^H, v = mean u g^* h, r = mean u(|g|^2 + 1) - ln u of
+    user k's augmented MSE on subcarrier n, at each sample's MMSE filter g and u = 1/mse."""
+    terms = []
+    for h in samples[:, k, n]:
+        Z_c, Z, J = interference_sums(h, list(pre.p[:, n]), list(pre.f[:, n]), k)
+        target = pre.p_c[n] if stage == "common" else pre.p[k, n]
+        other = (Z_c if stage == "common" else Z) + J
+        hp = np.conj(h) @ target
+        g = np.conj(hp) / (abs(hp) ** 2 + other + 1.0)
+        u = 1.0 / mse_of_filter(g, h, target, other)
+        terms.append((u * abs(g) ** 2 * np.outer(h, np.conj(h)), u * np.conj(g) * h,
+                      u * (abs(g) ** 2 + 1.0) - np.log(u)))
+    return tuple(np.mean(t, axis=0) for t in zip(*terms))

@@ -12,6 +12,7 @@ from jamcom.metrics import (
     rate_report,
     stream_mses,
 )
+from jamcom.optimizer import _subcarrier_major
 from oracles import (
     focused_power_terms,
     interference_sums,
@@ -30,6 +31,16 @@ def cn(rng, *shape):
 def random_precoders(rng, n_t=4, N=3, K=2, L=1, scale=1.0):
     return PrecoderSet(p_c=scale * cn(rng, N, n_t), p=scale * cn(rng, K, N, n_t),
                        f=scale * cn(rng, L, N, n_t))
+
+
+def same_values_three_layouts(rng, M, K, N, n_t):
+    """One set of samples as a C-contiguous array, the optimizer's
+    subcarrier-major view and a strided slice of a larger array."""
+    strided = cn(rng, 2 * M, K, N, n_t)[::2]
+    layouts = [np.ascontiguousarray(strided), _subcarrier_major(strided), strided]
+    assert layouts[1].transpose(1, 2, 3, 0).flags.c_contiguous
+    assert not any(a.flags.c_contiguous for a in layouts[1:])
+    return layouts
 
 
 def one_subcarrier(h, p, p_c=None, f=None):
@@ -213,6 +224,15 @@ class TestStreamMses:
                     assert eps_c[m, k, n] == pytest.approx(
                         stream_sinr_mse(h, pre, n, k, "common")[1], rel=1e-12)
 
+    def test_layout_independent(self, rng):
+        pre = random_precoders(rng)
+        layouts = same_values_three_layouts(rng, 5, 2, 3, 4)
+        ref = stream_mses(layouts[0], pre)
+        for hs in layouts[1:]:
+            for got, want in zip(stream_mses(hs, pre), ref):
+                assert got.shape == want.shape == (5, 2, 3)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
 
 class TestRateReport:
     def test_zero_precoders_zero_rates(self):
@@ -266,3 +286,26 @@ class TestRateReport:
         for j, n in enumerate((0, 2)):
             assert rep.lambda_realized[0, j] == pytest.approx(
                 jamming_power_realized(cs.g[0, n], pre, n), rel=1e-12)
+
+    def test_layout_independent(self, rng):
+        pre = random_precoders(rng)
+        C = np.full((2, 3), 0.01)
+        reps = [rate_report(hs, pre, C) for hs in same_values_three_layouts(rng, 5, 2, 3, 4)]
+        for rep in reps[1:]:
+            for f in ("I_private", "I_common", "R_k"):
+                assert getattr(rep, f).shape == getattr(reps[0], f).shape
+                np.testing.assert_allclose(getattr(rep, f), getattr(reps[0], f),
+                                           rtol=1e-13, atol=0)
+            assert rep.R_sum == pytest.approx(reps[0].R_sum, rel=1e-13)
+
+    def test_channel_set_is_one_realization(self, rng):
+        cs = make_deterministic_scenario(THETA, BETA, 4, 3)
+        pre = random_precoders(rng)
+        rep = rate_report(cs, pre)
+        assert rep.I_private.shape == rep.I_common.shape == (2, 3)
+        for k in range(2):
+            for n in range(3):
+                for stage, got in (("private", rep.I_private), ("common", rep.I_common)):
+                    mse = stream_sinr_mse(cs.h[k, n], pre, n, k, stage)[1]
+                    assert got[k, n] == pytest.approx(-np.log2(mse), rel=1e-12)
+        assert rep.R_sum == pytest.approx(rep.I_private.sum() / 3, rel=1e-12)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from jamcom.optimizer import (
     VariableLayout,
     WmmseState,
     _assemble_subproblem,
+    _subcarrier_major,
     _surrogate_coefficients,
     _wmmse_state,
     _wsr_nats,
@@ -36,7 +38,8 @@ from jamcom.optimizer import (
     sdma_restrict,
     threshold_strategy,
 )
-from oracles import interference_sums, mse_of_filter, stream_sinr_mse, water_filling_rate_bits
+from oracles import (interference_sums, mse_of_filter, stream_sinr_mse, surrogate_terms,
+                     water_filling_rate_bits)
 
 THETA = 4 * np.pi / 9
 BETA = 2 * np.pi / 9
@@ -62,25 +65,31 @@ def scalar_setup():
 
 
 class TestWeightUpdates:
+    # the state carries the weight u and filter g as ln u (info_*, a sample
+    # mean), u|g|^2 (w_*) and u g^* (a_*), so u = exp(info) at M=1 and g = w / a
+
     def test_scalar_weight_is_inverse_mse(self):
         samples, pre = scalar_setup()
-        u_p = _wmmse_state(samples, pre).u_p
-        assert u_p[0, 0, 0] == pytest.approx(4.0, rel=1e-12)  # mse 1/4
+        state = _wmmse_state(samples, pre)
+        assert np.exp(state.info_p[0, 0]) == pytest.approx(4.0, rel=1e-12)  # mse 1/4
+        assert state.w_p[0, 0, 0] == pytest.approx(4.0 * 3.0 / 16.0, rel=1e-12)
 
     def test_zero_precoders_unit_weights(self):
         samples, _ = scalar_setup()
         state = _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0))
-        assert np.all(state.u_c == 1.0) and np.all(state.u_p == 1.0)
+        assert np.all(state.info_c == 0.0) and np.all(state.info_p == 0.0)
 
     def test_scalar_filter(self):
         samples, pre = scalar_setup()
-        g_p = _wmmse_state(samples, pre).g_p
+        state = _wmmse_state(samples, pre)
+        g_p = state.w_p / state.a_p
         assert g_p[0, 0, 0] == pytest.approx(np.sqrt(3) / 4, rel=1e-12)
 
     def test_zero_precoders_zero_filters(self):
         samples, _ = scalar_setup()
         state = _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0))
-        assert np.all(state.g_c == 0.0) and np.all(state.g_p == 0.0)
+        for a in (state.w_c, state.a_c, state.w_p, state.a_p):
+            assert np.all(a == 0.0)
 
     def test_filters_minimize_sampled_mse(self, rng):
         chan, csit, stats = paper_setup()
@@ -89,18 +98,18 @@ class TestWeightUpdates:
             p_c=rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)),
             p=rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4)),
             f=rng.standard_normal((1, 8, 4)) + 1j * rng.standard_normal((1, 8, 4)))
-        g_p = _wmmse_state(samples, pre).g_p
+        state = _wmmse_state(samples, pre)
         eps_p = stream_mses(samples, pre)[1]
         m, k, n = 2, 1, 5
+        g = state.w_p[k, n, m] / state.a_p[k, n, m]
         h = samples[m, k, n]
         _, Z, J = interference_sums(h, list(pre.p[:, n]), list(pre.f[:, n]), k)
-        best = mse_of_filter(g_p[m, k, n], h, pre.p[k, n], Z + J)
+        best = mse_of_filter(g, h, pre.p[k, n], Z + J)
         # the filter attains the optimal MSE, and no nearby filter does better
         assert best == pytest.approx(eps_p[m, k, n], abs=1e-12)
         for step in (0.05, 0.1):
             for _ in range(100):
-                pert = g_p[m, k, n] + step * (rng.standard_normal()
-                                              + 1j * rng.standard_normal())
+                pert = g + step * (rng.standard_normal() + 1j * rng.standard_normal())
                 assert mse_of_filter(pert, h, pre.p[k, n], Z + J) >= best - 1e-12
 
 
@@ -154,23 +163,45 @@ class TestAugmentedMseQuadratic:
 
     def test_unit_weight_zero_filter_gives_one(self):
         samples, _ = scalar_setup()
-        ones, zeros = np.ones((1, 1, 1)), np.zeros((1, 1, 1), dtype=complex)
         Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(
-            samples, WmmseState(u_c=ones, g_c=zeros, u_p=ones, g_p=zeros))
+            samples, _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0)))
         assert r_c[0, 0] == pytest.approx(1.0, abs=0)
         assert r_p[0, 0] == pytest.approx(1.0, abs=0)
         assert np.all(Rc == 0.0) and np.all(Rp == 0.0)
         assert np.count_nonzero(v_c) == 0 and np.count_nonzero(v_p) == 0
 
+    def test_sample_averaged_terms_match_oracle(self, rng):
+        # M=64 samples, jamming precoders present, on the C-contiguous draw and
+        # on the subcarrier-major layout the optimizer uses
+        K, N, n_t = 2, 3, 3
+        cn = lambda *sh: rng.standard_normal(sh) + 1j * rng.standard_normal(sh)
+        drawn = draw_csit_samples(CsitModel(h_hat=cn(K, N, n_t), sigma_ie2=0.3), 64, 7)
+        pre = PrecoderSet(p_c=cn(N, n_t), p=cn(K, N, n_t), f=cn(1, N, n_t))
+        for samples in (drawn, _subcarrier_major(drawn)):
+            Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(
+                samples, _wmmse_state(samples, pre))
+            for k in range(K):
+                for n in range(N):
+                    for stage, R, v, r in (("common", Rc, v_c, r_c),
+                                           ("private", Rp, v_p, r_p)):
+                        S, v_o, r_o = surrogate_terms(samples, pre, n, k, stage)
+                        for got, want in ((R[k, n], np.block([[S.real, -S.imag],
+                                                              [S.imag, S.real]])),
+                                          (v[k, n], v_o), (r[k, n], r_o)):
+                            np.testing.assert_allclose(
+                                got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     def test_hessian_psd(self, rng):
         chan, csit, stats = paper_setup(N=4)
         layout = VariableLayout(4, 4, 2, 1, stats.pilot_idx, rsma=True)
         samples = draw_csit_samples(csit, 1, 5)
-        shape = (1, 2, 4)
+        shape = (2, 4, 1)
         for _ in range(5):
             u = 1.0 + np.abs(rng.standard_normal((2,) + shape))
             g = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
-            state = WmmseState(u_c=u[0], g_c=g[0], u_p=u[1], g_p=g[1])
+            w, a, zero = u * np.abs(g) ** 2, u * np.conj(g), np.zeros(shape[:2])
+            state = WmmseState(w_c=w[0], a_c=a[0], w_p=w[1], a_p=a[1],
+                               info_c=zero, info_p=zero, r_c=zero, r_p=zero)
             prob = _assemble_subproblem(layout, samples, state, PrecoderSet.zeros(4, 4, 2, 1),
                                         stats, SolveConfig(P_t=10.0, M=1))
             quads = list(prob.objective.quads) + [
@@ -178,6 +209,27 @@ class TestAugmentedMseQuadratic:
             assert len(quads) == 4 + 8
             for t in quads:
                 assert np.linalg.eigvalsh((t.Q + t.Q.T) / 2).min() >= -1e-10
+
+
+class TestSampledPassAllocation:
+    def test_state_and_assembly_peak_below_three_sample_arrays(self):
+        # the saa benchmark shape; a stray transposed or conjugated copy of the
+        # samples costs a whole samples.nbytes
+        K, N, n_t, M = 2, 8, 4, 4096
+        rng = np.random.default_rng(3)
+        h_hat = rng.standard_normal((K, N, n_t)) + 1j * rng.standard_normal((K, N, n_t))
+        csit, stats = CsitModel(h_hat=h_hat, sigma_ie2=0.3), au_statistics_none(n_t, N)
+        config = SolveConfig(P_t=10 ** 1.5, M=M)
+        samples = _subcarrier_major(draw_csit_samples(csit, M, 0))
+        pre = initialize(csit, stats, config)
+        layout = VariableLayout(n_t, N, K, 0, stats.pilot_idx, rsma=True)
+        tracemalloc.start()
+        try:
+            _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre, stats, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * samples.nbytes
 
 
 class TestJammingLinearization:
