@@ -8,6 +8,13 @@ inner approximation of the true floors that contains it), and solves the
 resulting convex subproblem once, so the sampled sum rate never decreases.
 Successive subproblems differ only in these refreshed terms, so each solve
 after an optimal one is warm-started from that solve's primal and multipliers.
+After each solve that still makes progress, a safeguarded extrapolation step
+y = z_k + beta (z_k - z_{k-1}) from the last two solves' precoders, projected
+onto the power budget, replaces the running point only if it meets the true
+floors and raises the sampled sum rate; its state then serves as the next
+iteration's weights.  A kept step lengthens beta and a refused one shortens
+it.  The surrogate is tight at the running point either way, so the ascent
+stays monotone.
 Channel uncertainty enters through sample averaging over draws from the CSI
 error model; each run lays its samples out once, subcarrier-major (contiguous
 as (K, N, n_t, M)), so an iteration's sampled work, the MMSE state and the
@@ -472,23 +479,51 @@ def _clamp_split(state: WmmseState, X: np.ndarray) -> np.ndarray:
     return np.maximum(X, -np.maximum(cap - 1e-9, 0.0))
 
 
-def _accept_solve(res: cvx.SolverResult, config: SolveConfig,
-                  jam_margin: float) -> None:
-    """Allow near-feasible stalled solves; the extraction step repairs the
-    power budget, sign, and split constraints, and the threshold tightening
-    absorbs a shortfall on the focused-power floors up to ``jam_margin``."""
+def _solve_fault(res: cvx.SolverResult, config: SolveConfig,
+                 jam_margin: float) -> Optional[str]:
+    """Why a solve is unusable, or None.  Near-feasible stalled solves are
+    usable: the extraction step repairs the power budget, sign, and split
+    constraints, and the threshold tightening absorbs a shortfall on the
+    focused-power floors up to ``jam_margin``."""
     if res.status == "optimal":
-        return
+        return None
     for _, kind, value in res.violations:
         if kind.startswith("a["):
             if value > 0.9 * jam_margin:
-                raise OptimizerError(
-                    f"focused-power floor missed beyond repair: {kind} by {value:.3e}")
+                return f"focused-power floor missed beyond repair: {kind} by {value:.3e}"
         elif value > 1e-3 * (1.0 + config.P_t):
-            raise OptimizerError(
-                f"subproblem solve failed: {kind} violated by {value:.3e}")
+            return f"subproblem solve failed: {kind} violated by {value:.3e}"
     if res.status == "infeasible":
-        raise OptimizerError(f"subproblem infeasible: {res.violations[:4]}")
+        return f"subproblem infeasible: {res.violations[:4]}"
+    return None
+
+
+# extrapolation weight: first value, growth after an accepted step up to a
+# cap, shrink after a rejected step down to a floor
+_BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 1.0, 1.5, 4.0, 0.5, 0.25
+
+
+def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
+                 X: np.ndarray, state: WmmseState, wsr: float, beta: float,
+                 stats: AuStatistics, config: SolveConfig, floor_tol: Optional[float]):
+    """The safeguarded step from the accepted solve ``cur`` (split X, state,
+    sampled WSR wsr) away from the previous solve ``prev``: y = cur + beta
+    (cur - prev) on every precoder, projected onto the power budget.  y
+    replaces cur only if it meets the true floors within ``floor_tol`` (None:
+    no floors) and its sampled WSR, with the split capped at what y's weakest
+    user decodes, beats wsr; the floors come first because they cost no
+    sampled pass.  Returns the running point (precoders, split, state, wsr)
+    and the counter name of the outcome."""
+    y = _project_power(PrecoderSet(*(c + beta * (c - p) for c, p in (
+        (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f)))), config.P_t)
+    if floor_tol is not None and _max_violation(y, stats, config) > floor_tol:
+        return cur, X, state, wsr, "extrapolation_floor_rejected"
+    state_y = _wmmse_state(samples, y)
+    X_y = _clamp_split(state_y, X)
+    wsr_y = _wsr_nats(state_y, X_y)
+    if wsr_y <= wsr:
+        return cur, X, state, wsr, "extrapolation_rate_rejected"
+    return y, X_y, state_y, wsr_y, "extrapolation_accepted"
 
 
 def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
@@ -502,34 +537,46 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     # The solver meets constraints to a tolerance that scales with their
     # magnitude; tightening the floors by that much keeps the true focused
     # power above the requested threshold with room to spare.
-    floored = config.thresholds is not None and config.thresholds.size > 0
     tight_config = config
     jam_margin = 0.0
-    if floored:
+    floor_tol = None     # shortfall of the true floors a running point may have
+    if config.thresholds is not None and config.thresholds.size > 0:
         thr = config.thresholds
+        floor_tol = 1e-9 * (1.0 + float(thr.max()))
         jam_margin = 10.0 * _SOLVER_TOL * (1.0 + max(float(thr.max()), config.P_t))
         tight_config = dataclasses.replace(
             config, thresholds=np.where(thr > 0.0, thr + jam_margin, thr))
 
     state = _wmmse_state(samples, prec)
+    solved = prec    # the last solve's point, from which the next step extrapolates
     start = None
     wsr_prev = 0.0
     converged = False
     wsr_trace: List[float] = []
     solver_status_flags: List[str] = []
     outer_done = 0
+    beta = _BETA_START
+    counts = {"extrapolation_accepted": 0, "extrapolation_rate_rejected": 0,
+              "extrapolation_floor_rejected": 0}
 
     for i in range(config.max_outer):
         # prec is both the point of the weights and filters and the Taylor
         # point of the floors, so one solve refreshes all three together
         prob = _assemble_subproblem(layout, samples, state, prec, stats, tight_config)
         res = cvx.solve(prob, tol=_SOLVER_TOL, start=start)
+        if start is not None and _solve_fault(res, config, jam_margin):
+            # the warm start comes from the last solve, not from the running
+            # point an extrapolation step may have moved to; from there the
+            # IPM can stall where a cold start does not
+            res = cvx.solve(prob, tol=_SOLVER_TOL)
         # only an optimal solve seeds the next one: a stalled or capped solve's
         # multipliers may be huge and would trip the next solve's infeasible rule
         start = (res.primal, res.multipliers) if res.status == "optimal" else None
         outer_done = i + 1
         if res.status != "optimal":
-            _accept_solve(res, config, jam_margin)
+            fault = _solve_fault(res, config, jam_margin)
+            if fault:
+                raise OptimizerError(fault)
             solver_status_flags.append(f"{i}:{res.status}")
         new_prec, new_X = layout.unpack(res.primal)
         new_prec = _project_power(new_prec, config.P_t)
@@ -537,8 +584,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         # a candidate is accepted only if it passes both checks below; each
         # failure is reachable only through solver slop or the repairs above,
         # so progress is exhausted and the running point is kept
-        if floored and (_max_violation(new_prec, stats, config)
-                        > 1e-9 * (1.0 + float(config.thresholds.max()))):
+        if floor_tol is not None and _max_violation(new_prec, stats, config) > floor_tol:
             converged = True
             break
         new_state = _wmmse_state(samples, new_prec)
@@ -547,14 +593,22 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             converged = True
             break
         prec, X, state = new_prec, new_X, new_state
+        del new_state  # at most two states alive: the running point's and y's
+        converged = abs(wsr - wsr_prev) <= config.eps_r
+        if not converged:
+            prec, X, state, wsr, outcome = _extrapolate(
+                samples, solved, prec, X, state, wsr, beta, stats, config, floor_tol)
+            counts[outcome] += 1
+            beta = (min(beta * _BETA_GROW, _BETA_MAX) if outcome == "extrapolation_accepted"
+                    else max(beta * _BETA_SHRINK, _BETA_MIN))
+        solved = new_prec
         wsr_trace.append(wsr)
         if trace_sink is not None:
             trace_sink({
                 "outer": i, "wsr_nats": wsr,
                 "max_violation": _max_violation(prec, stats, config),
             })
-        if abs(wsr - wsr_prev) <= config.eps_r:
-            converged = True
+        if converged:
             break
         wsr_prev = wsr
 
@@ -566,6 +620,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         "wsr_trace_nats": wsr_trace,
         "max_violation": _max_violation(prec, stats, config),
         "solver_flags": solver_status_flags,
+        "counts": counts,
         "scheme": config.scheme,
     }
     report = rate_report(samples, prec, split.C_bits, stats=stats,
@@ -579,6 +634,14 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
              restricted: Optional[OptimizeResult] = None) -> OptimizeResult:
     """Run the full alternating optimization and return converged precoders,
     the common-rate split, and a rate report evaluated on the same samples.
+
+    Each outer iteration solves one convex subproblem at the running point,
+    then tries an extrapolation along the last two solutions' difference.
+    The step is kept only if the true (not linearized) focused-power floors
+    hold at it and its sampled sum rate beats the solve's; otherwise the solve's
+    point is kept, so the sampled sum rate never decreases.  The diagnostics
+    count the kept steps and the steps refused on rate and on the floors under
+    ``counts``.
 
     A run with the common stream enabled also evaluates the common-stream-off
     restriction of the same instance (every such solution is feasible for the

@@ -515,7 +515,7 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
                             status="optimal", kkt_residual=0.0, duality_gap=0.0,
                             iterations=1, multipliers=np.zeros(0))
 
-    cvals, _ = comp.constraints(z)
+    cvals, jac = comp.constraints(z)
     if start is None:
         s = np.maximum(1.0, -cvals)
         lam = np.ones(m)
@@ -533,7 +533,7 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     no_progress = 0
 
     for it in range(1, max_iter + 1):
-        cvals, jac = comp.constraints(z)
+        # cvals and jac are always at the current z: evaluated once per iterate
         fval, gradf = comp.objective(z)
         r_d = gradf + comp.jac_t(jac, lam)
         r_p = cvals + s
@@ -611,10 +611,11 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
         z = z + alpha_p * dz
         s = np.maximum(s + alpha_p * ds, 1e-30)
         lam = np.maximum(lam + alpha_d * dlam, 1e-30)
+        cvals, jac = comp.constraints(z)
 
     if status != "optimal" and best is not None:
         _, z, lam, kkt_rel, gap_rel = best
-    cvals, _ = comp.constraints(z)
+        cvals, _ = comp.constraints(z)
     violations = [(i, comp.kinds[i], float(cvals[i]))
                   for i in range(m) if cvals[i] > tol * comp.feas_scale]
     if status != "optimal" and violations and float(np.max(lam)) > 1e8:
