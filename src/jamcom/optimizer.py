@@ -12,9 +12,12 @@ After each solve that still makes progress, a safeguarded extrapolation step
 y = z_k + beta (z_k - z_{k-1}) from the last two solves' precoders, projected
 onto the power budget, replaces the running point only if it meets the true
 floors and raises the sampled sum rate; its state then serves as the next
-iteration's weights.  A kept step lengthens beta and a refused one shortens
-it.  The surrogate is tight at the running point either way, so the ascent
-stays monotone.
+iteration's weights.  The projection first scales every subcarrier; if that
+pushes a focused power under its floor, it scales only the subcarriers that
+carry no floor instead.  With a common stream the step takes the largest
+common rate its weakest user decodes, so common-stream power it adds counts.
+A kept step lengthens beta and a refused one shortens it.  The surrogate is
+tight at the running point either way, so the ascent stays monotone.
 Channel uncertainty enters through sample averaging over draws from the CSI
 error model; each run lays its samples out once, subcarrier-major (contiguous
 as (K, N, n_t, M)), so an iteration's sampled work, the MMSE state and the
@@ -457,6 +460,26 @@ def _project_power(precoders: PrecoderSet, P_t: float) -> PrecoderSet:
     return precoders
 
 
+def _project_floor_free(precoders: PrecoderSet, P_t: float,
+                        free: np.ndarray) -> Optional[PrecoderSet]:
+    """The budget projection that leaves the floor-carrying subcarriers alone:
+    only the subcarriers marked in ``free`` (N,) are scaled, so the total is
+    exactly P_t and every other precoder is bitwise untouched.  A point inside
+    the budget comes back unchanged.  None when no subcarrier carries a floor
+    (the uniform projection is then the same thing) or when the free
+    subcarriers hold no more power than the excess."""
+    if free.all():
+        return None
+    excess = precoders.total_power() - P_t
+    if excess <= 0.0:
+        return precoders
+    free_power = float(np.sum(np.abs(_streams(precoders, slice(None))[:, free]) ** 2))
+    if free_power <= excess:
+        return None
+    s = np.where(free, np.sqrt((free_power - excess) / free_power), 1.0)[:, None]
+    return PrecoderSet(p_c=s * precoders.p_c, p=s * precoders.p, f=s * precoders.f)
+
+
 def _wsr_nats(state: WmmseState, X: np.ndarray) -> float:
     """Sampled private mutual information plus the common-rate split, in nats,
     at the point where ``state`` was computed."""
@@ -472,11 +495,16 @@ def _max_violation(precoders: PrecoderSet, stats: AuStatistics,
                   for l, n, floor in _floors(stats, config.thresholds)])
 
 
+def _split_capacity(state: WmmseState) -> np.ndarray:
+    """Each subcarrier's largest common-rate total (nats, >= 0) that the
+    weakest user decodes, less a 1e-9 margin."""
+    return np.maximum(np.min(state.info_c, axis=0) - 1e-9, 0.0)
+
+
 def _clamp_split(state: WmmseState, X: np.ndarray) -> np.ndarray:
     """Cap each subcarrier's common-rate total at what the weakest user can
     decode (a no-op for converged solutions)."""
-    cap = np.min(state.info_c, axis=0)  # (N,), nats
-    return np.maximum(X, -np.maximum(cap - 1e-9, 0.0))
+    return np.maximum(X, -_split_capacity(state))
 
 
 def _solve_fault(res: cvx.SolverResult, config: SolveConfig,
@@ -505,25 +533,37 @@ _BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 1.0, 1.5, 4.0, 0.5
 
 def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
                  X: np.ndarray, state: WmmseState, wsr: float, beta: float,
-                 stats: AuStatistics, config: SolveConfig, floor_tol: Optional[float]):
+                 stats: AuStatistics, config: SolveConfig, floor_tol: Optional[float],
+                 free: np.ndarray):
     """The safeguarded step from the accepted solve ``cur`` (split X, state,
     sampled WSR wsr) away from the previous solve ``prev``: y = cur + beta
-    (cur - prev) on every precoder, projected onto the power budget.  y
-    replaces cur only if it meets the true floors within ``floor_tol`` (None:
-    no floors) and its sampled WSR, with the split capped at what y's weakest
-    user decodes, beats wsr; the floors come first because they cost no
-    sampled pass.  Returns the running point (precoders, split, state, wsr)
-    and the counter name of the outcome."""
-    y = _project_power(PrecoderSet(*(c + beta * (c - p) for c, p in (
-        (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f)))), config.P_t)
+    (cur - prev) on every precoder, scaled onto the power budget.  The first
+    candidate scales y uniformly; if it misses a true floor by more than
+    ``floor_tol`` (None: no floors), the second scales only the ``free``
+    subcarriers, which carry no floor, as the raw y usually still meets the
+    floors that the uniform scaling breaks (the focused power is convex).  The
+    floors come first because they cost no sampled pass.  An RSMA candidate
+    takes the full-capacity split, the common rate y's weakest user decodes,
+    which is feasible for the next subproblem; SDMA keeps X.  The candidate
+    replaces cur only if its sampled WSR beats wsr.  Returns the running point
+    (precoders, split, state, wsr), the counter name of the outcome and
+    whether the rate of the second candidate was tested."""
+    raw = PrecoderSet(*(c + beta * (c - p) for c, p in (
+        (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f))))
+    y = _project_power(raw, config.P_t)
+    free_projected = False
     if floor_tol is not None and _max_violation(y, stats, config) > floor_tol:
-        return cur, X, state, wsr, "extrapolation_floor_rejected"
+        # a raw y inside the budget was not scaled, so it has no second candidate
+        y = _project_floor_free(raw, config.P_t, free) if y is not raw else None
+        if y is None or _max_violation(y, stats, config) > floor_tol:
+            return cur, X, state, wsr, "extrapolation_floor_rejected", False
+        free_projected = True
     state_y = _wmmse_state(samples, y)
-    X_y = _clamp_split(state_y, X)
+    X_y = -_split_capacity(state_y) if config.scheme == "RSMA" else X
     wsr_y = _wsr_nats(state_y, X_y)
     if wsr_y <= wsr:
-        return cur, X, state, wsr, "extrapolation_rate_rejected"
-    return y, X_y, state_y, wsr_y, "extrapolation_accepted"
+        return cur, X, state, wsr, "extrapolation_rate_rejected", free_projected
+    return y, X_y, state_y, wsr_y, "extrapolation_accepted", free_projected
 
 
 def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
@@ -557,7 +597,9 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     outer_done = 0
     beta = _BETA_START
     counts = {"extrapolation_accepted": 0, "extrapolation_rate_rejected": 0,
-              "extrapolation_floor_rejected": 0}
+              "extrapolation_floor_rejected": 0, "extrapolation_free_projected": 0}
+    free = np.ones(csit.N, dtype=bool)   # subcarriers carrying no active floor
+    free[[n for _, n, _ in _floors(stats, config.thresholds)]] = False
 
     for i in range(config.max_outer):
         # prec is both the point of the weights and filters and the Taylor
@@ -596,9 +638,10 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         del new_state  # at most two states alive: the running point's and y's
         converged = abs(wsr - wsr_prev) <= config.eps_r
         if not converged:
-            prec, X, state, wsr, outcome = _extrapolate(
-                samples, solved, prec, X, state, wsr, beta, stats, config, floor_tol)
+            prec, X, state, wsr, outcome, free_projected = _extrapolate(
+                samples, solved, prec, X, state, wsr, beta, stats, config, floor_tol, free)
             counts[outcome] += 1
+            counts["extrapolation_free_projected"] += free_projected
             beta = (min(beta * _BETA_GROW, _BETA_MAX) if outcome == "extrapolation_accepted"
                     else max(beta * _BETA_SHRINK, _BETA_MIN))
         solved = new_prec
@@ -637,11 +680,14 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
 
     Each outer iteration solves one convex subproblem at the running point,
     then tries an extrapolation along the last two solutions' difference.
-    The step is kept only if the true (not linearized) focused-power floors
-    hold at it and its sampled sum rate beats the solve's; otherwise the solve's
-    point is kept, so the sampled sum rate never decreases.  The diagnostics
-    count the kept steps and the steps refused on rate and on the floors under
-    ``counts``.
+    The step is scaled onto the power budget uniformly or, if that misses a
+    focused-power floor, on the floor-free subcarriers only; with a common
+    stream it carries the full split its weakest user decodes.  It is kept
+    only if the true (not linearized) focused-power floors hold at it and its
+    sampled sum rate beats the solve's; otherwise the solve's point is kept,
+    so the sampled sum rate never decreases.  The diagnostics count the kept
+    steps, the steps refused on rate and on the floors, and the steps whose
+    rate was tested on the floor-free projection under ``counts``.
 
     A run with the common stream enabled also evaluates the common-stream-off
     restriction of the same instance (every such solution is feasible for the

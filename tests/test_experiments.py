@@ -214,7 +214,7 @@ class TestCli:
         for detail in json.loads((out / "details.json").read_text()):
             assert set(detail["diagnostics"]["counts"]) == {
                 "extrapolation_accepted", "extrapolation_rate_rejected",
-                "extrapolation_floor_rejected"}
+                "extrapolation_floor_rejected", "extrapolation_free_projected"}
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = self._write_config(tmp_path, scheme_list=["SDMA"])

@@ -19,6 +19,7 @@ from jamcom.channel import (
     csit_error_variance,
 )
 from jamcom.metrics import PrecoderSet, jamming_power_avg, stream_mses
+from jamcom import optimizer as op
 from jamcom import solver as cvx
 from jamcom.optimizer import (
     SolveConfig,
@@ -26,6 +27,7 @@ from jamcom.optimizer import (
     WmmseState,
     _assemble_subproblem,
     _optimize_single,
+    _project_floor_free,
     _subcarrier_major,
     _surrogate_coefficients,
     _wmmse_state,
@@ -44,6 +46,9 @@ from oracles import (interference_sums, mse_of_filter, stream_sinr_mse, surrogat
 
 THETA = 4 * np.pi / 9
 BETA = 2 * np.pi / 9
+# the counters of a tried extrapolation step's outcome; each step has one
+STEP_OUTCOMES = ("extrapolation_accepted", "extrapolation_rate_rejected",
+                 "extrapolation_floor_rejected")
 
 
 def paper_setup(N=8, pilots=2, sigma2=0.3):
@@ -221,6 +226,23 @@ def saa_shape_setup():
     return csit, stats, SolveConfig(P_t=10 ** 1.5, M=M)
 
 
+def desk_instance_0(scheme):
+    """Desk instance 0 of the acceptance suite: 5 dB, one pilot, active floors."""
+    P_t = 10.0 ** 0.5
+    chan = synth_selective_channel(exponential_delay_profile(1.2e-6, 12), 4, 8, 2, 1, seed=0)
+    csit = CsitModel(h_hat=chan.h, sigma_ie2=csit_error_variance(P_t, 8, 0.6), alpha=0.6)
+    stats = au_statistics_isotropic(4, 8, 1, evenly_spaced_pilots(1, 8))
+    thr = build_thresholds(stats, threshold_strategy(1, 1, 8), P_t)
+    return csit, stats, SolveConfig(P_t=P_t, scheme=scheme, M=4, seed=100, thresholds=thr)
+
+
+def spy_steps(monkeypatch):
+    """Record what every extrapolation step of the optimizer returns."""
+    steps, step = [], op._extrapolate
+    monkeypatch.setattr(op, "_extrapolate", lambda *a: steps.append(step(*a)) or steps[-1])
+    return steps
+
+
 class TestSampledPassAllocation:
     def test_state_and_assembly_peak_below_three_sample_arrays(self):
         # a stray transposed or conjugated copy of the samples costs a whole
@@ -254,6 +276,48 @@ class TestSampledPassAllocation:
         finally:
             tracemalloc.stop()
         assert peak <= 4.4 * nbytes
+
+
+class TestFloorFreeProjection:
+    # floors on subcarriers 1 and 4 of six; jamming precoders only there
+    def _setup(self, rng):
+        def c(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = c(1, 6, 3)
+        free = np.ones(6, dtype=bool)
+        free[[1, 4]] = False
+        f[:, free] = 0.0
+        return PrecoderSet(p_c=c(6, 3), p=c(2, 6, 3), f=f), free
+
+    def test_total_is_exactly_the_budget(self, rng):
+        pre, free = self._setup(rng)
+        for share in (0.99, 0.9, 0.6):
+            P_t = share * pre.total_power()
+            out = _project_floor_free(pre, P_t, free)
+            assert out.total_power() == pytest.approx(P_t, rel=1e-12)
+
+    def test_floor_carrying_subcarriers_bitwise_untouched(self, rng):
+        pre, free = self._setup(rng)
+        out = _project_floor_free(pre, 0.8 * pre.total_power(), free)
+        for f in ("p_c", "p", "f"):
+            a, b = getattr(pre, f), getattr(out, f)
+            assert a[..., ~free, :].tobytes() == b[..., ~free, :].tobytes()
+            assert np.all(np.abs(b[..., free, :]) <= np.abs(a[..., free, :]))
+
+    def test_no_candidate_when_free_power_cannot_cover_the_excess(self, rng):
+        pre, free = self._setup(rng)
+        floored_power = sum(pre.subcarrier_power(n) for n in np.flatnonzero(~free))
+        for P_t in ((1.0 - 1e-9) * floored_power, 0.5 * floored_power):
+            assert _project_floor_free(pre, P_t, free) is None
+
+    def test_no_candidate_without_floors(self, rng):
+        pre, _ = self._setup(rng)
+        assert _project_floor_free(pre, 0.5 * pre.total_power(), np.ones(6, dtype=bool)) is None
+
+    def test_point_inside_budget_unchanged(self, rng):
+        pre, free = self._setup(rng)
+        for P_t in (pre.total_power(), 2.0 * pre.total_power()):
+            assert _project_floor_free(pre, P_t, free) is pre
 
 
 class TestJammingLinearization:
@@ -516,9 +580,70 @@ class TestOptimize:
             counts = d["counts"]
             assert counts["extrapolation_accepted"] >= 1
             assert counts["extrapolation_floor_rejected"] >= 1
-            assert sum(counts.values()) <= res.outer_iterations
+            tried = sum(counts[k] for k in STEP_OUTCOMES)
+            assert tried <= res.outer_iterations
             assert len(traced) == len(wsr)
             assert all(t["max_violation"] <= 1e-9 * (1.0 + float(thr.max())) for t in traced)
+
+    def test_rsma_step_takes_full_capacity_split(self, monkeypatch):
+        csit, stats, cfg = desk_instance_0("RSMA")
+        steps = spy_steps(monkeypatch)
+        res = _optimize_single(csit, stats, cfg, None)
+        accepted = [s for s in steps if s[4] == "extrapolation_accepted"]
+        assert len(accepted) == res.report.diagnostics["counts"]["extrapolation_accepted"] >= 1
+        for _, X, state, wsr, _, _ in accepted:
+            assert np.array_equal(X, -np.maximum(np.min(state.info_c, axis=0) - 1e-9, 0.0))
+            assert wsr == _wsr_nats(state, X)
+        assert any(np.any(X < 0.0) for _, X, *_ in accepted), "a step must credit common rate"
+
+    @pytest.mark.parametrize("scheme", ["SDMA", "RSMA"])
+    def test_floor_free_candidate_taken_on_floored_run(self, monkeypatch, scheme):
+        csit, stats, cfg = desk_instance_0(scheme)
+        steps = spy_steps(monkeypatch)
+        res = _optimize_single(csit, stats, cfg, None)
+        used = [s for s in steps if s[5]]
+        assert len(used) == res.report.diagnostics["counts"]["extrapolation_free_projected"]
+        kept = [y for y, _, _, _, outcome, _ in used if outcome == "extrapolation_accepted"]
+        assert kept, "a floor-free projected step must be kept"
+        for y in kept:
+            assert y.total_power() == pytest.approx(cfg.P_t, rel=1e-12)
+            assert op._max_violation(y, stats, cfg) <= 1e-9 * (1.0 + float(cfg.thresholds.max()))
+
+    def test_sdma_step_keeps_zero_split(self, monkeypatch):
+        csit, stats, cfg = desk_instance_0("SDMA")
+        steps = spy_steps(monkeypatch)
+        res = optimize(csit, stats, cfg)
+        assert steps
+        for _, X, *_ in steps:
+            assert np.all(X == 0.0) and not np.any(np.signbit(X))
+        assert np.all(res.report.C == 0.0) and not np.any(np.signbit(res.report.C))
+
+    def test_sdma_without_floors_takes_the_uniform_step(self, monkeypatch):
+        # with no floors and a fixed split the step is the uniformly
+        # projected y with the clamped split, bit for bit
+        csit, stats, config = saa_shape_setup()
+        config = dataclasses.replace(config, scheme="SDMA")
+
+        def uniform_step(samples, prev, cur, X, state, wsr, beta, stats, config, floor_tol,
+                         free):
+            y = op._project_power(PrecoderSet(*(c + beta * (c - p) for c, p in (
+                (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f)))), config.P_t)
+            state_y = _wmmse_state(samples, y)
+            X_y = op._clamp_split(state_y, X)
+            wsr_y = _wsr_nats(state_y, X_y)
+            if wsr_y <= wsr:
+                return cur, X, state, wsr, "extrapolation_rate_rejected", False
+            return y, X_y, state_y, wsr_y, "extrapolation_accepted", False
+
+        res = _optimize_single(csit, stats, config, None)
+        monkeypatch.setattr(op, "_extrapolate", uniform_step)
+        ref = _optimize_single(csit, stats, config, None)
+        assert res.report.diagnostics["counts"]["extrapolation_accepted"] >= 1
+        for f in ("p_c", "p", "f"):
+            assert getattr(res.precoders, f).tobytes() == getattr(ref.precoders, f).tobytes()
+        assert res.split.X.tobytes() == ref.split.X.tobytes()
+        assert res.report.R_sum == ref.report.R_sum
+        assert res.outer_iterations == ref.outer_iterations
 
     def test_identical_runs_are_bitwise_equal(self):
         chan, csit, stats = paper_setup(sigma2=0.4)
@@ -589,6 +714,10 @@ def test_invariants_on_random_instances(case):
         prec, rep = res.precoders, res.report
         wsr = rep.diagnostics["wsr_trace_nats"]
         assert all(b >= a - 1e-9 for a, b in zip(wsr, wsr[1:]))
+        counts = rep.diagnostics["counts"]
+        tried = sum(counts[k] for k in STEP_OUTCOMES)
+        assert tried <= res.outer_iterations
+        assert counts["extrapolation_free_projected"] <= tried
         for a in (prec.p_c, prec.p, prec.f, res.split.X, rep.I_private, rep.I_common,
                   rep.C, rep.R_k, rep.R_sum, rep.lambda_avg if stats.L else 0.0):
             assert np.all(np.isfinite(a))
