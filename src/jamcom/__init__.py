@@ -40,7 +40,7 @@ from .optimizer import (
     sdma_restrict,
     threshold_strategy,
 )
-from .solver import ConvexSubproblem, SolverResult, certify, solve
+from .solver import BlockGroup, ConvexSubproblem, SolverResult, certify, solve
 from .experiments import ExperimentConfig, ResultTable, cli_main, run_experiment
 
 __version__ = "0.1.0"

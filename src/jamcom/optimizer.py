@@ -136,7 +136,8 @@ class CommonSplitVars:
 
     @property
     def C_bits(self) -> np.ndarray:
-        return -self.X / _LN2
+        # 0.0 - X, not -X: a zero split reads +0.0 bits, not -0.0
+        return (0.0 - self.X) / _LN2
 
 
 @dataclass
@@ -407,46 +408,57 @@ def _block_diag(R: np.ndarray, count: int, lead: int = 0) -> np.ndarray:
 def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
                          state: WmmseState, taylor: PrecoderSet,
                          stats: AuStatistics, config: SolveConfig) -> cvx.ConvexSubproblem:
-    K, sw = layout.K, layout.slot_width
+    """The convex subproblem in the solver's stacked form, over y = z / var_scale.
+
+    Block n is subcarrier n (``layout.blocks[n]``).  Its objective is the
+    private augmented MSE, and its rows are, in order: the K common-MSE
+    bounds (RSMA), its active focused-power floors linearized at ``taylor``
+    (adversary order), and the sign of its split (RSMA).  Subcarriers with
+    the same streams and floor count share a group.  The total-power budget
+    is the spanning diagonal row.
+    """
+    K, N, sw, x = layout.K, layout.N, layout.slot_width, int(layout.rsma)
     Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(samples, state)
-    x = layout.x_cols
+    var_scale = layout.var_scale(config.P_t)
+    s = np.sqrt(config.P_t)       # the scale of every precoder entry
+    s2 = s * s
+    floors: List[list] = [[] for _ in range(N)]
+    for l, n, floor in _floors(stats, config.thresholds):
+        floors[n].append((l, floor))
+    keys = [(int(layout.streams[n].sum()), len(floors[n])) for n in range(N)]
 
-    obj_quads = []
-    q_cons: List[cvx.QConstraint] = []
-    for n in range(layout.N):
-        cols = layout.prec_cols_of(n)
-        lead = sw if layout.rsma else 0  # common slot carries no private-MSE power
-        obj_quads.append(cvx.QuadTerm(
-            cols, _block_diag(Rp[:, n].sum(axis=0), (cols.size - lead) // sw, lead)))
-        if layout.rsma:
-            bc = np.concatenate([x[n:n + 1], layout.pc_cols[n]])
-            Qc = _block_diag(Rc[:, n], cols.size // sw)
-            for k in range(K):
-                coef = np.concatenate([[1.0], 2.0 * _revec(v_c[k, n])])
-                q_cons.append(cvx.QConstraint(
-                    cvx.QuadTerm(cols, Qc[k]),
-                    cvx.Affine(bc, coef, 1.0 - float(r_c[k, n]))))
+    groups = []
+    for S, nf in sorted(set(keys)):
+        ns = [n for n in range(N) if keys[n] == (S, nf)]
+        nb, wp, kc = len(ns), S * sw, K * x    # blocks, precoder width, common rows
+        w, k = wp + x, kc + nf + x
+        H = np.zeros((nb, w, w))
+        Q = np.zeros((nb, k, w, w))
+        lin = np.zeros((nb, k, w))
+        const = np.zeros((nb, k))
+        # the common slot carries no private-MSE power
+        H[:, :wp, :wp] = _block_diag(Rp[:, ns].sum(axis=0), S - x, sw * x) * s2
+        if x:
+            Q[:, :K, :wp, :wp] = _block_diag(Rc[:, ns].swapaxes(0, 1), S) * s2
+            lin[:, :K, :sw] = -2.0 * _revec(v_c[:, ns].swapaxes(0, 1)) * s
+            lin[:, :K, wp] = -1.0
+            const[:, :K] = -(1.0 - r_c[:, ns].T)
+            lin[:, -1, wp] = 1.0
+        for b, n in enumerate(ns):
+            for j, (l, floor) in enumerate(floors[n], start=kc):
+                _, coef, c = linearize_jamming(layout, taylor, stats.R[l, n], n)
+                lin[b, j, :wp] = -coef * s
+                const[b, j] = floor - c
+        groups.append(cvx.BlockGroup(np.stack([layout.blocks[n] for n in ns]), H, Q, lin,
+                                     const, ("q",) * kc + ("a",) * nf + ("sign",) * x))
 
-    a_cons = [
-        cvx.AConstraint(cvx.Affine(*linearize_jamming(layout, taylor, stats.R[l, n], n)), floor)
-        for l, n, floor in _floors(stats, config.thresholds)]
-
-    q_cons.append(cvx.QConstraint(
-        cvx.DiagTerm(layout.prec_cols, np.ones(layout.prec_cols.size)),
-        cvx.Affine.constant(config.P_t)))
-
-    return cvx.ConvexSubproblem(
-        n_vars=layout.n_vars,
-        objective=cvx.Objective(tuple(obj_quads), cvx.Affine(
-            np.concatenate([layout.p_cols.ravel(), x]),
-            np.concatenate([-2.0 * _revec(v_p).ravel(), np.ones(x.size)]),
-            float(np.sum(r_p)))),
-        q_constraints=q_cons,
-        a_constraints=a_cons,
-        sign_constraints=x,
-        blocks=layout.blocks,
-        var_scale=layout.var_scale(config.P_t),
-    )
+    q0 = np.zeros(layout.n_vars)
+    q0[layout.p_cols] = -2.0 * _revec(v_p) * s
+    q0[layout.x_cols] = 1.0
+    budget = np.zeros(layout.n_vars)
+    budget[layout.prec_cols] = s2
+    return cvx.ConvexSubproblem(groups=groups, q0=q0, c0=float(np.sum(r_p)), budget=budget,
+                                budget_const=-config.P_t, var_scale=var_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +609,8 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     outer_done = 0
     beta = _BETA_START
     counts = {"extrapolation_accepted": 0, "extrapolation_rate_rejected": 0,
-              "extrapolation_floor_rejected": 0, "extrapolation_free_projected": 0}
+              "extrapolation_floor_rejected": 0, "extrapolation_free_projected": 0,
+              "solve_cold_retry": 0, "solve_near_feasible": 0}
     free = np.ones(csit.N, dtype=bool)   # subcarriers carrying no active floor
     free[[n for _, n, _ in _floors(stats, config.thresholds)]] = False
 
@@ -611,6 +624,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             # point an extrapolation step may have moved to; from there the
             # IPM can stall where a cold start does not
             res = cvx.solve(prob, tol=_SOLVER_TOL)
+            counts["solve_cold_retry"] += 1
         # only an optimal solve seeds the next one: a stalled or capped solve's
         # multipliers may be huge and would trip the next solve's infeasible rule
         start = (res.primal, res.multipliers) if res.status == "optimal" else None
@@ -620,6 +634,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             if fault:
                 raise OptimizerError(fault)
             solver_status_flags.append(f"{i}:{res.status}")
+            counts["solve_near_feasible"] += 1
         new_prec, new_X = layout.unpack(res.primal)
         new_prec = _project_power(new_prec, config.P_t)
         new_X = np.minimum(new_X, 0.0)
@@ -655,8 +670,11 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             break
         wsr_prev = wsr
 
-    # the rate depends on each subcarrier's total only; report it evenly split
-    split = CommonSplitVars(X=np.tile(_clamp_split(state, X) / csit.K, (csit.K, 1)))
+    # the rate depends on each subcarrier's total only; report it evenly split.
+    # SDMA's split is its exact zeros: the clamp would make them -0.0
+    if config.scheme == "RSMA":
+        X = _clamp_split(state, X)
+    split = CommonSplitVars(X=np.tile(X / csit.K, (csit.K, 1)))
     diagnostics = {
         "converged": converged,
         "outer_iterations": outer_done,
@@ -687,7 +705,10 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     sampled sum rate beats the solve's; otherwise the solve's point is kept,
     so the sampled sum rate never decreases.  The diagnostics count the kept
     steps, the steps refused on rate and on the floors, and the steps whose
-    rate was tested on the floor-free projection under ``counts``.
+    rate was tested on the floor-free projection under ``counts``, next to
+    the solve repairs: ``solve_cold_retry``, a cold re-solve after a
+    warm-started solve failed, and ``solve_near_feasible``, a solve that was
+    not optimal but close enough to use.
 
     A run with the common stream enabled also evaluates the common-stream-off
     restriction of the same instance (every such solution is feasible for the

@@ -1,0 +1,87 @@
+"""Hand-written solver problems in the solver's stacked block form.
+
+Tests state a problem over the whole variable vector, as dense arrays, and
+``stacked_problem`` cuts it into blocks and groups the way the optimizer emits
+its subproblems.  The row helpers write the usual constraint shapes as
+canonical rows (kind, Q, lin, const), meaning z'Qz + lin'z + const <= 0.
+"""
+
+import numpy as np
+
+from jamcom.solver import BlockGroup, ConvexSubproblem
+
+
+def quad_bound(n, cols, Q, bound_cols=(), bound_coef=(), bound_const=0.0):
+    """The row z[cols]' Q z[cols] <= bound_coef @ z[bound_cols] + bound_const."""
+    Qf = np.zeros((n, n))
+    Qf[np.ix_(cols, cols)] = Q
+    lin = np.zeros(n)
+    lin[list(bound_cols)] = -np.asarray(bound_coef, dtype=np.float64)
+    return "q", Qf, lin, -bound_const
+
+
+def lower_bound(n, cols, coef, lower):
+    """The row coef @ z[cols] >= lower."""
+    lin = np.zeros(n)
+    lin[list(cols)] = -np.asarray(coef, dtype=np.float64)
+    return "a", None, lin, lower
+
+
+def sign_row(n, i):
+    """The row z[i] <= 0."""
+    lin = np.zeros(n)
+    lin[i] = 1.0
+    return "sign", None, lin, 0.0
+
+
+def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
+                    budget_const=0.0, var_scale=None) -> ConvexSubproblem:
+    """The stacked form of
+
+        minimize    z'Hz + q0'z + c0
+        subject to  z'Q_i z + lin_i'z + const_i <= 0    (each row)
+                    budget'(z * z) + budget_const <= 0
+
+    over z = var_scale * y, with H (n, n) and each row (kind, Q (n, n) or
+    None, lin (n,), const).  ``blocks`` (default: one block) partitions the
+    variables; H and every row must lie inside one block.  Blocks of equal
+    width and row kinds form a group, in order of first appearance, and each
+    block keeps its rows in the order given."""
+    s = np.ones(n) if var_scale is None else np.asarray(var_scale, dtype=np.float64)
+    ss = np.outer(s, s)
+    blocks = [np.arange(n)] if blocks is None else [np.asarray(b) for b in blocks]
+    owner = np.empty(n, dtype=np.int64)
+    for b, cols in enumerate(blocks):
+        owner[cols] = b
+    H = np.asarray(H, dtype=np.float64)
+    if np.any(H[owner[:, None] != owner[None, :]]):
+        raise ValueError("the objective quadratic may not couple blocks")
+    per_block = [[] for _ in blocks]
+    for kind, Q, lin, const in rows:
+        Q = np.zeros((n, n)) if Q is None else np.asarray(Q, dtype=np.float64)
+        lin = np.asarray(lin, dtype=np.float64)
+        support = np.flatnonzero(np.any(Q != 0, axis=0) | np.any(Q != 0, axis=1) | (lin != 0))
+        b = owner[support[0]] if support.size else 0
+        if np.any(owner[support] != b):
+            raise ValueError("a row may not span blocks")
+        per_block[b].append((kind, Q * ss, lin * s, float(const)))
+    H = H * ss
+
+    members = {}
+    for cols, rs in zip(blocks, per_block):
+        members.setdefault((cols.size, tuple(r[0] for r in rs)), []).append((cols, rs))
+    groups = []
+    for (w, kinds), ms in members.items():
+        nb, k = len(ms), len(kinds)
+        groups.append(BlockGroup(
+            cols=np.array([cols for cols, _ in ms]),
+            H=np.array([H[np.ix_(cols, cols)] for cols, _ in ms]),
+            Q=np.array([[Q[np.ix_(cols, cols)] for _, Q, _, _ in rs]
+                        for cols, rs in ms]).reshape(nb, k, w, w),
+            lin=np.array([[lin[cols] for _, _, lin, _ in rs] for cols, rs in ms]).reshape(nb, k, w),
+            const=np.array([[r[3] for r in rs] for _, rs in ms]).reshape(nb, k),
+            kinds=kinds))
+    return ConvexSubproblem(
+        groups=groups, q0=(np.zeros(n) if q0 is None else np.asarray(q0)) * s, c0=c0,
+        budget=None if budget is None else np.asarray(budget) * s ** 2,
+        budget_const=budget_const, var_scale=var_scale)

@@ -233,24 +233,23 @@ def _tiny_instance():
     jam_coef = np.concatenate([2 * R @ p_t["c"], 2 * R @ p_t["p"], 2 * R @ p_t["f"]])
     jam_const = -sum(float(v @ R @ v) for v in p_t.values())
 
+    # one block of all 7 variables; rows: the common-MSE bound
+    # z'Qc z <= 2 u_c g_c h'z[0:2] + z6 + 1 - rc, the focused-power floor
+    # jam_coef'z[0:6] + jam_const >= J_thr and z6 <= 0; the spanning row is
+    # the power budget ||z[0:6]||^2 <= P_t
+    Q = np.zeros((1, 3, 7, 7))
+    Q[0, 0, :6, :6] = Qc
+    lin = np.zeros((1, 3, 7))
+    lin[0, 0, [0, 1, 6]] = -np.array([2 * u_c * g_c * h[0], 2 * u_c * g_c * h[1], 1.0])
+    lin[0, 1, :6] = -jam_coef
+    lin[0, 2, 6] = 1.0
+    H = np.zeros((1, 7, 7))
+    H[0, :6, :6] = Qp[:6, :6]
     prob = cvx.ConvexSubproblem(
-        n_vars=7,
-        objective=cvx.Objective(
-            (cvx.QuadTerm(np.arange(6), Qp[:6, :6]),),
-            cvx.Affine(np.arange(7), qp, rp)),
-        q_constraints=[
-            cvx.QConstraint(cvx.QuadTerm(np.arange(6), Qc),
-                            cvx.Affine(np.array([0, 1, 6]),
-                                       np.array([2 * u_c * g_c * h[0],
-                                                 2 * u_c * g_c * h[1], 1.0]),
-                                       1.0 - rc)),
-            cvx.QConstraint(cvx.DiagTerm(np.arange(6), np.ones(6)),
-                            cvx.Affine.constant(P_t)),
-        ],
-        a_constraints=[cvx.AConstraint(
-            cvx.Affine(np.arange(6), jam_coef, jam_const), J_thr)],
-        sign_constraints=np.array([6]),
-    )
+        groups=[cvx.BlockGroup(cols=np.arange(7)[None], H=H, Q=Q, lin=lin,
+                               const=np.array([[-(1.0 - rc), J_thr - jam_const, 0.0]]),
+                               kinds=("q", "a", "sign"))],
+        q0=qp, c0=rp, budget=np.r_[np.ones(6), 0.0], budget_const=-P_t)
     data = dict(h=h, u_c=u_c, g_c=g_c, u_p=u_p, g_p=g_p, R=R, P_t=P_t,
                 J_thr=J_thr, jam_coef=jam_coef, jam_const=jam_const,
                 Qp=Qp[:6, :6], qp=qp, rp=rp, Qc=Qc, qc=qc, rc=rc)

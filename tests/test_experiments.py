@@ -210,11 +210,12 @@ class TestCli:
         assert (out / "results.csv").exists()
         assert (out / "details.json").exists()
         assert (out / "curve_sdma_p2.dat").exists()
-        # the extrapolation counters reach details.json
+        # the extrapolation and solve-repair counters reach details.json
         for detail in json.loads((out / "details.json").read_text()):
             assert set(detail["diagnostics"]["counts"]) == {
                 "extrapolation_accepted", "extrapolation_rate_rejected",
-                "extrapolation_floor_rejected", "extrapolation_free_projected"}
+                "extrapolation_floor_rejected", "extrapolation_free_projected",
+                "solve_cold_retry", "solve_near_feasible"}
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = self._write_config(tmp_path, scheme_list=["SDMA"])

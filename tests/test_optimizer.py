@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -151,21 +152,27 @@ class TestAugmentedMseQuadratic:
                     mse = stream_sinr_mse(samples[0, k, n], pre, n, k, "private")[1]
                     target += 1.0 + np.log(mse)
             z = layout.pack(pre, np.zeros(4))
-            assert cvx.eval_objective(prob, z) == pytest.approx(target, abs=1e-12)
+            assert prob.objective(z / prob.var_scale)[0] == pytest.approx(target, abs=1e-12)
             X = -np.abs(rng.standard_normal(4))
-            wm = cvx.eval_objective(prob, layout.pack(pre, X))
+            wm = prob.objective(layout.pack(pre, X) / prob.var_scale)[0]
             assert wm == pytest.approx(2 * 4 - _wsr_nats(state, X if layout.rsma else np.zeros(4)),
                                        abs=1e-12)
             assert wm == pytest.approx(target + (X.sum() if layout.rsma else 0.0), abs=1e-12)
 
     def test_common_constraint_is_minus_common_information(self, rng):
         layout, samples, pre, prob, _ = self._setup(rng)
-        c = cvx.eval_constraints(prob, layout.pack(pre, np.zeros(4)))
-        for n in range(4):
-            for k in range(2):
-                mse = stream_sinr_mse(samples[0, k, n], pre, n, k, "common")[1]
-                info_nats = -np.log(mse)
-                assert c[2 * n + k] == pytest.approx(-info_nats, abs=1e-12)
+        c = prob.constraints(layout.pack(pre, np.zeros(4)) / prob.var_scale)[0]
+        seen = []
+        for g, cg in zip(prob.groups, prob.split(c)):
+            assert g.kinds[:2] == ("q", "q")
+            for cols, cb in zip(g.cols, cg):
+                n = int(np.flatnonzero(layout.x_cols == cols[-1])[0])  # block n ends in x_n
+                seen.append(n)
+                for k in range(2):
+                    mse = stream_sinr_mse(samples[0, k, n], pre, n, k, "common")[1]
+                    info_nats = -np.log(mse)
+                    assert cb[k] == pytest.approx(-info_nats, abs=1e-12)
+        assert sorted(seen) == list(range(4))
 
     def test_unit_weight_zero_filter_gives_one(self):
         samples, _ = scalar_setup()
@@ -210,11 +217,72 @@ class TestAugmentedMseQuadratic:
                                info_c=zero, info_p=zero, r_c=zero, r_p=zero)
             prob = _assemble_subproblem(layout, samples, state, PrecoderSet.zeros(4, 4, 2, 1),
                                         stats, SolveConfig(P_t=10.0, M=1))
-            quads = list(prob.objective.quads) + [
-                c.quad for c in prob.q_constraints if isinstance(c.quad, cvx.QuadTerm)]
+            quads = [H for g in prob.groups for H in g.H] + [
+                g.Q[b, i] for g in prob.groups for b in range(g.cols.shape[0])
+                for i, kind in enumerate(g.kinds) if kind == "q"]
             assert len(quads) == 4 + 8
-            for t in quads:
-                assert np.linalg.eigvalsh((t.Q + t.Q.T) / 2).min() >= -1e-10
+            for Q in quads:
+                assert np.linalg.eigvalsh((Q + Q.T) / 2).min() >= -1e-10
+
+
+def first_subproblem(csit, stats, config):
+    """The first subproblem a run of ``config`` solves, floors tightened as the
+    run tightens them."""
+    samples = _subcarrier_major(draw_csit_samples(csit, config.M, config.seed))
+    layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
+                            config.scheme == "RSMA")
+    pre = initialize(csit, stats, config)
+    thr = config.thresholds
+    margin = 10.0 * op._SOLVER_TOL * (1.0 + max(float(thr.max()), config.P_t))
+    tight = dataclasses.replace(config, thresholds=np.where(thr > 0.0, thr + margin, thr))
+    return _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre, stats, tight)
+
+
+class TestStackedEmission:
+    """The optimizer emits the solver's stacked form with the same arrays the
+    record-based assembly and its compile step produced."""
+
+    @pytest.mark.parametrize("scheme", ["RSMA", "SDMA"])
+    def test_first_desk_subproblem_matches_compiled_arrays(self, scheme):
+        # tests/data/desk0_first_subproblem.npz holds the compiled (scaled,
+        # stacked) arrays of this subproblem from the record-based assembly:
+        # per width group the block columns, objective blocks, and per row its
+        # canonical number (q, then a, then sign), block row, quadratic and
+        # linear part; then the canonical constants and names, the spanning
+        # rows, q0, c0 and the variable scale
+        with np.load(os.path.join(os.path.dirname(__file__), "data",
+                                  "desk0_first_subproblem.npz")) as data:
+            ref = dict(data)
+        p = scheme.lower() + "_"
+        prob = first_subproblem(*desk_instance_0(scheme))
+
+        def bits(a):
+            # bitwise, up to the sign of zero (+ 0.0 turns -0.0 into +0.0)
+            return (np.asarray(a, dtype=np.float64) + 0.0).tobytes()
+
+        assert prob.n_vars == int(ref[p + "n"])
+        ref_groups = [{f: ref[f"{p}g{i}_{f}"] for f in ("cols", "H", "idx", "row", "Q", "lin")}
+                      for i in range(int(ref[p + "n_groups"]))]
+        old = np.empty(prob.m, dtype=np.int64)   # the old number of each row
+        for g, rows in zip(prob.groups, prob.split(np.arange(prob.m))):
+            rg, = [r for r in ref_groups if r["cols"].shape[1] == g.cols.shape[1]]
+            for b, cols in enumerate(g.cols):
+                row = int(np.flatnonzero(np.all(rg["cols"] == cols, axis=1))[0])
+                at = rg["row"] == row
+                assert bits(g.H[b]) == bits(rg["H"][row])
+                assert bits(g.Q[b]) == bits(rg["Q"][at])
+                assert bits(g.lin[b]) == bits(rg["lin"][at])
+                old[rows[b]] = rg["idx"][at]
+        old[-1], = ref[p + "span_idx"]
+        assert sorted(old) == list(range(prob.m))
+        const = np.concatenate([g.const.ravel() for g in prob.groups] + [[prob.budget_const]])
+        assert bits(const) == bits(ref[p + "const"][old])
+        assert ([name.split("[")[0] for name in prob.labels()]
+                == [str(name).split("[")[0] for name in ref[p + "kinds"][old]])
+        assert bits(prob.budget) == bits(ref[p + "span_D"][0])
+        assert not np.any(ref[p + "span_A"])
+        assert bits(prob.q0) == bits(ref[p + "q0"]) and prob.c0 == float(ref[p + "c0"])
+        assert bits(prob.var_scale) == bits(ref[p + "scale"])
 
 
 def saa_shape_setup():
@@ -561,6 +629,29 @@ class TestOptimize:
                     assert start is None
             assert capped is None or calls[capped + 1][0] is None
 
+    def test_solve_repairs_are_counted(self, monkeypatch):
+        chan, csit, stats = paper_setup(sigma2=0.0)
+        thr = build_thresholds(stats, 0.45, 10.0)
+        cfg = SolveConfig(P_t=10.0, scheme="SDMA", M=2, seed=5, thresholds=thr, eps_r=1e-3)
+        solve = cvx.solve
+        warm = []
+
+        def spy(prob, **kw):
+            res = solve(prob, **kw)
+            warm.append(kw.get("start") is not None)
+            if len(warm) == 2:    # a warm-started solve fails far from feasible
+                res = dataclasses.replace(res, status="max_iter", violations=[(0, "q[0]", 1.0)])
+            elif len(warm) == 4:  # a later one stops short, near-feasible
+                res = dataclasses.replace(res, status="max_iter", violations=[])
+            return res
+
+        monkeypatch.setattr(cvx, "solve", spy)
+        res = optimize(csit, stats, cfg)
+        assert warm[:4] == [False, True, False, True]   # solve 3 is the cold retry of 2
+        counts = res.report.diagnostics["counts"]
+        assert counts["solve_cold_retry"] == 1 and counts["solve_near_feasible"] == 1
+        assert len(warm) == res.outer_iterations + 1
+
     def test_extrapolation_safeguard(self):
         # desk instance 0 of the acceptance suite: 5 dB, one pilot, active floors
         P_t = 10.0 ** 0.5
@@ -616,6 +707,7 @@ class TestOptimize:
         assert steps
         for _, X, *_ in steps:
             assert np.all(X == 0.0) and not np.any(np.signbit(X))
+        assert np.all(res.split.X == 0.0) and not np.any(np.signbit(res.split.X))
         assert np.all(res.report.C == 0.0) and not np.any(np.signbit(res.report.C))
 
     def test_sdma_without_floors_takes_the_uniform_step(self, monkeypatch):
@@ -718,6 +810,9 @@ def test_invariants_on_random_instances(case):
         tried = sum(counts[k] for k in STEP_OUTCOMES)
         assert tried <= res.outer_iterations
         assert counts["extrapolation_free_projected"] <= tried
+        # at most one cold retry and one near-feasible solve per outer iteration
+        assert counts["solve_cold_retry"] <= res.outer_iterations
+        assert counts["solve_near_feasible"] <= res.outer_iterations
         for a in (prec.p_c, prec.p, prec.f, res.split.X, rep.I_private, rep.I_common,
                   rep.C, rep.R_k, rep.R_sum, rep.lambda_avg if stats.L else 0.0):
             assert np.all(np.isfinite(a))

@@ -7,78 +7,47 @@ from jamcom.channel import (CsitModel, au_statistics_uniform_phase, draw_csit_sa
                             make_deterministic_scenario)
 from jamcom.optimizer import (SolveConfig, VariableLayout, _assemble_subproblem,
                               _wmmse_state, build_thresholds, initialize)
-from jamcom.solver import (
-    AConstraint,
-    Affine,
-    ConvexSubproblem,
-    DiagTerm,
-    Objective,
-    QConstraint,
-    QuadTerm,
-    certify,
-    eval_constraints,
-    eval_objective,
-    problem_from_json,
-    problem_to_json,
-    solve,
-)
-
-
-def quad_objective(Q, lin=None, const=0.0):
-    n = Q.shape[0]
-    aff = Affine(np.arange(n), lin, const) if lin is not None else Affine.constant(const)
-    return Objective((QuadTerm(np.arange(n), Q),), aff)
+from jamcom.solver import certify, problem_from_json, problem_to_json, solve
+from stacked import lower_bound, quad_bound, sign_row, stacked_problem
 
 
 def active_bound_problem():
     # min x^2  s.t.  x <= -1
-    return ConvexSubproblem(
-        n_vars=1,
-        objective=quad_objective(np.eye(1)),
-        a_constraints=[AConstraint(Affine([0], [-1.0], 0.0), 1.0)],
-    )
+    return stacked_problem(1, np.eye(1), [lower_bound(1, [0], [-1.0], 1.0)])
 
 
 def halfspace_problem():
     # min ||p||^2  s.t.  2 Re(e1^H p) >= 1  (p complex 2-vector, stacked real)
-    return ConvexSubproblem(
-        n_vars=4,
-        objective=quad_objective(np.eye(4)),
-        a_constraints=[AConstraint(Affine([0], [2.0], 0.0), 1.0)],
-    )
+    return stacked_problem(4, np.eye(4), [lower_bound(4, [0], [2.0], 1.0)])
 
 
-def random_block_problem(seed, with_signs=True):
+def random_block_problem(seed, with_signs=True, blocks="two", var_scale=None, relax=0.0):
+    """Two 5-variable blocks, each with a PSD objective and a quadratic bound,
+    an affine floor on block 0 (lowered by ``relax``), the sign of z3 and z8,
+    and a norm budget coupling the blocks; ``blocks=None`` states the same
+    problem as one block."""
     rng = np.random.default_rng(seed)
-    blocks = [np.arange(0, 5), np.arange(5, 10)]
-    quads = []
-    q_cons = []
-    for cols in blocks:
+    parts = [np.arange(0, 5), np.arange(5, 10)]
+    H = np.zeros((10, 10))
+    rows = []
+    for cols in parts:
         A = rng.standard_normal((5, 5))
-        quads.append(QuadTerm(cols, A.T @ A / 5.0))
+        H[np.ix_(cols, cols)] = A.T @ A / 5.0
         B = rng.standard_normal((5, 5))
-        q_cons.append(QConstraint(
-            QuadTerm(cols, B.T @ B / 5.0),
-            Affine(cols[:2], rng.standard_normal(2) * 0.1, 1.0)))
-    q_cons.append(QConstraint(DiagTerm(np.arange(10), np.ones(10)),
-                              Affine.constant(4.0)))
-    a_cons = [AConstraint(Affine(blocks[0], rng.standard_normal(5), 0.0), -2.0)]
-    sign = np.array([3, 8]) if with_signs else np.zeros(0, dtype=np.int64)
-    return ConvexSubproblem(
-        n_vars=10,
-        objective=Objective(tuple(quads), Affine(np.arange(10),
-                                                 rng.standard_normal(10) * 0.5, 0.3)),
-        q_constraints=q_cons,
-        a_constraints=a_cons,
-        sign_constraints=sign,
-        blocks=blocks,
-    )
+        rows.append(quad_bound(10, cols, B.T @ B / 5.0,
+                               cols[:2], rng.standard_normal(2) * 0.1, 1.0))
+    rows.append(lower_bound(10, parts[0], rng.standard_normal(5), -2.0 - relax))
+    if with_signs:
+        rows += [sign_row(10, 3), sign_row(10, 8)]
+    return stacked_problem(10, H, rows, q0=rng.standard_normal(10) * 0.5, c0=0.3,
+                           blocks=parts if blocks == "two" else blocks,
+                           budget=np.ones(10), budget_const=-4.0, var_scale=var_scale)
 
 
 class TestReferenceSolutions:
     def test_active_scalar_bound(self):
         res = solve(active_bound_problem(), 1e-9)
-        assert res.status == "optimal"
+        assert res.status == res.exit == "optimal"
         assert res.primal[0] == pytest.approx(-1.0, abs=1e-7)
         assert res.objective_value == pytest.approx(1.0, abs=1e-6)
 
@@ -91,10 +60,45 @@ class TestReferenceSolutions:
     def test_unconstrained_newton(self):
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])
         lin = np.array([1.0, -2.0])
-        prob = ConvexSubproblem(n_vars=2, objective=quad_objective(Q, lin))
+        prob = stacked_problem(2, Q, q0=lin)
         res = solve(prob, 1e-9)
         ref = np.linalg.solve(2 * Q, -lin)
         np.testing.assert_allclose(res.primal, ref, atol=1e-9)
+
+
+class TestBatchedContractions:
+    """The batched per-block sums of the IPM against per-row loops; the
+    summation order differs, so they agree to a dtype-derived 1e-12."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_gradients_and_hessian_match_per_row_loops(self, seed):
+        prob = random_block_problem(seed, var_scale=np.linspace(0.5, 2.0, 10))
+        rng = np.random.default_rng(seed + 100)
+        y, lam, dy = (rng.standard_normal(n) for n in (10, prob.m, 10))
+        c, jac = prob.constraints(y)
+        rows = [(g, b, i) for g in prob.groups for b in range(g.cols.shape[0])
+                for i in range(len(g.kinds))]
+        assert len(rows) == prob.m - 1                 # the budget row is last
+        want_c, want_jt, want_jd = np.empty(prob.m), np.zeros(10), np.empty(prob.m)
+        want_H = {id(g): g.H.copy() for g in prob.groups}
+        for r, (g, b, i) in enumerate(rows):
+            yb = y[g.cols[b]]
+            want_c[r] = yb @ g.Q[b, i] @ yb + g.lin[b, i] @ yb + g.const[b, i]
+            grad = 2.0 * g.Q[b, i] @ yb + g.lin[b, i]
+            want_jt[g.cols[b]] += lam[r] * grad
+            want_jd[r] = grad @ dy[g.cols[b]]
+            want_H[id(g)][b] += lam[r] * g.Q[b, i]
+        want_c[-1] = prob.budget @ (y * y) + prob.budget_const
+        want_jt += lam[-1] * 2.0 * prob.budget * y
+        want_jd[-1] = 2.0 * prob.budget * y @ dy
+        for g in prob.groups:
+            for b, cols in enumerate(g.cols):
+                want_H[id(g)][b] += np.diag(lam[-1] * prob.budget[cols])
+        for got, want in ((c, want_c), (prob._jac_t(jac, lam), want_jt),
+                          (prob._jac_dot(jac, dy), want_jd)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for g, Hb in zip(prob.groups, prob._hessian(lam)):
+            np.testing.assert_allclose(Hb, want_H[id(g)], rtol=1e-12, atol=1e-12)
 
 
 class TestKktAndCertification:
@@ -110,8 +114,9 @@ class TestKktAndCertification:
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            lag_p = eval_objective(prob, zp) + lam @ eval_constraints(prob, zp)
-            lag_m = eval_objective(prob, zm) + lam @ eval_constraints(prob, zm)
+            # no var_scale: the solver variables are z
+            lag_p = prob.objective(zp)[0] + lam @ prob.constraints(zp)[0]
+            lag_m = prob.objective(zm)[0] + lam @ prob.constraints(zm)[0]
             grad[i] = (lag_p - lag_m) / (2 * eps)
         assert np.max(np.abs(grad)) < 1e-4
 
@@ -129,14 +134,11 @@ class TestKktAndCertification:
         assert not certify(prob, res, 1e-6)
 
     def test_certify_rejects_failed_status(self):
-        prob = ConvexSubproblem(
-            n_vars=1,
-            objective=quad_objective(np.eye(1)),
-            a_constraints=[AConstraint(Affine([0], [1.0], 0.0), 1.0),
-                           AConstraint(Affine([0], [-1.0], 0.0), 1.0)],
-        )
+        prob = stacked_problem(1, np.eye(1), [lower_bound(1, [0], [1.0], 1.0),
+                                              lower_bound(1, [0], [-1.0], 1.0)])
         res = solve(prob, 1e-8, max_iter=50)
         assert res.status in ("infeasible", "max_iter")
+        assert res.exit == "non_finite"  # the contradictory bounds blow the step up
         assert res.violations
         assert not certify(prob, res, 1e-6)
 
@@ -151,10 +153,8 @@ class TestDeterminismAndStructure:
 
     def test_blockwise_matches_dense(self):
         prob = random_block_problem(11)
-        dense = ConvexSubproblem(
-            n_vars=prob.n_vars, objective=prob.objective,
-            q_constraints=prob.q_constraints, a_constraints=prob.a_constraints,
-            sign_constraints=prob.sign_constraints, blocks=None)
+        dense = random_block_problem(11, blocks=None)
+        assert [g.cols.shape for g in dense.groups] == [(1, 10)]
         rb = solve(prob, 1e-9)
         rd = solve(dense, 1e-9)
         assert rb.status == rd.status == "optimal"
@@ -163,11 +163,7 @@ class TestDeterminismAndStructure:
 
     def test_var_scale_preserves_solution(self):
         prob = random_block_problem(13)
-        scaled = ConvexSubproblem(
-            n_vars=prob.n_vars, objective=prob.objective,
-            q_constraints=prob.q_constraints, a_constraints=prob.a_constraints,
-            sign_constraints=prob.sign_constraints, blocks=prob.blocks,
-            var_scale=np.full(prob.n_vars, 3.0))
+        scaled = random_block_problem(13, var_scale=np.full(prob.n_vars, 3.0))
         r0 = solve(prob, 1e-9)
         r1 = solve(scaled, 1e-9)
         assert r1.objective_value == pytest.approx(r0.objective_value, abs=1e-6)
@@ -176,51 +172,44 @@ class TestDeterminismAndStructure:
         for seed in range(4):
             prob = random_block_problem(seed)
             res = solve(prob, 1e-8)
-            relaxed = ConvexSubproblem(
-                n_vars=prob.n_vars, objective=prob.objective,
-                q_constraints=prob.q_constraints,
-                a_constraints=[AConstraint(c.aff, c.lower - 0.5)
-                               for c in prob.a_constraints],
-                sign_constraints=prob.sign_constraints, blocks=prob.blocks)
+            relaxed = random_block_problem(seed, relax=0.5)
             res_rel = solve(relaxed, 1e-8)
             assert res_rel.objective_value <= res.objective_value + 1e-6
 
     def test_sign_constraints_hold(self):
         prob = random_block_problem(17)
         res = solve(prob, 1e-8)
-        assert np.all(res.primal[prob.sign_constraints] <= 1e-8)
+        assert np.all(res.primal[[3, 8]] <= 1e-8)
 
-    def test_cross_block_dense_quadratic_rejected(self):
-        blocks = [np.arange(2), np.arange(2, 4)]
-        spanning = QuadTerm(np.arange(4), np.eye(4))
-        in_objective = ConvexSubproblem(
-            n_vars=4,
-            objective=Objective((spanning,), Affine.constant(0.0)),
-            blocks=blocks,
-        )
-        in_constraint = ConvexSubproblem(
-            n_vars=4,
-            objective=Objective((QuadTerm(blocks[0], np.eye(2)),
-                                 QuadTerm(blocks[1], np.eye(2))), Affine.constant(0.0)),
-            q_constraints=[QConstraint(spanning, Affine.constant(1.0))],
-            blocks=blocks,
-        )
-        for bad in (in_objective, in_constraint):
+    def test_malformed_stacked_form_rejected(self):
+        prob = random_block_problem(5)
+        g, other = prob.groups
+        nb, k, w = g.lin.shape
+        for bad in (dict(H=g.H[0]), dict(Q=g.Q[:, :, :-1]), dict(lin=g.lin[:, :-1]),
+                    dict(const=g.const[:, :-1]), dict(cols=g.cols[0]),
+                    dict(kinds=g.kinds[:-1] + ("b",))):
             with pytest.raises(ValueError):
-                solve(bad, 1e-8)
+                dataclasses.replace(g, **bad)
+        # the blocks must partition the variables: none missing, none twice,
+        # none out of range
+        moved = dataclasses.replace(other, cols=other.cols + 1)
+        for groups in ([g], [g, other, other], [g, moved]):
+            with pytest.raises(ValueError):
+                dataclasses.replace(prob, groups=groups)
+        for bad in (dict(budget=np.ones(3)), dict(var_scale=np.ones(3)),
+                    dict(var_scale=np.zeros(10)), dict(q0=np.zeros(11))):
+            with pytest.raises(ValueError):
+                dataclasses.replace(prob, **bad)
 
 
 def perturbed(prob, eps):
     """The problem with its linear objective scaled by 1 + eps and every
-    q-constraint bound tightened by the factor 1 - eps."""
-    aff = prob.objective.affine
+    quadratic bound, the budget included, tightened by the factor 1 - eps."""
     return dataclasses.replace(
-        prob,
-        objective=Objective(prob.objective.quads,
-                            Affine(aff.cols, aff.coef * (1 + eps), aff.const)),
-        q_constraints=[QConstraint(c.quad, Affine(c.bound.cols, c.bound.coef,
-                                                  c.bound.const * (1 - eps)))
-                       for c in prob.q_constraints])
+        prob, q0=prob.q0 * (1 + eps), budget_const=prob.budget_const * (1 - eps),
+        groups=[dataclasses.replace(g, const=np.where(np.array(g.kinds) == "q",
+                                                      g.const * (1 - eps), g.const))
+                for g in prob.groups])
 
 
 class TestWarmStart:
@@ -243,11 +232,15 @@ class TestWarmStart:
         prob = random_block_problem(4)
         cold = solve(prob, 1e-9)
         start = np.full(prob.n_vars, 3.0)  # ||z||^2 = 90 > 4, and both sign bounds violated
-        assert eval_constraints(prob, start).max() > 1.0
+        assert prob.constraints(start)[0].max() > 1.0
         res = solve(prob, 1e-9, start=(start, np.zeros(cold.multipliers.size)))
         assert res.status == "optimal"
         assert certify(prob, res, 1e-6)
         assert res.objective_value == pytest.approx(cold.objective_value, rel=1e-6)
+
+    def test_iteration_cap_is_named(self):
+        res = solve(random_block_problem(2), 1e-9, max_iter=2)
+        assert res.status == res.exit == "max_iter" and res.iterations == 2
 
     def test_start_of_wrong_length_rejected(self):
         prob = random_block_problem(2)
@@ -262,6 +255,13 @@ class TestSerialization:
     def test_json_round_trip_solves_identically(self):
         prob = random_block_problem(23)
         back = problem_from_json(problem_to_json(prob))
+        assert problem_to_json(back) == problem_to_json(prob)
+        for g, h in zip(prob.groups, back.groups):
+            for f in ("cols", "H", "Q", "lin", "const"):
+                assert getattr(g, f).tobytes() == getattr(h, f).tobytes()
+            assert g.kinds == h.kinds
+        for f in ("q0", "budget", "var_scale"):
+            assert getattr(prob, f).tobytes() == getattr(back, f).tobytes()
         a = solve(prob, 1e-9)
         b = solve(back, 1e-9)
         assert np.array_equal(a.primal, b.primal)
@@ -281,43 +281,38 @@ class TestSerialization:
         b = solve(problem_from_json(problem_to_json(prob)), 1e-7)
         assert a.status == "optimal"
         assert np.array_equal(a.primal, b.primal)
-        floors = eval_constraints(prob, a.primal)[len(prob.q_constraints):][:2]
+        floors = prob.constraints(a.primal / prob.var_scale)[0][prob.a_constraints]
         assert np.all(np.abs(floors) < 1e-4)
 
     def test_infeasible_reports_violating_constraints(self):
-        prob = ConvexSubproblem(
-            n_vars=2,
-            objective=quad_objective(np.eye(2)),
-            q_constraints=[QConstraint(DiagTerm(np.arange(2), np.ones(2)),
-                                       Affine.constant(0.5))],
-            a_constraints=[AConstraint(Affine([0], [1.0], 0.0), 10.0)],
-        )
+        prob = stacked_problem(2, np.eye(2), [lower_bound(2, [0], [1.0], 10.0)],
+                               budget=np.ones(2), budget_const=-0.5)
         res = solve(prob, 1e-8, max_iter=60)
         assert res.status in ("infeasible", "max_iter")
         kinds = {kind for _, kind, _ in res.violations}
         assert any(k.startswith("a[") or k.startswith("q[") for k in kinds)
 
     def test_infeasible_two_block_reports_canonical_order(self):
-        # x3 >= 1 (a[0]) contradicts x3 <= 0 (sign[1]); both q-constraints and
-        # sign[0] stay slack
+        # x3 >= 1 (a[0]) contradicts x3 <= 0 (sign[1]); both quadratic rows and
+        # sign[0] stay slack.  Rows are numbered group by group, block by block,
+        # with the budget last.
         blocks = [np.arange(0, 2), np.arange(2, 4)]
-        prob = ConvexSubproblem(
-            n_vars=4,
-            objective=Objective((QuadTerm(blocks[0], np.eye(2)),
-                                 QuadTerm(blocks[1], np.eye(2))), Affine([0], [1.0], 0.0)),
-            q_constraints=[QConstraint(QuadTerm(blocks[0], np.eye(2)), Affine.constant(4.0)),
-                           QConstraint(DiagTerm(np.arange(4), np.ones(4)),
-                                       Affine.constant(9.0))],
-            a_constraints=[AConstraint(Affine([3], [1.0], 0.0), 1.0)],
-            sign_constraints=np.array([1, 3]),
-            blocks=blocks,
-        )
+        prob = stacked_problem(
+            4, np.eye(4),
+            [quad_bound(4, blocks[0], np.eye(2), bound_const=4.0), sign_row(4, 1),
+             lower_bound(4, [3], [1.0], 1.0), sign_row(4, 3)],
+            q0=np.array([1.0, 0.0, 0.0, 0.0]), blocks=blocks,
+            budget=np.ones(4), budget_const=-9.0)
+        assert prob.labels() == ["q[0]", "sign[0]", "a[0]", "sign[1]", "q[1]"]
+        assert [list(r) for r in (prob.q_constraints, prob.a_constraints,
+                                  prob.sign_constraints)] == [[0, 4], [2], [1, 3]]
         res = solve(prob, 1e-8, max_iter=60)
         assert res.status in ("infeasible", "max_iter")
-        assert [(i, kind) for i, kind, _ in res.violations] == [(2, "a[0]"), (4, "sign[1]")]
-        c = eval_constraints(prob, res.primal)
+        assert res.exit == "stalled" and res.iterations < 60
+        assert [(i, kind) for i, kind, _ in res.violations] == [(2, "a[0]"), (3, "sign[1]")]
+        c = prob.constraints(res.primal)[0]
         for i, _, value in res.violations:
             assert value == pytest.approx(c[i], abs=1e-12)
         lam = res.multipliers
-        assert lam.shape == (5,)  # q[0], q[1], a[0], sign[0], sign[1]
-        assert min(lam[2], lam[4]) > 1.0 and max(lam[0], lam[1]) < 0.1
+        assert lam.shape == (5,)  # q[0], sign[0], a[0], sign[1], q[1]
+        assert min(lam[2], lam[3]) > 1.0 and max(lam[0], lam[4]) < 0.1
