@@ -21,7 +21,14 @@ tight at the running point either way, so the ascent stays monotone.
 Channel uncertainty enters through sample averaging over draws from the CSI
 error model; each run lays its samples out once, subcarrier-major (contiguous
 as (K, N, n_t, M)), so an iteration's sampled work, the MMSE state and the
-surrogate's grams and linear terms, is a few batched matmuls.
+surrogate's grams and linear terms, is a few batched matmuls.  Large sample
+sets are ascended in stages (sample-size continuation): the loop first runs on
+the first M/4^j of the one draw, for every j that leaves at least 1,024
+draws, each stage starting where the smaller one ended, and finishes with the
+unchanged full-M loop, so early iterations far from the optimum cost a
+fraction of a full pass (Homem-de-Mello, "Variable-sample methods for
+stochastic optimization", ACM TOMACS 2003).  Below 4,096 draws there is one
+stage.
 
 Internal bookkeeping uses natural logarithms, for which the weight u = 1/mse
 is the exact stationary point of u*mse - ln(u) and the optimized surrogate
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +67,13 @@ __all__ = [
 ]
 
 _SOLVER_TOL = 1e-7    # scaled KKT tolerance of every subproblem solve
+
+# the names of report.diagnostics["counts"]: extrapolation outcomes, solve
+# repairs, and the exits of every IPM solve
+_COUNTERS = ("extrapolation_accepted", "extrapolation_rate_rejected",
+            "extrapolation_floor_rejected", "extrapolation_free_projected",
+            "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_stalled",
+            "ipm_no_progress", "ipm_non_finite", "ipm_max_iter")
 
 
 class OptimizerError(RuntimeError):
@@ -407,7 +421,9 @@ def _block_diag(R: np.ndarray, count: int, lead: int = 0) -> np.ndarray:
 
 def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
                          state: WmmseState, taylor: PrecoderSet,
-                         stats: AuStatistics, config: SolveConfig) -> cvx.ConvexSubproblem:
+                         stats: AuStatistics, config: SolveConfig,
+                         floors: Optional[List[Tuple[int, int, float]]] = None
+                         ) -> cvx.ConvexSubproblem:
     """The convex subproblem in the solver's stacked form, over y = z / var_scale.
 
     Block n is subcarrier n (``layout.blocks[n]``).  Its objective is the
@@ -415,17 +431,20 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
     bounds (RSMA), its active focused-power floors linearized at ``taylor``
     (adversary order), and the sign of its split (RSMA).  Subcarriers with
     the same streams and floor count share a group.  The total-power budget
-    is the spanning diagonal row.
+    is the spanning diagonal row.  ``floors`` is the ``_floors`` list of
+    config's thresholds, built here if not given.
     """
     K, N, sw, x = layout.K, layout.N, layout.slot_width, int(layout.rsma)
     Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(samples, state)
     var_scale = layout.var_scale(config.P_t)
     s = np.sqrt(config.P_t)       # the scale of every precoder entry
     s2 = s * s
-    floors: List[list] = [[] for _ in range(N)]
-    for l, n, floor in _floors(stats, config.thresholds):
-        floors[n].append((l, floor))
-    keys = [(int(layout.streams[n].sum()), len(floors[n])) for n in range(N)]
+    if floors is None:
+        floors = _floors(stats, config.thresholds)
+    on: List[list] = [[] for _ in range(N)]     # (adversary, floor) per subcarrier
+    for l, n, floor in floors:
+        on[n].append((l, floor))
+    keys = [(int(layout.streams[n].sum()), len(on[n])) for n in range(N)]
 
     groups = []
     for S, nf in sorted(set(keys)):
@@ -445,7 +464,7 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
             const[:, :K] = -(1.0 - r_c[:, ns].T)
             lin[:, -1, wp] = 1.0
         for b, n in enumerate(ns):
-            for j, (l, floor) in enumerate(floors[n], start=kc):
+            for j, (l, floor) in enumerate(on[n], start=kc):
                 _, coef, c = linearize_jamming(layout, taylor, stats.R[l, n], n)
                 lin[b, j, :wp] = -coef * s
                 const[b, j] = floor - c
@@ -498,13 +517,16 @@ def _wsr_nats(state: WmmseState, X: np.ndarray) -> float:
     return float(np.sum(state.info_p)) - float(np.sum(X))
 
 
-def _max_violation(precoders: PrecoderSet, stats: AuStatistics,
-                   config: SolveConfig) -> float:
+def _max_violation(precoders: PrecoderSet, stats: AuStatistics, config: SolveConfig,
+                   floors: Optional[List[Tuple[int, int, float]]] = None) -> float:
     """Worst shortfall of the true (not linearized) focused power, plus any
-    power-budget excess."""
+    power-budget excess.  ``floors`` is the run's ``_floors`` list of config's
+    thresholds, built here if not given."""
+    if floors is None:
+        floors = _floors(stats, config.thresholds)
     return max([precoders.total_power() - config.P_t, 0.0]
                + [floor - jamming_power_avg(stats.R[l, n], precoders, n)
-                  for l, n, floor in _floors(stats, config.thresholds)])
+                  for l, n, floor in floors])
 
 
 def _split_capacity(state: WmmseState) -> np.ndarray:
@@ -542,16 +564,28 @@ def _solve_fault(res: cvx.SolverResult, config: SolveConfig,
 # cap, shrink after a rejected step down to a floor
 _BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 1.0, 1.5, 4.0, 0.5, 0.25
 
+# sample-size continuation: each stage ascends on _STAGE_RATIO times fewer
+# draws than the next, and no stage has fewer than _STAGE_MIN draws
+_STAGE_RATIO, _STAGE_MIN = 4, 1024
+
+
+class _TrueFloors(NamedTuple):
+    """A run's active focused-power floors (its ``_floors`` list) and the
+    shortfall of them a running point may have."""
+
+    tol: float
+    floors: List[Tuple[int, int, float]]
+
 
 def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
                  X: np.ndarray, state: WmmseState, wsr: float, beta: float,
-                 stats: AuStatistics, config: SolveConfig, floor_tol: Optional[float],
+                 stats: AuStatistics, config: SolveConfig, true_floors: Optional[_TrueFloors],
                  free: np.ndarray):
     """The safeguarded step from the accepted solve ``cur`` (split X, state,
     sampled WSR wsr) away from the previous solve ``prev``: y = cur + beta
     (cur - prev) on every precoder, scaled onto the power budget.  The first
     candidate scales y uniformly; if it misses a true floor by more than
-    ``floor_tol`` (None: no floors), the second scales only the ``free``
+    ``true_floors.tol`` (None: no floors), the second scales only the ``free``
     subcarriers, which carry no floor, as the raw y usually still meets the
     floors that the uniform scaling breaks (the focused power is convex).  The
     floors come first because they cost no sampled pass.  An RSMA candidate
@@ -560,14 +594,17 @@ def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
     replaces cur only if its sampled WSR beats wsr.  Returns the running point
     (precoders, split, state, wsr), the counter name of the outcome and
     whether the rate of the second candidate was tested."""
+    def misses_floors(y):
+        return _max_violation(y, stats, config, true_floors.floors) > true_floors.tol
+
     raw = PrecoderSet(*(c + beta * (c - p) for c, p in (
         (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f))))
     y = _project_power(raw, config.P_t)
     free_projected = False
-    if floor_tol is not None and _max_violation(y, stats, config) > floor_tol:
+    if true_floors is not None and misses_floors(y):
         # a raw y inside the budget was not scaled, so it has no second candidate
         y = _project_floor_free(raw, config.P_t, free) if y is not raw else None
-        if y is None or _max_violation(y, stats, config) > floor_tol:
+        if y is None or misses_floors(y):
             return cur, X, state, wsr, "extrapolation_floor_rejected", False
         free_projected = True
     state_y = _wmmse_state(samples, y)
@@ -578,70 +615,96 @@ def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
     return y, X_y, state_y, wsr_y, "extrapolation_accepted", free_projected
 
 
-def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
-                     trace_sink: Optional[Callable[[dict], None]]) -> OptimizeResult:
-    samples = _subcarrier_major(draw_csit_samples(csit, config.M, config.seed))
-    layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L,
-                            stats.pilot_idx, config.scheme == "RSMA")
-    prec = initialize(csit, stats, config)
-    X = np.zeros(csit.N)
+def _sample_stages(M: int) -> List[int]:
+    """Draw counts of the continuation's stages, smallest first: M / 4^j for
+    every j >= 0 that leaves at least _STAGE_MIN draws, so M alone below
+    _STAGE_RATIO * _STAGE_MIN."""
+    stages = [M]
+    while stages[0] // _STAGE_RATIO >= _STAGE_MIN:
+        stages.insert(0, stages[0] // _STAGE_RATIO)
+    return stages
 
-    # The solver meets constraints to a tolerance that scales with their
-    # magnitude; tightening the floors by that much keeps the true focused
-    # power above the requested threshold with room to spare.
-    tight_config = config
-    jam_margin = 0.0
-    floor_tol = None     # shortfall of the true floors a running point may have
-    if config.thresholds is not None and config.thresholds.size > 0:
-        thr = config.thresholds
-        floor_tol = 1e-9 * (1.0 + float(thr.max()))
-        jam_margin = 10.0 * _SOLVER_TOL * (1.0 + max(float(thr.max()), config.P_t))
-        tight_config = dataclasses.replace(
-            config, thresholds=np.where(thr > 0.0, thr + jam_margin, thr))
 
+@dataclass
+class _Run:
+    """What every stage of one run shares: the instance, the floors and the
+    counters, flags and trace sink the stages add to."""
+
+    layout: VariableLayout
+    stats: AuStatistics
+    config: SolveConfig
+    tight_config: SolveConfig     # floors raised by jam_margin, as the solves see them
+    floors: List[Tuple[int, int, float]]        # _floors of config
+    tight_floors: List[Tuple[int, int, float]]  # _floors of tight_config
+    true_floors: Optional[_TrueFloors]          # None: no floors to check
+    jam_margin: float
+    free: np.ndarray              # (N,) subcarriers carrying no active floor
+    counts: dict
+    solver_flags: List[str]
+    trace_sink: Optional[Callable[[dict], None]]
+
+    def max_violation(self, precoders: PrecoderSet) -> float:
+        return _max_violation(precoders, self.stats, self.config, self.floors)
+
+
+@dataclass
+class _Stage:
+    """Where one stage's ascent ended."""
+
+    prec: PrecoderSet
+    X: np.ndarray
+    state: WmmseState
+    converged: bool
+    wsr_trace: List[float]
+    iterations: int
+
+
+def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
+            outer0: int, max_iter: int) -> _Stage:
+    """The WMMSE/SCA ascent on ``samples`` from the point (prec, X), for at
+    most max_iter outer iterations numbered from outer0, with a cold first
+    solve and a fresh extrapolation weight."""
+    config, stats, counts = run.config, run.stats, run.counts
     state = _wmmse_state(samples, prec)
     solved = prec    # the last solve's point, from which the next step extrapolates
     start = None
     wsr_prev = 0.0
     converged = False
     wsr_trace: List[float] = []
-    solver_status_flags: List[str] = []
-    outer_done = 0
+    done = 0
     beta = _BETA_START
-    counts = {"extrapolation_accepted": 0, "extrapolation_rate_rejected": 0,
-              "extrapolation_floor_rejected": 0, "extrapolation_free_projected": 0,
-              "solve_cold_retry": 0, "solve_near_feasible": 0}
-    free = np.ones(csit.N, dtype=bool)   # subcarriers carrying no active floor
-    free[[n for _, n, _ in _floors(stats, config.thresholds)]] = False
 
-    for i in range(config.max_outer):
+    for i in range(max_iter):
         # prec is both the point of the weights and filters and the Taylor
         # point of the floors, so one solve refreshes all three together
-        prob = _assemble_subproblem(layout, samples, state, prec, stats, tight_config)
+        prob = _assemble_subproblem(run.layout, samples, state, prec, stats,
+                                    run.tight_config, run.tight_floors)
         res = cvx.solve(prob, tol=_SOLVER_TOL, start=start)
-        if start is not None and _solve_fault(res, config, jam_margin):
+        counts["ipm_" + res.exit] += 1
+        if start is not None and _solve_fault(res, config, run.jam_margin):
             # the warm start comes from the last solve, not from the running
             # point an extrapolation step may have moved to; from there the
             # IPM can stall where a cold start does not
             res = cvx.solve(prob, tol=_SOLVER_TOL)
             counts["solve_cold_retry"] += 1
+            counts["ipm_" + res.exit] += 1
         # only an optimal solve seeds the next one: a stalled or capped solve's
         # multipliers may be huge and would trip the next solve's infeasible rule
         start = (res.primal, res.multipliers) if res.status == "optimal" else None
-        outer_done = i + 1
+        done = i + 1
         if res.status != "optimal":
-            fault = _solve_fault(res, config, jam_margin)
+            fault = _solve_fault(res, config, run.jam_margin)
             if fault:
                 raise OptimizerError(fault)
-            solver_status_flags.append(f"{i}:{res.status}")
+            run.solver_flags.append(f"{outer0 + i}:{res.status}")
             counts["solve_near_feasible"] += 1
-        new_prec, new_X = layout.unpack(res.primal)
+        new_prec, new_X = run.layout.unpack(res.primal)
         new_prec = _project_power(new_prec, config.P_t)
         new_X = np.minimum(new_X, 0.0)
         # a candidate is accepted only if it passes both checks below; each
         # failure is reachable only through solver slop or the repairs above,
         # so progress is exhausted and the running point is kept
-        if floor_tol is not None and _max_violation(new_prec, stats, config) > floor_tol:
+        if run.true_floors is not None and run.max_violation(new_prec) > run.true_floors.tol:
             converged = True
             break
         new_state = _wmmse_state(samples, new_prec)
@@ -654,40 +717,95 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         converged = abs(wsr - wsr_prev) <= config.eps_r
         if not converged:
             prec, X, state, wsr, outcome, free_projected = _extrapolate(
-                samples, solved, prec, X, state, wsr, beta, stats, config, floor_tol, free)
+                samples, solved, prec, X, state, wsr, beta, stats, config, run.true_floors,
+                run.free)
             counts[outcome] += 1
             counts["extrapolation_free_projected"] += free_projected
             beta = (min(beta * _BETA_GROW, _BETA_MAX) if outcome == "extrapolation_accepted"
                     else max(beta * _BETA_SHRINK, _BETA_MIN))
         solved = new_prec
         wsr_trace.append(wsr)
-        if trace_sink is not None:
-            trace_sink({
-                "outer": i, "wsr_nats": wsr,
-                "max_violation": _max_violation(prec, stats, config),
+        if run.trace_sink is not None:
+            run.trace_sink({
+                "outer": outer0 + i, "draws": samples.shape[0], "wsr_nats": wsr,
+                "max_violation": run.max_violation(prec),
             })
         if converged:
             break
         wsr_prev = wsr
+    return _Stage(prec, X, state, converged, wsr_trace, done)
+
+
+def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
+                     trace_sink: Optional[Callable[[dict], None]]) -> OptimizeResult:
+    samples = _subcarrier_major(draw_csit_samples(csit, config.M, config.seed))
+    prec = initialize(csit, stats, config)
+    X = np.zeros(csit.N)
+
+    # The solver meets constraints to a tolerance that scales with their
+    # magnitude; tightening the floors by that much keeps the true focused
+    # power above the requested threshold with room to spare.
+    tight_config = config
+    jam_margin = 0.0
+    floors = _floors(stats, config.thresholds)
+    true_floors = None
+    if config.thresholds is not None and config.thresholds.size > 0:
+        thr = config.thresholds
+        true_floors = _TrueFloors(1e-9 * (1.0 + float(thr.max())), floors)
+        jam_margin = 10.0 * _SOLVER_TOL * (1.0 + max(float(thr.max()), config.P_t))
+        tight_config = dataclasses.replace(
+            config, thresholds=np.where(thr > 0.0, thr + jam_margin, thr))
+    free = np.ones(csit.N, dtype=bool)
+    free[[n for _, n, _ in floors]] = False
+    run = _Run(
+        layout=VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
+                              config.scheme == "RSMA"),
+        stats=stats, config=config, tight_config=tight_config, floors=floors,
+        tight_floors=_floors(stats, tight_config.thresholds), true_floors=true_floors,
+        jam_margin=jam_margin, free=free,
+        counts=dict.fromkeys(_COUNTERS, 0), solver_flags=[], trace_sink=trace_sink)
+
+    # Sample-size continuation: the early stages ascend on a prefix of the
+    # draws, far from the optimum where fewer draws point the same way; the
+    # last stage is the full-M ascent from where they ended.  Each early stage
+    # leaves one outer iteration for every stage after it.
+    stages = _sample_stages(config.M)
+    ran: List[List[int]] = []
+    outer = 0
+    stage = None
+    for j, draws in enumerate(stages):
+        cap = config.max_outer - outer - (len(stages) - 1 - j)
+        if cap < 1:
+            continue
+        if stage is not None:
+            prec, X = stage.prec, stage.X
+            stage = None    # frees the last stage's state before this one's first pass
+        part = samples if draws == config.M else _subcarrier_major(samples[:draws])
+        stage = _ascend(run, part, prec, X, outer, cap)
+        del part            # a prefix copy is freed before the next stage
+        outer += stage.iterations
+        ran.append([draws, stage.iterations])
+    prec, X = stage.prec, stage.X
 
     # the rate depends on each subcarrier's total only; report it evenly split.
     # SDMA's split is its exact zeros: the clamp would make them -0.0
     if config.scheme == "RSMA":
-        X = _clamp_split(state, X)
+        X = _clamp_split(stage.state, X)
     split = CommonSplitVars(X=np.tile(X / csit.K, (csit.K, 1)))
     diagnostics = {
-        "converged": converged,
-        "outer_iterations": outer_done,
-        "wsr_trace_nats": wsr_trace,
-        "max_violation": _max_violation(prec, stats, config),
-        "solver_flags": solver_status_flags,
-        "counts": counts,
+        "converged": stage.converged,
+        "outer_iterations": outer,
+        "wsr_trace_nats": stage.wsr_trace,
+        "max_violation": run.max_violation(prec),
+        "solver_flags": run.solver_flags,
+        "counts": run.counts,
+        "sample_stages": ran,
         "scheme": config.scheme,
     }
     report = rate_report(samples, prec, split.C_bits, stats=stats,
                          diagnostics=diagnostics)
     return OptimizeResult(precoders=prec, split=split, report=report,
-                          converged=converged, outer_iterations=outer_done)
+                          converged=stage.converged, outer_iterations=outer)
 
 
 def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
@@ -708,7 +826,17 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     rate was tested on the floor-free projection under ``counts``, next to
     the solve repairs: ``solve_cold_retry``, a cold re-solve after a
     warm-started solve failed, and ``solve_near_feasible``, a solve that was
-    not optimal but close enough to use.
+    not optimal but close enough to use.  ``ipm_<exit>`` counts every solve,
+    cold retries included, by its ``SolverResult.exit`` (``optimal``,
+    ``stalled``, ``no_progress``, ``non_finite`` or ``max_iter``).
+
+    With M >= 4,096 draws the iterations run in stages on the first M/4^j
+    draws (each stage at least 1,024), each from the point the last one
+    reached, then on all M draws; ``sample_stages`` lists [draws, outer
+    iterations] per stage that ran.  ``outer_iterations`` and ``counts``
+    cover every stage and stay within ``max_outer``, the full-M stage always
+    runs, and ``converged``, ``wsr_trace_nats`` and the report come from it.
+    Each ``trace_sink`` record carries its stage's ``draws``.
 
     A run with the common stream enabled also evaluates the common-stream-off
     restriction of the same instance (every such solution is feasible for the

@@ -210,12 +210,16 @@ class TestCli:
         assert (out / "results.csv").exists()
         assert (out / "details.json").exists()
         assert (out / "curve_sdma_p2.dat").exists()
-        # the extrapolation and solve-repair counters reach details.json
+        # the extrapolation, solve-repair and IPM-exit counters and the sample
+        # stages reach details.json
         for detail in json.loads((out / "details.json").read_text()):
             assert set(detail["diagnostics"]["counts"]) == {
                 "extrapolation_accepted", "extrapolation_rate_rejected",
                 "extrapolation_floor_rejected", "extrapolation_free_projected",
-                "solve_cold_retry", "solve_near_feasible"}
+                "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_stalled",
+                "ipm_no_progress", "ipm_non_finite", "ipm_max_iter"}
+            diag = detail["diagnostics"]
+            assert diag["sample_stages"] == [[2, diag["outer_iterations"]]]   # M=2: one stage
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = self._write_config(tmp_path, scheme_list=["SDMA"])
@@ -244,7 +248,8 @@ class TestCli:
         trace = out / "trace_cell000.jsonl"
         assert trace.exists()
         first = json.loads(trace.read_text().splitlines()[0])
-        assert {"outer", "wsr_nats", "max_violation"} <= set(first)
+        assert {"outer", "draws", "wsr_nats", "max_violation"} <= set(first)
+        assert first["draws"] == 2
 
     def test_quick_mode_runs_reduced_scale(self, tmp_path):
         cfg = self._write_config(tmp_path, N=32, M=16, pilot_sets=[16],

@@ -346,6 +346,73 @@ class TestSampledPassAllocation:
         assert peak <= 4.4 * nbytes
 
 
+class TestSampleStages:
+    """Sample-size continuation: the ascent runs on the first M/4^j draws, then
+    on all M, from where the smaller stage ended."""
+
+    def test_stage_sizes(self):
+        assert op._sample_stages(saa_shape_setup()[2].M) == [1024, 4096]
+        assert op._sample_stages(16384) == [1024, 4096, 16384]
+        for M in (1, 4, 64, 1024, 4095):
+            assert op._sample_stages(M) == [M]
+
+    def test_one_draw_and_prefix_stages(self, monkeypatch):
+        csit, stats, config = saa_shape_setup()
+        config = dataclasses.replace(config, scheme="RSMA", max_outer=5)
+        draws, seen = [], []
+        draw, assemble = op.draw_csit_samples, op._assemble_subproblem
+        monkeypatch.setattr(op, "draw_csit_samples",
+                            lambda *a: draws.append(a) or draw(*a))
+        monkeypatch.setattr(op, "_assemble_subproblem",
+                            lambda layout, samples, *a: seen.append(samples.copy())
+                            or assemble(layout, samples, *a))
+        traced = []
+        res = _optimize_single(csit, stats, config, traced.append)
+        assert len(draws) == 1
+        full = draw(csit, config.M, config.seed)
+        stages = res.report.diagnostics["sample_stages"]
+        assert [d for d, _ in stages] == [1024, 4096]
+        assert sum(n for _, n in stages) == res.outer_iterations == len(seen) <= 5
+        for samples, size in zip(seen, [d for d, n in stages for _ in range(n)]):
+            assert samples.shape[0] == size
+            assert samples.tobytes() == full[:size].tobytes()
+        # each trace record names its stage; the reported trace is the full stage's
+        assert [t["draws"] for t in traced] == sorted(t["draws"] for t in traced)
+        assert {t["draws"] for t in traced} <= {1024, 4096}
+        wsr = res.report.diagnostics["wsr_trace_nats"]
+        assert wsr == [t["wsr_nats"] for t in traced if t["draws"] == 4096]
+        assert len(wsr) <= stages[-1][1]
+
+    @pytest.mark.parametrize("max_outer", [1, 2, 3, 200])
+    def test_stage_iterations_sum_to_outer(self, max_outer):
+        csit, stats, config = saa_shape_setup()
+        res = _optimize_single(csit, stats, dataclasses.replace(
+            config, scheme="SDMA", max_outer=max_outer), None)
+        stages = res.report.diagnostics["sample_stages"]
+        assert sum(n for _, n in stages) == res.outer_iterations <= max_outer
+        assert stages[-1][0] == config.M and stages[-1][1] >= 1   # the full stage runs
+        assert [d for d, _ in stages] == ([4096] if max_outer == 1 else [1024, 4096])
+
+    def test_single_stage_below_4096_draws(self):
+        csit, stats, config = desk_instance_0("SDMA")
+        res = _optimize_single(csit, stats, config, None)
+        assert res.report.diagnostics["sample_stages"] == [[config.M, res.outer_iterations]]
+
+    @pytest.mark.parametrize("scheme", ["SDMA", "RSMA"])
+    def test_floored_run_meets_true_constraints(self, scheme):
+        csit, stats, config = desk_instance_0(scheme)
+        config = dataclasses.replace(config, M=4096)
+        res = optimize(csit, stats, config)
+        prec, rep = res.precoders, res.report
+        assert [d for d, _ in rep.diagnostics["sample_stages"]] == [1024, 4096]
+        assert prec.total_power() <= config.P_t * (1.0 + 1e-9)
+        for l in range(stats.L):
+            for j, n in enumerate(stats.pilot_idx):
+                assert jamming_power_avg(stats.R[l, n], prec, int(n)) >= config.thresholds[l, j]
+        assert np.all(rep.C.sum(axis=0) <= rep.I_common.min(axis=0) + 1e-9)
+        assert np.all(res.split.X <= 0.0)
+
+
 class TestFloorFreeProjection:
     # floors on subcarriers 1 and 4 of six; jamming precoders only there
     def _setup(self, rng):
@@ -813,6 +880,9 @@ def test_invariants_on_random_instances(case):
         # at most one cold retry and one near-feasible solve per outer iteration
         assert counts["solve_cold_retry"] <= res.outer_iterations
         assert counts["solve_near_feasible"] <= res.outer_iterations
+        # every solve, cold retries included, is counted under its IPM exit
+        assert (sum(counts[k] for k in counts if k.startswith("ipm_"))
+                == res.outer_iterations + counts["solve_cold_retry"])
         for a in (prec.p_c, prec.p, prec.f, res.split.X, rep.I_private, rep.I_common,
                   rep.C, rep.R_k, rep.R_sum, rep.lambda_avg if stats.L else 0.0):
             assert np.all(np.isfinite(a))

@@ -242,6 +242,17 @@ class TestWarmStart:
         res = solve(random_block_problem(2), 1e-9, max_iter=2)
         assert res.status == res.exit == "max_iter" and res.iterations == 2
 
+    def test_unreachable_tolerance_ends_without_progress(self):
+        # below the floating-point floor the iterates stop improving: the IPM
+        # returns its best iterate after eight more, not at the iteration cap
+        prob = random_block_problem(2)
+        ref = solve(prob, 1e-9)
+        res = solve(prob, 1e-16)
+        assert res.exit == "no_progress" and res.status == "max_iter"
+        assert res.iterations < 100 and not res.violations
+        np.testing.assert_allclose(res.primal, ref.primal, atol=1e-6)
+        assert res.objective_value == pytest.approx(ref.objective_value, abs=1e-8)
+
     def test_start_of_wrong_length_rejected(self):
         prob = random_block_problem(2)
         m = solve(prob, 1e-8).multipliers.size
