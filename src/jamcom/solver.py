@@ -246,8 +246,8 @@ class _BlockKKT:
 
     Same-width blocks arrive stacked and are factorized with batched kernels;
     solves use the Sherman-Morrison identity for the rank-one coupling plus
-    iterative refinement, which recovers the accuracy lost when the
-    complementarity scaling becomes extreme near the solution.
+    one step of iterative refinement, which recovers the accuracy lost when
+    the complementarity scaling becomes extreme near the solution.
     """
 
     def __init__(self, cols: List[np.ndarray], Mg: List[np.ndarray],
@@ -297,12 +297,11 @@ class _BlockKKT:
         return y - self.w * (float(self.u @ y) / self.cap)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
+        # one refinement step: it nearly always meets the 1e-13 residual, so
+        # a second residual would only confirm it
         x = self._solve_once(r)
-        scale = float(np.max(np.abs(r))) + 1e-300
-        for _ in range(2):
-            resid = r - self._apply(x)
-            if float(np.max(np.abs(resid))) <= 1e-13 * scale:
-                break
+        resid = r - self._apply(x)
+        if float(np.max(np.abs(resid))) > 1e-13 * (float(np.max(np.abs(r))) + 1e-300):
             x = x + self._solve_once(resid)
         return x
 
