@@ -571,21 +571,25 @@ _STAGE_RATIO, _STAGE_MIN = 4, 1024
 
 class _TrueFloors(NamedTuple):
     """A run's active focused-power floors (its ``_floors`` list) and the
-    shortfall of them a running point may have."""
+    shortfall of them a running point may have (None: nothing to check)."""
 
-    tol: float
     floors: List[Tuple[int, int, float]]
+    tol: Optional[float]
+
+    def missed(self, precoders: PrecoderSet, stats: AuStatistics, config: SolveConfig) -> bool:
+        return (self.tol is not None
+                and _max_violation(precoders, stats, config, self.floors) > self.tol)
 
 
 def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
                  X: np.ndarray, state: WmmseState, wsr: float, beta: float,
-                 stats: AuStatistics, config: SolveConfig, true_floors: Optional[_TrueFloors],
+                 stats: AuStatistics, config: SolveConfig, true_floors: _TrueFloors,
                  free: np.ndarray):
     """The safeguarded step from the accepted solve ``cur`` (split X, state,
     sampled WSR wsr) away from the previous solve ``prev``: y = cur + beta
     (cur - prev) on every precoder, scaled onto the power budget.  The first
     candidate scales y uniformly; if it misses a true floor by more than
-    ``true_floors.tol`` (None: no floors), the second scales only the ``free``
+    ``true_floors.tol`` (if it has one), the second scales only the ``free``
     subcarriers, which carry no floor, as the raw y usually still meets the
     floors that the uniform scaling breaks (the focused power is convex).  The
     floors come first because they cost no sampled pass.  An RSMA candidate
@@ -594,17 +598,14 @@ def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
     replaces cur only if its sampled WSR beats wsr.  Returns the running point
     (precoders, split, state, wsr), the counter name of the outcome and
     whether the rate of the second candidate was tested."""
-    def misses_floors(y):
-        return _max_violation(y, stats, config, true_floors.floors) > true_floors.tol
-
     raw = PrecoderSet(*(c + beta * (c - p) for c, p in (
         (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f))))
     y = _project_power(raw, config.P_t)
     free_projected = False
-    if true_floors is not None and misses_floors(y):
+    if true_floors.missed(y, stats, config):
         # a raw y inside the budget was not scaled, so it has no second candidate
         y = _project_floor_free(raw, config.P_t, free) if y is not raw else None
-        if y is None or misses_floors(y):
+        if y is None or true_floors.missed(y, stats, config):
             return cur, X, state, wsr, "extrapolation_floor_rejected", False
         free_projected = True
     state_y = _wmmse_state(samples, y)
@@ -633,10 +634,8 @@ class _Run:
     layout: VariableLayout
     stats: AuStatistics
     config: SolveConfig
-    tight_config: SolveConfig     # floors raised by jam_margin, as the solves see them
-    floors: List[Tuple[int, int, float]]        # _floors of config
-    tight_floors: List[Tuple[int, int, float]]  # _floors of tight_config
-    true_floors: Optional[_TrueFloors]          # None: no floors to check
+    true_floors: _TrueFloors
+    tight_floors: List[Tuple[int, int, float]]  # raised by jam_margin, as solved
     jam_margin: float
     free: np.ndarray              # (N,) subcarriers carrying no active floor
     counts: dict
@@ -644,7 +643,7 @@ class _Run:
     trace_sink: Optional[Callable[[dict], None]]
 
     def max_violation(self, precoders: PrecoderSet) -> float:
-        return _max_violation(precoders, self.stats, self.config, self.floors)
+        return _max_violation(precoders, self.stats, self.config, self.true_floors.floors)
 
 
 @dataclass
@@ -678,7 +677,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
         # prec is both the point of the weights and filters and the Taylor
         # point of the floors, so one solve refreshes all three together
         prob = _assemble_subproblem(run.layout, samples, state, prec, stats,
-                                    run.tight_config, run.tight_floors)
+                                    config, run.tight_floors)
         res = cvx.solve(prob, tol=_SOLVER_TOL, start=start)
         counts["ipm_" + res.exit] += 1
         if start is not None and _solve_fault(res, config, run.jam_margin):
@@ -704,7 +703,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
         # a candidate is accepted only if it passes both checks below; each
         # failure is reachable only through solver slop or the repairs above,
         # so progress is exhausted and the running point is kept
-        if run.true_floors is not None and run.max_violation(new_prec) > run.true_floors.tol:
+        if run.true_floors.missed(new_prec, stats, config):
             converged = True
             break
         new_state = _wmmse_state(samples, new_prec)
@@ -745,23 +744,19 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     # The solver meets constraints to a tolerance that scales with their
     # magnitude; tightening the floors by that much keeps the true focused
     # power above the requested threshold with room to spare.
-    tight_config = config
-    jam_margin = 0.0
     floors = _floors(stats, config.thresholds)
-    true_floors = None
+    floor_tol, jam_margin = None, 0.0
     if config.thresholds is not None and config.thresholds.size > 0:
-        thr = config.thresholds
-        true_floors = _TrueFloors(1e-9 * (1.0 + float(thr.max())), floors)
-        jam_margin = 10.0 * _SOLVER_TOL * (1.0 + max(float(thr.max()), config.P_t))
-        tight_config = dataclasses.replace(
-            config, thresholds=np.where(thr > 0.0, thr + jam_margin, thr))
+        top = float(config.thresholds.max())
+        floor_tol = 1e-9 * (1.0 + top)
+        jam_margin = 10.0 * _SOLVER_TOL * (1.0 + max(top, config.P_t))
     free = np.ones(csit.N, dtype=bool)
     free[[n for _, n, _ in floors]] = False
     run = _Run(
         layout=VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
                               config.scheme == "RSMA"),
-        stats=stats, config=config, tight_config=tight_config, floors=floors,
-        tight_floors=_floors(stats, tight_config.thresholds), true_floors=true_floors,
+        stats=stats, config=config, true_floors=_TrueFloors(floors, floor_tol),
+        tight_floors=[(l, n, floor + jam_margin) for l, n, floor in floors],
         jam_margin=jam_margin, free=free,
         counts=dict.fromkeys(_COUNTERS, 0), solver_flags=[], trace_sink=trace_sink)
 

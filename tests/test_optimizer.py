@@ -383,6 +383,22 @@ class TestSampleStages:
         assert wsr == [t["wsr_nats"] for t in traced if t["draws"] == 4096]
         assert len(wsr) <= stages[-1][1]
 
+    def test_prefix_stage_freed_before_full_stage(self):
+        # the run peaks in the full stage at about 4.17 sample arrays, as a
+        # one-stage run does; the prefix stage's last state (0.19 of one) left
+        # referenced through the full stage lifts it to about 4.36
+        csit, stats, config = saa_shape_setup()
+        config = dataclasses.replace(config, scheme="RSMA", max_outer=6)
+        nbytes = draw_csit_samples(csit, config.M, 0).nbytes
+        tracemalloc.start()
+        try:
+            res = _optimize_single(csit, stats, config, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.report.diagnostics["sample_stages"]) == 2
+        assert peak <= 4.25 * nbytes
+
     @pytest.mark.parametrize("max_outer", [1, 2, 3, 200])
     def test_stage_iterations_sum_to_outer(self, max_outer):
         csit, stats, config = saa_shape_setup()
