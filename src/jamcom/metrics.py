@@ -105,11 +105,16 @@ def jamming_power_realized(g_true: np.ndarray, precoders: PrecoderSet, n: int) -
     return float(np.sum(np.abs(np.einsum("sa,a->s", _streams(precoders, n), gv)) ** 2))
 
 
-def jamming_power_avg(R: np.ndarray, precoders: PrecoderSet, n: int) -> float:
-    """Statistically averaged focused power: sum of q^H R q over all streams."""
-    q = _streams(precoders, n)
+def jamming_power_avg(R: np.ndarray, precoders: PrecoderSet, n):
+    """Statistically averaged focused power: sum of q^H R q over all streams
+    of subcarrier n.  A stack of covariances R (..., n_t, n_t) broadcasts
+    against an index array n, giving their common shape; one R and one n give
+    a float."""
+    # each subcarrier's streams contiguous, so every entry has a lone call's bits
+    q = np.ascontiguousarray(np.moveaxis(_streams(precoders, n), 0, -2))
     R = np.asarray(R, dtype=np.complex128)
-    return float(np.real(np.einsum("sa,ab,sb->", q.conj(), R, q)))
+    out = np.real(np.einsum("...sa,...ab,...sb->...", q.conj(), R, q))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +218,7 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     if stats is not None:
         pil = stats.pilot_idx
         report.pilot_set = stats.pilot_set
-        report.lambda_avg = np.array(
-            [[jamming_power_avg(stats.R[l, n], precoders, n) for n in pil]
-             for l in range(stats.L)])
+        report.lambda_avg = jamming_power_avg(stats.R[:, pil], precoders, pil)
     return report
 
 

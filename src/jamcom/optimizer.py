@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -307,17 +307,19 @@ class VariableLayout:
 
 
 def linearize_jamming(layout: VariableLayout, precoders_t: PrecoderSet,
-                      R: np.ndarray, n: int):
-    """First-order lower bound of the focused power at the running point.
-
-    Returns (cols, coef, const) such that the affine function
-    coef @ z[cols] + const equals the linearized focused power; it matches the
-    true quadratic at the expansion point and never exceeds it elsewhere.
-    """
-    q = _streams(precoders_t, n)[layout.streams[n]]
-    Rq = q @ np.asarray(R).T                   # row s: R q_s
-    return (layout.prec_cols_of(n), 2.0 * _revec(Rq).ravel(),
-            -float(np.real(np.vdot(q, Rq))))
+                      R: np.ndarray, n: np.ndarray):
+    """First-order lower bounds of F >= 1 focused powers at the running point,
+    for covariances R (F, n_t, n_t) on subcarriers n (F,) that carry the same
+    streams (as all pilots do).  Returns (cols, coef, const) with a leading
+    floor axis: coef[i] @ z[cols[i]] + const[i] is floor i's linearized power,
+    exact at the expansion point and never above the true quadratic."""
+    n = np.asarray(n)
+    F, on = n.size, layout.streams[n]
+    q = np.moveaxis(_streams(precoders_t, n), 0, 1)[on].reshape(F, -1, layout.n_t)
+    Rq = q @ np.swapaxes(R, -1, -2)            # row s: R q_s
+    # a (1, m) @ (m, 1) product keeps np.vdot's bits, a sum or einsum does not
+    const = -np.real(np.conj(q).reshape(F, 1, -1) @ Rq.reshape(F, -1, 1)).reshape(F)
+    return layout.slots[n][on].reshape(F, -1), 2.0 * _revec(Rq).reshape(F, -1), const
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +327,49 @@ def linearize_jamming(layout: VariableLayout, precoders_t: PrecoderSet,
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    if np.abs(v[i]) == 0.0:
-        return v
-    return v * np.exp(-1j * np.angle(v[i]))
+    """Each vector along v's last axis rotated so its largest entry is real."""
+    peak = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    return v * np.exp(-1j * np.angle(peak))
 
 
-def _floors(stats: AuStatistics,
-            thresholds: Optional[np.ndarray]) -> List[Tuple[int, int, float]]:
-    """(adversary, subcarrier, floor) of every active focused-power floor, in
-    adversary-major order; no thresholds means no floors."""
-    if thresholds is None:
-        return []
-    return [(l, int(n), float(thresholds[l, j]))
-            for l in range(stats.L) for j, n in enumerate(stats.pilot_idx)
-            if thresholds[l, j] > 0.0]
+class _Floors:
+    """A run's active focused-power floors: each (adversary, pilot) pair with a
+    positive threshold, adversary-major, as arrays adv, sub (subcarrier),
+    value and R (F, n_t, n_t).  count (N,) is each subcarrier's number of
+    floors; free marks those with none.  tol is the shortfall allowed before
+    a floor counts as missed: None without thresholds, set even if all are 0
+    so the check still catches a budget excess.  margin raises every floor in
+    the subproblems, whose solves meet constraints to a tolerance scaling with
+    their size.  rows[nf] (blocks, nf): the floors, adversary order, of the
+    subcarriers with nf floors, subcarrier order; one block group's rows."""
+
+    def __init__(self, stats: AuStatistics, thresholds: Optional[np.ndarray], P_t: float):
+        shape = (stats.L, stats.pilot_idx.size)
+        thr = np.zeros(shape) if thresholds is None else np.asarray(thresholds, dtype=np.float64)
+        if thr.shape != shape:
+            raise ValueError("thresholds must have shape (L, |pilot_set|)")
+        self.tol, self.margin = None, 0.0
+        if thresholds is not None and thr.size > 0:
+            top = float(thr.max())
+            self.tol = 1e-9 * (1.0 + top)
+            self.margin = 10.0 * _SOLVER_TOL * (1.0 + max(top, P_t))
+        self.adv, j = np.nonzero(thr > 0.0)
+        self.sub, self.value = stats.pilot_idx[j], thr[self.adv, j]
+        self.R = stats.R[self.adv, self.sub]
+        self.count = np.bincount(self.sub, minlength=stats.N)
+        self.free = self.count == 0
+        by_sub = np.argsort(self.sub, kind="stable")
+        self.rows = {nf: by_sub[self.count[self.sub[by_sub]] == nf].reshape(-1, nf)
+                     for nf in set(self.count[self.sub].tolist())}
+
+    def shortfall(self, prec: PrecoderSet, P_t: float) -> float:
+        """The worst shortfall of prec's true (not linearized) focused powers
+        or its power-budget excess, whichever is larger; 0 if neither."""
+        gaps = self.value - jamming_power_avg(self.R, prec, self.sub) if self.sub.size else ()
+        return float(max(prec.total_power() - P_t, 0.0, *gaps))
+
+    def missed(self, prec: PrecoderSet, P_t: float) -> bool:
+        return self.tol is not None and self.shortfall(prec, P_t) > self.tol
 
 
 def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> PrecoderSet:
@@ -349,19 +379,14 @@ def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> Pre
     vector of the stacked channel estimates, half spreads equally over
     matched-filter private precoders."""
     K, N, n_t = csit.K, csit.N, csit.n_t
-    L = stats.L
     rsma = config.scheme == "RSMA"
-    thr = config.thresholds
-    if thr is not None and thr.shape != (L, stats.pilot_idx.size):
-        raise ValueError("thresholds must have shape (L, |pilot_set|)")
-
-    f = np.zeros((L, N, n_t), dtype=np.complex128)
-    jam_power = 0.0
-    for l, n, floor in _floors(stats, thr):
-        tau = stats.tau[l, n]
-        _, evecs = np.linalg.eigh(stats.R[l, n])
-        f[l, n] = np.sqrt(floor / tau) * _phase_fix(evecs[:, -1])
-        jam_power += floor / tau
+    floors = _Floors(stats, config.thresholds, config.P_t)
+    power = floors.value / stats.tau[floors.adv, floors.sub]
+    f = np.zeros((stats.L, N, n_t), dtype=np.complex128)
+    f[floors.adv, floors.sub] = np.sqrt(power)[:, None] * _phase_fix(
+        np.linalg.eigh(floors.R)[1][..., -1])
+    # summed in floor order: np.sum's pairwise order moves the last bits
+    jam_power = float(np.cumsum(np.append(0.0, power))[-1])
     if jam_power > config.P_t * (1.0 + 1e-12):
         raise InfeasibleError(
             f"jamming floors need power {jam_power:.6g} > budget {config.P_t:.6g}")
@@ -420,31 +445,28 @@ def _block_diag(R: np.ndarray, count: int, lead: int = 0) -> np.ndarray:
 
 
 def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
-                         state: WmmseState, taylor: PrecoderSet,
-                         stats: AuStatistics, config: SolveConfig,
-                         floors: Optional[List[Tuple[int, int, float]]] = None
-                         ) -> cvx.ConvexSubproblem:
+                         state: WmmseState, taylor: PrecoderSet, floors: _Floors,
+                         P_t: float) -> cvx.ConvexSubproblem:
     """The convex subproblem in the solver's stacked form, over y = z / var_scale.
 
     Block n is subcarrier n (``layout.blocks[n]``).  Its objective is the
     private augmented MSE, and its rows are, in order: the K common-MSE
-    bounds (RSMA), its active focused-power floors linearized at ``taylor``
-    (adversary order), and the sign of its split (RSMA).  Subcarriers with
-    the same streams and floor count share a group.  The total-power budget
-    is the spanning diagonal row.  ``floors`` is the ``_floors`` list of
-    config's thresholds, built here if not given.
+    bounds (RSMA), its floors linearized at ``taylor`` and raised by
+    ``floors.margin`` (adversary order), and the sign of its split (RSMA).
+    Subcarriers with the same streams and floor count share a group.  The
+    total-power budget is the spanning diagonal row.
     """
     K, N, sw, x = layout.K, layout.N, layout.slot_width, int(layout.rsma)
     Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(samples, state)
-    var_scale = layout.var_scale(config.P_t)
-    s = np.sqrt(config.P_t)       # the scale of every precoder entry
+    var_scale = layout.var_scale(P_t)
+    s = np.sqrt(P_t)       # the scale of every precoder entry
     s2 = s * s
-    if floors is None:
-        floors = _floors(stats, config.thresholds)
-    on: List[list] = [[] for _ in range(N)]     # (adversary, floor) per subcarrier
-    for l, n, floor in floors:
-        on[n].append((l, floor))
-    keys = [(int(layout.streams[n].sum()), len(on[n])) for n in range(N)]
+    if floors.rows:
+        # floors sit on pilots only, which carry the same streams: one call
+        # linearizes them all, and the subcarriers with nf floors form a group
+        _, coef, c = linearize_jamming(layout, taylor, floors.R, floors.sub)
+        a_lin, a_const = -coef * s, (floors.value + floors.margin) - c
+    keys = [(int(layout.streams[n].sum()), int(floors.count[n])) for n in range(N)]
 
     groups = []
     for S, nf in sorted(set(keys)):
@@ -463,11 +485,9 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
             lin[:, :K, wp] = -1.0
             const[:, :K] = -(1.0 - r_c[:, ns].T)
             lin[:, -1, wp] = 1.0
-        for b, n in enumerate(ns):
-            for j, (l, floor) in enumerate(on[n], start=kc):
-                _, coef, c = linearize_jamming(layout, taylor, stats.R[l, n], n)
-                lin[b, j, :wp] = -coef * s
-                const[b, j] = floor - c
+        if nf:
+            lin[:, kc:kc + nf, :wp] = a_lin[floors.rows[nf]]
+            const[:, kc:kc + nf] = a_const[floors.rows[nf]]
         groups.append(cvx.BlockGroup(np.stack([layout.blocks[n] for n in ns]), H, Q, lin,
                                      const, ("q",) * kc + ("a",) * nf + ("sign",) * x))
 
@@ -477,7 +497,7 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
     budget = np.zeros(layout.n_vars)
     budget[layout.prec_cols] = s2
     return cvx.ConvexSubproblem(groups=groups, q0=q0, c0=float(np.sum(r_p)), budget=budget,
-                                budget_const=-config.P_t, var_scale=var_scale)
+                                budget_const=-P_t, var_scale=var_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +537,6 @@ def _wsr_nats(state: WmmseState, X: np.ndarray) -> float:
     return float(np.sum(state.info_p)) - float(np.sum(X))
 
 
-def _max_violation(precoders: PrecoderSet, stats: AuStatistics, config: SolveConfig,
-                   floors: Optional[List[Tuple[int, int, float]]] = None) -> float:
-    """Worst shortfall of the true (not linearized) focused power, plus any
-    power-budget excess.  ``floors`` is the run's ``_floors`` list of config's
-    thresholds, built here if not given."""
-    if floors is None:
-        floors = _floors(stats, config.thresholds)
-    return max([precoders.total_power() - config.P_t, 0.0]
-               + [floor - jamming_power_avg(stats.R[l, n], precoders, n)
-                  for l, n, floor in floors])
-
-
 def _split_capacity(state: WmmseState) -> np.ndarray:
     """Each subcarrier's largest common-rate total (nats, >= 0) that the
     weakest user decodes, less a 1e-9 margin."""
@@ -542,16 +550,16 @@ def _clamp_split(state: WmmseState, X: np.ndarray) -> np.ndarray:
 
 
 def _solve_fault(res: cvx.SolverResult, config: SolveConfig,
-                 jam_margin: float) -> Optional[str]:
+                 floors: _Floors) -> Optional[str]:
     """Why a solve is unusable, or None.  Near-feasible stalled solves are
     usable: the extraction step repairs the power budget, sign, and split
     constraints, and the threshold tightening absorbs a shortfall on the
-    focused-power floors up to ``jam_margin``."""
+    focused-power floors up to ``floors.margin``."""
     if res.status == "optimal":
         return None
     for _, kind, value in res.violations:
         if kind.startswith("a["):
-            if value > 0.9 * jam_margin:
+            if value > 0.9 * floors.margin:
                 return f"focused-power floor missed beyond repair: {kind} by {value:.3e}"
         elif value > 1e-3 * (1.0 + config.P_t):
             return f"subproblem solve failed: {kind} violated by {value:.3e}"
@@ -569,27 +577,14 @@ _BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 1.0, 1.5, 4.0, 0.5
 _STAGE_RATIO, _STAGE_MIN = 4, 1024
 
 
-class _TrueFloors(NamedTuple):
-    """A run's active focused-power floors (its ``_floors`` list) and the
-    shortfall of them a running point may have (None: nothing to check)."""
-
-    floors: List[Tuple[int, int, float]]
-    tol: Optional[float]
-
-    def missed(self, precoders: PrecoderSet, stats: AuStatistics, config: SolveConfig) -> bool:
-        return (self.tol is not None
-                and _max_violation(precoders, stats, config, self.floors) > self.tol)
-
-
 def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
                  X: np.ndarray, state: WmmseState, wsr: float, beta: float,
-                 stats: AuStatistics, config: SolveConfig, true_floors: _TrueFloors,
-                 free: np.ndarray):
+                 config: SolveConfig, floors: _Floors):
     """The safeguarded step from the accepted solve ``cur`` (split X, state,
     sampled WSR wsr) away from the previous solve ``prev``: y = cur + beta
     (cur - prev) on every precoder, scaled onto the power budget.  The first
     candidate scales y uniformly; if it misses a true floor by more than
-    ``true_floors.tol`` (if it has one), the second scales only the ``free``
+    ``floors.tol`` (if it has one), the second scales only the ``floors.free``
     subcarriers, which carry no floor, as the raw y usually still meets the
     floors that the uniform scaling breaks (the focused power is convex).  The
     floors come first because they cost no sampled pass.  An RSMA candidate
@@ -602,10 +597,10 @@ def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
         (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f))))
     y = _project_power(raw, config.P_t)
     free_projected = False
-    if true_floors.missed(y, stats, config):
+    if floors.missed(y, config.P_t):
         # a raw y inside the budget was not scaled, so it has no second candidate
-        y = _project_floor_free(raw, config.P_t, free) if y is not raw else None
-        if y is None or true_floors.missed(y, stats, config):
+        y = _project_floor_free(raw, config.P_t, floors.free) if y is not raw else None
+        if y is None or floors.missed(y, config.P_t):
             return cur, X, state, wsr, "extrapolation_floor_rejected", False
         free_projected = True
     state_y = _wmmse_state(samples, y)
@@ -632,18 +627,11 @@ class _Run:
     counters, flags and trace sink the stages add to."""
 
     layout: VariableLayout
-    stats: AuStatistics
     config: SolveConfig
-    true_floors: _TrueFloors
-    tight_floors: List[Tuple[int, int, float]]  # raised by jam_margin, as solved
-    jam_margin: float
-    free: np.ndarray              # (N,) subcarriers carrying no active floor
+    floors: _Floors
     counts: dict
     solver_flags: List[str]
     trace_sink: Optional[Callable[[dict], None]]
-
-    def max_violation(self, precoders: PrecoderSet) -> float:
-        return _max_violation(precoders, self.stats, self.config, self.true_floors.floors)
 
 
 @dataclass
@@ -663,7 +651,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
     """The WMMSE/SCA ascent on ``samples`` from the point (prec, X), for at
     most max_iter outer iterations numbered from outer0, with a cold first
     solve and a fresh extrapolation weight."""
-    config, stats, counts = run.config, run.stats, run.counts
+    config, floors, counts = run.config, run.floors, run.counts
     state = _wmmse_state(samples, prec)
     solved = prec    # the last solve's point, from which the next step extrapolates
     start = None
@@ -676,11 +664,10 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
     for i in range(max_iter):
         # prec is both the point of the weights and filters and the Taylor
         # point of the floors, so one solve refreshes all three together
-        prob = _assemble_subproblem(run.layout, samples, state, prec, stats,
-                                    config, run.tight_floors)
+        prob = _assemble_subproblem(run.layout, samples, state, prec, floors, config.P_t)
         res = cvx.solve(prob, tol=_SOLVER_TOL, start=start)
         counts["ipm_" + res.exit] += 1
-        if start is not None and _solve_fault(res, config, run.jam_margin):
+        if start is not None and _solve_fault(res, config, floors):
             # the warm start comes from the last solve, not from the running
             # point an extrapolation step may have moved to; from there the
             # IPM can stall where a cold start does not
@@ -692,7 +679,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
         start = (res.primal, res.multipliers) if res.status == "optimal" else None
         done = i + 1
         if res.status != "optimal":
-            fault = _solve_fault(res, config, run.jam_margin)
+            fault = _solve_fault(res, config, floors)
             if fault:
                 raise OptimizerError(fault)
             run.solver_flags.append(f"{outer0 + i}:{res.status}")
@@ -703,7 +690,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
         # a candidate is accepted only if it passes both checks below; each
         # failure is reachable only through solver slop or the repairs above,
         # so progress is exhausted and the running point is kept
-        if run.true_floors.missed(new_prec, stats, config):
+        if floors.missed(new_prec, config.P_t):
             converged = True
             break
         new_state = _wmmse_state(samples, new_prec)
@@ -716,8 +703,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
         converged = abs(wsr - wsr_prev) <= config.eps_r
         if not converged:
             prec, X, state, wsr, outcome, free_projected = _extrapolate(
-                samples, solved, prec, X, state, wsr, beta, stats, config, run.true_floors,
-                run.free)
+                samples, solved, prec, X, state, wsr, beta, config, floors)
             counts[outcome] += 1
             counts["extrapolation_free_projected"] += free_projected
             beta = (min(beta * _BETA_GROW, _BETA_MAX) if outcome == "extrapolation_accepted"
@@ -727,7 +713,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
         if run.trace_sink is not None:
             run.trace_sink({
                 "outer": outer0 + i, "draws": samples.shape[0], "wsr_nats": wsr,
-                "max_violation": run.max_violation(prec),
+                "max_violation": floors.shortfall(prec, config.P_t),
             })
         if converged:
             break
@@ -740,24 +726,10 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     samples = _subcarrier_major(draw_csit_samples(csit, config.M, config.seed))
     prec = initialize(csit, stats, config)
     X = np.zeros(csit.N)
-
-    # The solver meets constraints to a tolerance that scales with their
-    # magnitude; tightening the floors by that much keeps the true focused
-    # power above the requested threshold with room to spare.
-    floors = _floors(stats, config.thresholds)
-    floor_tol, jam_margin = None, 0.0
-    if config.thresholds is not None and config.thresholds.size > 0:
-        top = float(config.thresholds.max())
-        floor_tol = 1e-9 * (1.0 + top)
-        jam_margin = 10.0 * _SOLVER_TOL * (1.0 + max(top, config.P_t))
-    free = np.ones(csit.N, dtype=bool)
-    free[[n for _, n, _ in floors]] = False
     run = _Run(
         layout=VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
                               config.scheme == "RSMA"),
-        stats=stats, config=config, true_floors=_TrueFloors(floors, floor_tol),
-        tight_floors=[(l, n, floor + jam_margin) for l, n, floor in floors],
-        jam_margin=jam_margin, free=free,
+        config=config, floors=_Floors(stats, config.thresholds, config.P_t),
         counts=dict.fromkeys(_COUNTERS, 0), solver_flags=[], trace_sink=trace_sink)
 
     # Sample-size continuation: the early stages ascend on a prefix of the
@@ -791,7 +763,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         "converged": stage.converged,
         "outer_iterations": outer,
         "wsr_trace_nats": stage.wsr_trace,
-        "max_violation": run.max_violation(prec),
+        "max_violation": run.floors.shortfall(prec, config.P_t),
         "solver_flags": run.solver_flags,
         "counts": run.counts,
         "sample_stages": ran,

@@ -127,7 +127,7 @@ def test_criterion_2_taylor_lower_bound(rng):
         p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         anchor = PrecoderSet(p_c=np.zeros((1, 3)), p=p_t[None, None, :],
                              f=np.zeros((0, 1, 3)))
-        cols, coef, const = op.linearize_jamming(layout, anchor, R, 0)
+        (cols,), (coef,), (const,) = op.linearize_jamming(layout, anchor, R[None], [0])
         probe = PrecoderSet(p_c=np.zeros((1, 3)), p=p[None, None, :],
                             f=np.zeros((0, 1, 3)))
         z = layout.pack(probe, None)

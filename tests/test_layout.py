@@ -3,7 +3,7 @@ pilot subsets (unsorted ones included)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jamcom.metrics import PrecoderSet
 from jamcom.optimizer import VariableLayout, linearize_jamming
@@ -98,20 +98,26 @@ def test_blocks_partition_and_order(case):
 
 @settings(max_examples=100, deadline=None)
 @given(layouts())
+@example(case=(VariableLayout(3, 6, 2, 2, np.array([4, 1], dtype=np.int64), True), 7))
 def test_linearize_jamming_matches_per_stream_reference(case):
     layout, seed = case
     pre, _ = _random_point(layout, seed)
     rng = np.random.default_rng(seed + 1)
-    A = rng.standard_normal((layout.n_t, layout.n_t)) \
-        + 1j * rng.standard_normal((layout.n_t, layout.n_t))
-    R = A @ A.conj().T
     pilots = set(int(n) for n in layout.pilot_idx)
-    for n in range(layout.N):
-        streams = ([pre.p_c[n]] if layout.rsma else []) + list(pre.p[:, n]) \
-            + (list(pre.f[:, n]) if n in pilots else [])
-        cols, coef, const = linearize_jamming(layout, pre, R, n)
-        assert np.array_equal(cols, layout.prec_cols_of(n))
-        want = np.concatenate([2.0 * _re(R @ q) for q in streams])
-        assert np.allclose(coef, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        ref = -sum(float(np.real(np.vdot(q, R @ q))) for q in streams)
-        assert const == pytest.approx(ref, rel=1e-12, abs=1e-12 * abs(ref))
+    # one call per set of floors sharing their streams: three floors on each
+    # subcarrier off the pilots, and two on every pilot subcarrier at once
+    calls = [np.full(3, n) for n in range(layout.N) if n not in pilots]
+    calls += [np.tile(layout.pilot_idx, 2)] if pilots else []
+    for subs in calls:
+        A = rng.standard_normal((subs.size, layout.n_t, layout.n_t)) \
+            + 1j * rng.standard_normal((subs.size, layout.n_t, layout.n_t))
+        R = A @ A.conj().swapaxes(-1, -2)
+        cols, coef, const = linearize_jamming(layout, pre, R, subs)
+        for i, n in enumerate(subs):
+            streams = ([pre.p_c[n]] if layout.rsma else []) + list(pre.p[:, n]) \
+                + (list(pre.f[:, n]) if n in pilots else [])
+            assert np.array_equal(cols[i], layout.prec_cols_of(n))
+            want = np.concatenate([2.0 * _re(R[i] @ q) for q in streams])
+            assert np.allclose(coef[i], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            ref = -sum(float(np.real(np.vdot(q, R[i] @ q))) for q in streams)
+            assert const[i] == pytest.approx(ref, rel=1e-12, abs=1e-12 * abs(ref))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamcom.channel import make_deterministic_scenario, au_statistics_uniform_phase
+from jamcom.channel import (au_statistics_none, au_statistics_uniform_phase,
+                            make_deterministic_scenario)
 from jamcom.metrics import (
     PrecoderSet,
     attach_realized_jamming,
@@ -199,6 +200,16 @@ class TestJammingPower:
         got = jamming_power_avg(R, pre, 0)
         assert abs(got - ref) < 0.02 * ref
 
+    def test_stacked_matches_per_pair_calls(self, rng):
+        pre = random_precoders(rng, N=5, L=2)
+        A = cn(rng, 2, 5, 4, 4)
+        R = A @ A.conj().swapaxes(-1, -2)
+        n = np.array([4, 0, 2])
+        got = jamming_power_avg(R[:, n], pre, n)
+        want = [[jamming_power_avg(R[l, m], pre, int(m)) for m in n] for l in range(2)]
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
     def test_scale_covariance(self, rng):
         pre = random_precoders(rng)
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -286,6 +297,17 @@ class TestRateReport:
         for j, n in enumerate((0, 2)):
             assert rep.lambda_realized[0, j] == pytest.approx(
                 jamming_power_realized(cs.g[0, n], pre, n), rel=1e-12)
+
+    def test_lambda_avg_per_adversary_and_pilot(self, rng):
+        cs = make_deterministic_scenario(THETA, BETA, 4, 4)
+        pre = random_precoders(rng, N=4, L=2)
+        stats = au_statistics_uniform_phase(2 * BETA, 4, 4, 2, (1, 3, 4))
+        rep = rate_report(cs, pre, None, stats=stats)
+        want = [[jamming_power_avg(stats.R[l, n], pre, n) for n in (0, 2, 3)] for l in range(2)]
+        assert rep.lambda_avg.shape == (2, 3)
+        np.testing.assert_allclose(rep.lambda_avg, want, rtol=1e-13, atol=0)
+        none = rate_report(cs, pre, None, stats=au_statistics_none(4, 4))
+        assert none.lambda_avg.shape == (0, 0)
 
     def test_layout_independent(self, rng):
         pre = random_precoders(rng)

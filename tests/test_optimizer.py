@@ -137,8 +137,8 @@ class TestAugmentedMseQuadratic:
         if not rsma:
             pre.p_c[:] = 0.0
         state = _wmmse_state(samples, pre)
-        prob = _assemble_subproblem(layout, samples, state, pre, stats,
-                                    SolveConfig(P_t=10.0, M=1, scheme=scheme))
+        prob = _assemble_subproblem(layout, samples, state, pre, op._Floors(stats, None, 10.0),
+                                    10.0)
         return layout, samples, pre, prob, state
 
     def test_identity_at_fresh_weights(self, rng):
@@ -216,7 +216,7 @@ class TestAugmentedMseQuadratic:
             state = WmmseState(w_c=w[0], a_c=a[0], w_p=w[1], a_p=a[1],
                                info_c=zero, info_p=zero, r_c=zero, r_p=zero)
             prob = _assemble_subproblem(layout, samples, state, PrecoderSet.zeros(4, 4, 2, 1),
-                                        stats, SolveConfig(P_t=10.0, M=1))
+                                        op._Floors(stats, None, 10.0), 10.0)
             quads = [H for g in prob.groups for H in g.H] + [
                 g.Q[b, i] for g in prob.groups for b in range(g.cols.shape[0])
                 for i, kind in enumerate(g.kinds) if kind == "q"]
@@ -232,10 +232,9 @@ def first_subproblem(csit, stats, config):
     layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
                             config.scheme == "RSMA")
     pre = initialize(csit, stats, config)
-    thr = config.thresholds
-    margin = 10.0 * op._SOLVER_TOL * (1.0 + max(float(thr.max()), config.P_t))
-    tight = dataclasses.replace(config, thresholds=np.where(thr > 0.0, thr + margin, thr))
-    return _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre, stats, tight)
+    floors = op._Floors(stats, config.thresholds, config.P_t)
+    return _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre, floors,
+                                config.P_t)
 
 
 class TestStackedEmission:
@@ -322,7 +321,8 @@ class TestSampledPassAllocation:
         layout = VariableLayout(n_t, N, K, 0, stats.pilot_idx, rsma=True)
         tracemalloc.start()
         try:
-            _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre, stats, config)
+            _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre,
+                                 op._Floors(stats, config.thresholds, config.P_t), config.P_t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -484,7 +484,7 @@ class TestJammingLinearization:
 
     def test_exact_at_expansion_point(self, rng):
         layout, pre, R = self._setup(rng)
-        cols, coef, const = linearize_jamming(layout, pre, R, 0)
+        (cols,), (coef,), (const,) = linearize_jamming(layout, pre, R[None], [0])
         z = layout.pack(pre, np.zeros(4))
         val = coef @ z[cols] + const
         assert val == pytest.approx(jamming_power_avg(R, pre, 0), rel=1e-10)
@@ -492,7 +492,7 @@ class TestJammingLinearization:
     def test_zero_point_vanishes(self, rng):
         layout, _, R = self._setup(rng)
         zero = PrecoderSet.zeros(4, 4, 2, 1)
-        cols, coef, const = linearize_jamming(layout, zero, R, 0)
+        (cols,), (coef,), (const,) = linearize_jamming(layout, zero, R[None], [0])
         assert np.all(coef == 0.0) and const == 0.0
 
     def test_lower_bound_property(self, rng):
@@ -503,7 +503,7 @@ class TestJammingLinearization:
                 p=rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)),
                 f=rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))
             other.f[:, np.array([1, 3])] = 0.0
-            cols, coef, const = linearize_jamming(layout, pre, R, 0)
+            (cols,), (coef,), (const,) = linearize_jamming(layout, pre, R[None], [0])
             z = layout.pack(other, np.zeros(4))
             assert coef @ z[cols] + const <= jamming_power_avg(R, other, 0) + 1e-9
 
@@ -551,9 +551,9 @@ class TestInitialization:
         pre = initialize(csit, stats, cfg)
         layout = VariableLayout(4, 8, 2, 1, stats.pilot_idx, True)
         z = layout.pack(pre, np.zeros(8))
-        for j, n in enumerate(stats.pilot_idx):
-            cols, coef, const = linearize_jamming(layout, pre, stats.R[0, n], int(n))
-            assert coef @ z[cols] + const >= thr[0, j] - 1e-9
+        pil = stats.pilot_idx
+        cols, coef, const = linearize_jamming(layout, pre, stats.R[0, pil], pil)
+        assert np.all(np.sum(coef * z[cols], axis=1) + const >= thr[0] - 1e-9)
 
     def test_total_power_exact(self):
         chan, csit, stats = paper_setup()
@@ -781,7 +781,8 @@ class TestOptimize:
         assert kept, "a floor-free projected step must be kept"
         for y in kept:
             assert y.total_power() == pytest.approx(cfg.P_t, rel=1e-12)
-            assert op._max_violation(y, stats, cfg) <= 1e-9 * (1.0 + float(cfg.thresholds.max()))
+            floors = op._Floors(stats, cfg.thresholds, cfg.P_t)
+            assert floors.shortfall(y, cfg.P_t) <= 1e-9 * (1.0 + float(cfg.thresholds.max()))
 
     def test_sdma_step_keeps_zero_split(self, monkeypatch):
         csit, stats, cfg = desk_instance_0("SDMA")
@@ -799,8 +800,7 @@ class TestOptimize:
         csit, stats, config = saa_shape_setup()
         config = dataclasses.replace(config, scheme="SDMA")
 
-        def uniform_step(samples, prev, cur, X, state, wsr, beta, stats, config, floor_tol,
-                         free):
+        def uniform_step(samples, prev, cur, X, state, wsr, beta, config, floors):
             y = op._project_power(PrecoderSet(*(c + beta * (c - p) for c, p in (
                 (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f)))), config.P_t)
             state_y = _wmmse_state(samples, y)
@@ -837,8 +837,8 @@ class TestOptimize:
         pre = initialize(csit, stats, SolveConfig(P_t=10.0, thresholds=thr, M=1))
         for rsma, width in ((True, 8), (False, 0)):
             layout = VariableLayout(4, 8, 2, 1, stats.pilot_idx, rsma=rsma)
-            prob = _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre, stats,
-                                        SolveConfig(P_t=10.0, M=1, thresholds=thr))
+            prob = _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre,
+                                        op._Floors(stats, thr, 10.0), 10.0)
             assert layout.x_cols.shape == (width,)
             assert len(prob.sign_constraints) == width
         res = optimize(csit, stats, SolveConfig(P_t=10.0, scheme="RSMA", M=1, seed=3,

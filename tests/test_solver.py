@@ -5,7 +5,7 @@ import pytest
 
 from jamcom.channel import (CsitModel, au_statistics_uniform_phase, draw_csit_samples,
                             make_deterministic_scenario)
-from jamcom.optimizer import (SolveConfig, VariableLayout, _assemble_subproblem,
+from jamcom.optimizer import (SolveConfig, VariableLayout, _assemble_subproblem, _Floors,
                               _wmmse_state, build_thresholds, initialize)
 from jamcom.solver import certify, problem_from_json, problem_to_json, solve
 from stacked import lower_bound, quad_bound, sign_row, stacked_problem
@@ -286,7 +286,8 @@ class TestSerialization:
         samples = draw_csit_samples(csit, 2, 0)
         pre = initialize(csit, stats, config)
         prob = _assemble_subproblem(VariableLayout(4, 4, 2, 1, stats.pilot_idx, rsma=True),
-                                    samples, _wmmse_state(samples, pre), pre, stats, config)
+                                    samples, _wmmse_state(samples, pre), pre,
+                                    _Floors(stats, config.thresholds, config.P_t), config.P_t)
         assert len(prob.a_constraints) == 2
         a = solve(prob, 1e-7)
         b = solve(problem_from_json(problem_to_json(prob)), 1e-7)
