@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise ValueError("strategy must be 1 or 2")
         if not self.pilot_sets:
             raise ValueError("pilot_sets must be nonempty")
+        # the run settings every cell passes on meet SolveConfig's own checks
+        opt.SolveConfig(P_t=1.0, M=self.M, seed=self.seed, eps_r=self.eps_r,
+                        max_outer=self.max_outer)
         model = dict(self.channel_model)
         if model.get("type") not in _CHANNEL_TYPES:
             raise ValueError(f"channel_model.type must be one of {_CHANNEL_TYPES}")

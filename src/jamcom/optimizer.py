@@ -30,6 +30,12 @@ fraction of a full pass (Homem-de-Mello, "Variable-sample methods for
 stochastic optimization", ACM TOMACS 2003).  Below 4,096 draws there is one
 stage.
 
+The focused-power floors of a run are one ``_Floors`` object, built once from
+the statistics, thresholds and budget: the active (adversary, pilot) pairs as
+arrays, the floor-free subcarriers, the check tolerance, the subproblems'
+margin and each block group's floor rows.  Every consumer evaluates or
+linearizes all floors in one batched call.
+
 Internal bookkeeping uses natural logarithms, for which the weight u = 1/mse
 is the exact stationary point of u*mse - ln(u) and the optimized surrogate
 equals 1 - (mutual information in nats); rates are converted to bits only at
@@ -69,11 +75,12 @@ __all__ = [
 _SOLVER_TOL = 1e-7    # scaled KKT tolerance of every subproblem solve
 
 # the names of report.diagnostics["counts"]: extrapolation outcomes, solve
-# repairs, and the exits of every IPM solve
+# repairs, the exits of every IPM solve and the ascent's early stops
 _COUNTERS = ("extrapolation_accepted", "extrapolation_rate_rejected",
             "extrapolation_floor_rejected", "extrapolation_free_projected",
             "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_stalled",
-            "ipm_no_progress", "ipm_non_finite", "ipm_max_iter")
+            "ipm_no_progress", "ipm_non_finite", "ipm_max_iter",
+            "stop_floor_shortfall", "stop_wsr_decrease")
 
 
 class OptimizerError(RuntimeError):
@@ -106,9 +113,13 @@ class SolveConfig:
             raise ValueError("M and the iteration cap must be >= 1")
         if self.eps_r <= 0.0:
             raise ValueError("eps_r must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.thresholds is not None:
-            object.__setattr__(self, "thresholds",
-                               np.asarray(self.thresholds, dtype=np.float64))
+            thr = np.asarray(self.thresholds, dtype=np.float64)
+            if not np.all(np.isfinite(thr)):
+                raise ValueError("thresholds must be finite")
+            object.__setattr__(self, "thresholds", thr)
 
 
 def sdma_restrict(config: SolveConfig) -> SolveConfig:
@@ -691,11 +702,13 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
         # failure is reachable only through solver slop or the repairs above,
         # so progress is exhausted and the running point is kept
         if floors.missed(new_prec, config.P_t):
+            counts["stop_floor_shortfall"] += 1
             converged = True
             break
         new_state = _wmmse_state(samples, new_prec)
         wsr = _wsr_nats(new_state, new_X)
         if wsr < wsr_prev - 1e-9 and i > 0:
+            counts["stop_wsr_decrease"] += 1
             converged = True
             break
         prec, X, state = new_prec, new_X, new_state

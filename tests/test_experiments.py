@@ -58,6 +58,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(pilot_sets=[(1, 99)])
 
+    @pytest.mark.parametrize("field,value", [("M", 0), ("max_outer", 0), ("eps_r", -1.0),
+                                             ("seed", -1)])
+    def test_bad_run_settings_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            tiny_config(**{field: value})
+
     def test_explicit_pilot_lists(self):
         cfg = tiny_config(pilot_sets=[(1, 4, 7)])
         assert cfg.resolve_pilots(cfg.pilot_sets[0]) == (1, 4, 7)
@@ -197,6 +203,16 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         assert cli_main(["--config", cfg, "--scheme", "fancy"]) == 1
 
+    @pytest.mark.parametrize("overrides,flags", [({"M": 0}, []), ({"eps_r": -1}, []),
+                                                 ({}, ["--seed", "-1"])])
+    def test_bad_run_settings_exit_one_before_any_cell(self, tmp_path, capsys, overrides,
+                                                       flags):
+        cfg = self._write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert cli_main(["--config", cfg, "--out", str(out)] + flags) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_t": 4, "bogus": 1}))
@@ -210,14 +226,15 @@ class TestCli:
         assert (out / "results.csv").exists()
         assert (out / "details.json").exists()
         assert (out / "curve_sdma_p2.dat").exists()
-        # the extrapolation, solve-repair and IPM-exit counters and the sample
-        # stages reach details.json
+        # the extrapolation, solve-repair, IPM-exit and early-stop counters and
+        # the sample stages reach details.json
         for detail in json.loads((out / "details.json").read_text()):
             assert set(detail["diagnostics"]["counts"]) == {
                 "extrapolation_accepted", "extrapolation_rate_rejected",
                 "extrapolation_floor_rejected", "extrapolation_free_projected",
                 "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_stalled",
-                "ipm_no_progress", "ipm_non_finite", "ipm_max_iter"}
+                "ipm_no_progress", "ipm_non_finite", "ipm_max_iter",
+                "stop_floor_shortfall", "stop_wsr_decrease"}
             diag = detail["diagnostics"]
             assert diag["sample_stages"] == [[2, diag["outer_iterations"]]]   # M=2: one stage
 
