@@ -109,6 +109,8 @@ class SolveConfig:
             raise ValueError("P_t must be positive")
         if self.scheme not in ("RSMA", "SDMA"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.M, self.max_outer, self.seed)):
+            raise ValueError("M, max_outer and seed must be integers")
         if self.M < 1 or self.max_outer < 1:
             raise ValueError("M and the iteration cap must be >= 1")
         if self.eps_r <= 0.0:

@@ -58,8 +58,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(pilot_sets=[(1, 99)])
 
-    @pytest.mark.parametrize("field,value", [("M", 0), ("max_outer", 0), ("eps_r", -1.0),
-                                             ("seed", -1)])
+    @pytest.mark.parametrize("field,value", [("M", 0), ("M", 2.5), ("max_outer", 0),
+                                             ("eps_r", -1.0), ("seed", -1)])
     def test_bad_run_settings_rejected(self, field, value):
         with pytest.raises(ValueError):
             tiny_config(**{field: value})

@@ -538,7 +538,7 @@ class TestThresholds:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_threshold_rejected(self, bad):
         # a NaN floor made the floor check's tolerance NaN, so no floor was
-        # enforced; an infinite one overflowed it
+        # ever enforced
         with pytest.raises(ValueError, match="finite"):
             SolveConfig(P_t=10.0, scheme="SDMA", M=4, thresholds=[[bad, 2.0]])
 
@@ -594,9 +594,11 @@ class TestOptimize:
     def test_reaches_the_bindings_perfbench_traces(self, monkeypatch):
         # perfbench/run.py --trace 1 wraps these module attributes and fails a
         # desk pass that records no call through one of them
-        calls = dict.fromkeys(["draw_csit_samples", "stream_mses", "jamming_power_avg",
-                               "rate_report", "sdma_restrict", "solve"], 0)
-        for module, name in [(op, n) for n in list(calls)[:-1]] + [(cvx, "solve")]:
+        targets = [(op, name) for name in ("draw_csit_samples", "stream_mses",
+                                           "jamming_power_avg", "rate_report",
+                                           "sdma_restrict")] + [(cvx, "solve")]
+        calls = dict.fromkeys((name for _, name in targets), 0)
+        for module, name in targets:
             def counted(*a, _fn=getattr(module, name), _name=name, **kw):
                 calls[_name] += 1
                 return _fn(*a, **kw)
