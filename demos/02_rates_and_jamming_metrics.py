@@ -12,7 +12,6 @@ from jamcom import (
     PrecoderSet,
     au_statistics_uniform_phase,
     jamming_power_avg,
-    jamming_power_realized,
     make_deterministic_scenario,
     rate_report,
 )
@@ -40,11 +39,13 @@ for stage, e, hp, T in (("common", eps_c, hp_c, T_c), ("private", eps_p, hp_own,
           f"identity gap={abs(-np.log2(e) - np.log2(1 + s)):.1e}")
 print("mmse filter (private):", np.round(np.conj(hp_own) / T_p, 4))
 
-# Focused power on the adversary: the realized value needs the true channel,
-# the average only its covariance; for a rank-one covariance they coincide.
+# Focused power on the adversary: the realized value needs the true channel g,
+# the average only its covariance; the realized one is the average under the
+# rank-one covariance g g^H.
 stats = au_statistics_uniform_phase(2 * beta, 4, 8, 1, (1, 5))
 n = 0
-print("\nrealized focused power :", round(jamming_power_realized(chan.g[0, n], pre, n), 4))
+g = chan.g[0, n]
+print("\nrealized focused power :", round(jamming_power_avg(np.outer(g, g.conj()), pre, n), 4))
 print("average focused power  :", round(jamming_power_avg(stats.R[0, n], pre, n), 4))
 
 # A full rate report: per-user rates, the common-rate split, jamming powers.

@@ -23,7 +23,6 @@ from .metrics import (
     PrecoderSet,
     RateReport,
     jamming_power_avg,
-    jamming_power_realized,
     rate_report,
 )
 from .optimizer import (

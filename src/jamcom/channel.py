@@ -155,26 +155,23 @@ _HERM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AuStatistics:
-    """Second-order adversary knowledge: covariances, top eigenvalues, pilot set.
+    """Second-order adversary knowledge: covariances and pilot set.
 
-    R has shape (L, N, n_t, n_t); tau has shape (L, N).  pilot_set holds
-    1-based subcarrier indices (subset of {1..N}).
+    R has shape (L, N, n_t, n_t), Hermitian PSD.  pilot_set holds 1-based
+    subcarrier indices (subset of {1..N}).  tau (L, N), each R's spectral
+    radius, comes from the eigenvalue solve that checks R is PSD.
     """
 
     R: np.ndarray
-    tau: np.ndarray
     pilot_set: tuple
+    tau: np.ndarray = field(init=False)
 
     def __post_init__(self):
         R = np.asarray(self.R, dtype=np.complex128)
-        tau = np.asarray(self.tau, dtype=np.float64)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "pilot_set", tuple(sorted(int(p) for p in self.pilot_set)))
         if R.ndim != 4 or R.shape[2] != R.shape[3]:
             raise ValueError("R must have shape (L, N, n_t, n_t)")
-        if tau.shape != R.shape[:2]:
-            raise ValueError("tau must have shape (L, N)")
         L, N = R.shape[:2]
         if L >= 1 and not self.pilot_set:
             raise ValueError("pilot_set must be nonempty when adversaries are present")
@@ -184,13 +181,13 @@ class AuStatistics:
         herm_err = float(np.max(np.abs(R - np.conj(np.swapaxes(R, 2, 3))))) if R.size else 0.0
         if herm_err > _HERM_TOL * scale:
             raise ValueError("R must be Hermitian")
+        tau = np.zeros((L, N))
         if R.size:
             evals = np.linalg.eigvalsh(R.reshape(L * N, *R.shape[2:]))
             if float(evals.min()) < -1e-12 * scale:
                 raise ValueError("R must be positive semidefinite")
-            top = evals.max(axis=1).reshape(L, N)
-            if float(np.max(np.abs(top - tau))) > 1e-9 * max(1.0, float(np.max(np.abs(top)))):
-                raise ValueError("tau does not match the spectral radius of R")
+            tau = evals[:, -1].reshape(L, N)
+        object.__setattr__(self, "tau", tau)
 
     @property
     def L(self) -> int:
@@ -320,24 +317,19 @@ def largest_eigenvalue(R: np.ndarray) -> float:
 def au_statistics_uniform_phase(delta: float, n_t: int, N: int, L: int,
                                 pilot_set: Sequence[int]) -> AuStatistics:
     """Adversary statistics with the phase-averaged covariance on every subcarrier."""
-    R1 = au_covariance_uniform_phase(delta, n_t)
-    tau1 = largest_eigenvalue(R1)
-    R = np.tile(R1, (L, N, 1, 1))
-    tau = np.full((L, N), tau1)
-    return AuStatistics(R=R, tau=tau, pilot_set=tuple(pilot_set))
+    R = np.tile(au_covariance_uniform_phase(delta, n_t), (L, N, 1, 1))
+    return AuStatistics(R=R, pilot_set=tuple(pilot_set))
 
 
 def au_statistics_isotropic(n_t: int, N: int, L: int, pilot_set: Sequence[int]) -> AuStatistics:
     """Adversary statistics for i.i.d. Gaussian adversary channels (identity covariance)."""
     R = np.tile(np.eye(n_t, dtype=np.complex128), (L, N, 1, 1))
-    tau = np.ones((L, N))
-    return AuStatistics(R=R, tau=tau, pilot_set=tuple(pilot_set))
+    return AuStatistics(R=R, pilot_set=tuple(pilot_set))
 
 
 def au_statistics_none(n_t: int, N: int) -> AuStatistics:
     """Placeholder statistics for runs without adversaries."""
-    return AuStatistics(R=np.zeros((0, N, n_t, n_t), dtype=np.complex128),
-                        tau=np.zeros((0, N)), pilot_set=())
+    return AuStatistics(R=np.zeros((0, N, n_t, n_t), dtype=np.complex128), pilot_set=())
 
 
 def evenly_spaced_pilots(count: int, N: int) -> tuple:

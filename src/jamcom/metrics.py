@@ -21,7 +21,6 @@ __all__ = [
     "RateReport",
     "attach_realized_jamming",
     "jamming_power_avg",
-    "jamming_power_realized",
     "rate_report",
     "stream_mses",
 ]
@@ -99,17 +98,11 @@ def _streams(precoders: PrecoderSet, n) -> np.ndarray:
     return np.concatenate([precoders.p_c[n][None], precoders.p[:, n], precoders.f[:, n]])
 
 
-def jamming_power_realized(g_true: np.ndarray, precoders: PrecoderSet, n: int) -> float:
-    """Total transmit power focused on an adversary with true channel g_true."""
-    gv = np.asarray(g_true, dtype=np.complex128).conj()
-    return float(np.sum(np.abs(np.einsum("sa,a->s", _streams(precoders, n), gv)) ** 2))
-
-
 def jamming_power_avg(R: np.ndarray, precoders: PrecoderSet, n):
     """Statistically averaged focused power: sum of q^H R q over all streams
-    of subcarrier n.  A stack of covariances R (..., n_t, n_t) broadcasts
-    against an index array n, giving their common shape; one R and one n give
-    a float."""
+    of subcarrier n; R = g g^H gives the realized power on channel g.  A
+    stack of covariances R (..., n_t, n_t) broadcasts against an index array
+    n, giving their common shape; one R and one n give a float."""
     # each subcarrier's streams contiguous, so every entry has a lone call's bits
     q = np.ascontiguousarray(np.moveaxis(_streams(precoders, n), 0, -2))
     R = np.asarray(R, dtype=np.complex128)
@@ -224,11 +217,12 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
 
 def attach_realized_jamming(report: RateReport, channels: ChannelSet,
                             precoders: PrecoderSet) -> RateReport:
-    """Fill in the realized focused power from ground-truth adversary channels."""
+    """Fill in the realized focused power from ground-truth adversary channels:
+    the average under the rank-one covariances g g^H, per (adversary, pilot)."""
     if channels.g is None:
         raise ValueError("channel set carries no adversary ground truth")
-    pil = [p - 1 for p in report.pilot_set]
-    report.lambda_realized = np.array(
-        [[jamming_power_realized(channels.g[l, n], precoders, n) for n in pil]
-         for l in range(channels.L)])
+    pil = np.asarray([p - 1 for p in report.pilot_set], dtype=np.int64)
+    g = channels.g[:, pil]
+    report.lambda_realized = jamming_power_avg(g[..., :, None] * g[..., None, :].conj(),
+                                               precoders, pil)
     return report

@@ -253,46 +253,36 @@ def _revec(v: np.ndarray) -> np.ndarray:
 class VariableLayout:
     """Index map from precoders and split variables to the real solver vector.
 
-    The vector stacks, in order: the common precoders (N, 2n_t), RSMA only;
-    the private precoders (K, N, 2n_t); the jamming precoders of the pilot
-    subcarriers (L, |pilots|, 2n_t), in subcarrier order; and the split X
-    (N,), one total per subcarrier, RSMA only.  A precoder q occupies 2n_t
-    entries [Re q; Im q].  blocks[n] gathers subcarrier n's columns: common,
-    private 1..K, jamming 1..L (pilots only), then the split.
+    streams[n, s] marks the streams on subcarrier n: s = 0 common (RSMA
+    only), 1..K private, K+1..K+L jamming (pilots only).  Each occupies 2n_t
+    columns slots[n, s] = [Re q; Im q] (-1 where absent), numbered stream by
+    stream, each stream subcarrier by subcarrier; then comes the split X (N,),
+    one total per subcarrier, RSMA only.  blocks[n] gathers subcarrier n's
+    columns: its streams in order, then its split.
     """
 
     def __init__(self, n_t: int, N: int, K: int, L: int,
                  pilot_idx: np.ndarray, rsma: bool):
         self.n_t, self.N, self.K, self.L, self.rsma = n_t, N, K, L, rsma
         self.pilot_idx = np.asarray(pilot_idx, dtype=np.int64)
-        self.is_pilot = np.zeros(N, dtype=bool)
-        self.is_pilot[self.pilot_idx] = True
         w = self.slot_width = 2 * n_t
-        self._shapes = ((N if rsma else 0, w), (K, N, w), (L, int(self.is_pilot.sum()), w))
-        self._ends = np.cumsum([int(np.prod(sh)) for sh in self._shapes])
-        self.pc_cols, self.p_cols, self.f_cols = self._split(np.arange(self._ends[-1]))
-        # slots[n, s]: columns of stream s (common, private 1..K, jamming 1..L)
-        slots = self.slots = np.full((N, 1 + K + L, w), -1, dtype=np.int64)
-        if rsma:
-            slots[:, 0] = self.pc_cols
-        slots[:, 1:1 + K] = self.p_cols.swapaxes(0, 1)
-        slots[self.is_pilot, 1 + K:] = self.f_cols.swapaxes(0, 1)
-        self.streams = slots[:, :, 0] >= 0     # (N, 1+K+L) streams present
-        self.prec_cols = np.arange(self._ends[-1])
-        self.x_cols = self._ends[-1] + np.arange(N if rsma else 0)
-        self.n_vars = self._ends[-1] + self.x_cols.size
+        streams = self.streams = np.zeros((N, 1 + K + L), dtype=bool)
+        streams[:, 0] = rsma
+        streams[:, 1:1 + K] = True
+        streams[self.pilot_idx, 1 + K:] = True
+        first = w * (np.cumsum(streams.T).reshape(streams.T.shape).T - 1)
+        self.slots = np.where(streams[..., None], first[..., None] + np.arange(w), -1)
+        self.prec_cols = np.arange(w * int(streams.sum()))
+        self.x_cols = self.prec_cols.size + np.arange(N if rsma else 0)
+        self.n_vars = self.prec_cols.size + self.x_cols.size
         self.blocks: List[np.ndarray] = [
             np.concatenate([self.prec_cols_of(n), self.x_cols[n:n + 1]]) for n in range(N)]
-
-    def _split(self, v: np.ndarray):
-        """Common, private and jamming parts of v, shaped as in the vector."""
-        return [a.reshape(sh) for a, sh in
-                zip(np.split(v[:self._ends[-1]], self._ends[:2]), self._shapes)]
 
     def prec_cols_of(self, n: int) -> np.ndarray:
         return self.slots[n, self.streams[n]].ravel()
 
     def var_scale(self, P_t: float) -> np.ndarray:
+        """z = var_scale * y: the subproblems' precoder entries y are z / sqrt(P_t)."""
         s = np.ones(self.n_vars)
         s[self.prec_cols] = np.sqrt(P_t)
         return s
@@ -301,22 +291,23 @@ class VariableLayout:
 
     def pack(self, precoders: PrecoderSet, X: Optional[np.ndarray]) -> np.ndarray:
         """Solver vector of the precoders and the (N,) split; SDMA ignores X."""
-        parts = [_revec(precoders.p_c)] if self.rsma else []
-        parts += [_revec(precoders.p), _revec(precoders.f[:, self.is_pilot])]
+        z = np.empty(self.n_vars)
+        q = _revec(np.moveaxis(_streams(precoders, slice(None)), 0, 1))
+        z[self.slots[self.streams]] = q[self.streams]
         if self.rsma:
             if np.shape(X) != (self.N,):
                 raise ValueError(f"split has shape {np.shape(X)}, expected ({self.N},)")
-            parts.append(X)
-        return np.concatenate([np.ravel(a) for a in parts])
+            z[self.x_cols] = X
+        return z
 
     def unpack(self, z: np.ndarray) -> Tuple[PrecoderSet, np.ndarray]:
-        nt, N = self.n_t, self.N
-        pc, p, f_pil = (a[..., :nt] + 1j * a[..., nt:] for a in self._split(z))
-        f = np.zeros((self.L, N, nt), dtype=np.complex128)
-        f[:, self.is_pilot] = f_pil
-        if not self.rsma:
-            return PrecoderSet(p_c=np.zeros((N, nt)), p=p, f=f), np.zeros(N)
-        return PrecoderSet(p_c=pc, p=p, f=f), z[self.x_cols]
+        """Precoders and (N,) split of z; absent streams and SDMA's split are zero."""
+        nt, K = self.n_t, self.K
+        q = np.zeros((1 + K + self.L, self.N, nt), dtype=np.complex128)
+        zs = z[self.slots[self.streams]]
+        q.swapaxes(0, 1)[self.streams] = zs[:, :nt] + 1j * zs[:, nt:]
+        X = z[self.x_cols] if self.rsma else np.zeros(self.N)
+        return PrecoderSet(p_c=q[0], p=q[1:1 + K], f=q[1 + K:]), X
 
 
 def linearize_jamming(layout: VariableLayout, precoders_t: PrecoderSet,
@@ -460,7 +451,7 @@ def _block_diag(R: np.ndarray, count: int, lead: int = 0) -> np.ndarray:
 def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
                          state: WmmseState, taylor: PrecoderSet, floors: _Floors,
                          P_t: float) -> cvx.ConvexSubproblem:
-    """The convex subproblem in the solver's stacked form, over y = z / var_scale.
+    """The convex subproblem in the solver's stacked form, over y = z / layout.var_scale(P_t).
 
     Block n is subcarrier n (``layout.blocks[n]``).  Its objective is the
     private augmented MSE, and its rows are, in order: the K common-MSE
@@ -471,7 +462,6 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
     """
     K, N, sw, x = layout.K, layout.N, layout.slot_width, int(layout.rsma)
     Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(samples, state)
-    var_scale = layout.var_scale(P_t)
     s = np.sqrt(P_t)       # the scale of every precoder entry
     s2 = s * s
     if floors.rows:
@@ -505,12 +495,12 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
                                      const, ("q",) * kc + ("a",) * nf + ("sign",) * x))
 
     q0 = np.zeros(layout.n_vars)
-    q0[layout.p_cols] = -2.0 * _revec(v_p) * s
+    q0[layout.slots[:, 1:1 + K].swapaxes(0, 1)] = -2.0 * _revec(v_p) * s
     q0[layout.x_cols] = 1.0
     budget = np.zeros(layout.n_vars)
     budget[layout.prec_cols] = s2
     return cvx.ConvexSubproblem(groups=groups, q0=q0, c0=float(np.sum(r_p)), budget=budget,
-                                budget_const=-P_t, var_scale=var_scale)
+                                budget_const=-P_t)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +655,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
     most max_iter outer iterations numbered from outer0, with a cold first
     solve and a fresh extrapolation weight."""
     config, floors, counts = run.config, run.floors, run.counts
+    scale = run.layout.var_scale(config.P_t)
     state = _wmmse_state(samples, prec)
     solved = prec    # the last solve's point, from which the next step extrapolates
     start = None
@@ -697,7 +688,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
                 raise OptimizerError(fault)
             run.solver_flags.append(f"{outer0 + i}:{res.status}")
             counts["solve_near_feasible"] += 1
-        new_prec, new_X = run.layout.unpack(res.primal)
+        new_prec, new_X = run.layout.unpack(res.primal * scale)
         new_prec = _project_power(new_prec, config.P_t)
         new_X = np.minimum(new_X, 0.0)
         # a candidate is accepted only if it passes both checks below; each

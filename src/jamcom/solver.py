@@ -1,7 +1,6 @@
 """Primal-dual interior-point solver for the per-iteration convex subproblems.
 
-A subproblem arrives in the stacked block form the IPM works on, over scaled
-variables y (the caller's variables are z = var_scale * y):
+A subproblem arrives in the stacked block form the IPM works on:
 
     minimize    sum_b y_b' H_b y_b + q0' y + c0
     subject to  y_b' Q_bi y_b + lin_bi' y_b + const_bi <= 0   (block b, row i)
@@ -26,7 +25,7 @@ correction of the blockwise Newton solve.  The IPM and certify work from these
 arrays directly.  The iteration schedule is fixed and free of randomness, so
 identical inputs produce bitwise-identical results.
 
-A solve starts cold, at z = 0 with unit multipliers, or warm from a caller's
+A solve starts cold, at y = 0 with unit multipliers, or warm from a caller's
 (primal, multipliers), typically the solution of a neighbouring problem.  A
 warm start keeps the primal point and lifts every multiplier to at least
 δ = _WARM_GAP = 1e-2 and every slack to at least δ times the constraint
@@ -103,7 +102,6 @@ class ConvexSubproblem:
     c0: float = 0.0
     budget: Optional[np.ndarray] = None      # (n,) diagonal of the spanning row
     budget_const: float = 0.0
-    var_scale: Optional[np.ndarray] = None   # (n,) z = var_scale * y; None means ones
 
     def __post_init__(self):
         self.groups = list(self.groups)
@@ -118,12 +116,6 @@ class ConvexSubproblem:
             self.budget = np.asarray(self.budget, dtype=np.float64).reshape(-1)
             if self.budget.size != n:
                 raise ValueError("budget length must equal n_vars")
-        self.var_scale = (np.ones(n) if self.var_scale is None
-                          else np.asarray(self.var_scale, dtype=np.float64).reshape(-1))
-        if self.var_scale.size != n:
-            raise ValueError("var_scale length must equal n_vars")
-        if np.any(self.var_scale <= 0.0):
-            raise ValueError("var_scale entries must be positive")
         self.c0, self.budget_const = float(self.c0), float(self.budget_const)
         self._kind = np.concatenate(
             [np.zeros(0, dtype=np.int64)]
@@ -152,7 +144,7 @@ class ConvexSubproblem:
         return [v[rows].reshape(g.const.shape) for g, rows in zip(self.groups, self._rows)]
 
     def objective(self, y: np.ndarray):
-        """Objective value and gradient at the scaled point y."""
+        """Objective value and gradient at the point y."""
         f = float(self.q0 @ y) + self.c0
         grad = self.q0.copy()
         for g in self.groups:
@@ -163,7 +155,7 @@ class ConvexSubproblem:
         return f, grad
 
     def constraints(self, y: np.ndarray):
-        """Canonical row values at the scaled point y (feasible means <= 0) and
+        """Canonical row values at the point y (feasible means <= 0) and
         the Jacobian: the (nb, k, w) row gradients of each group, and the
         budget row's (n,) gradient (None without a budget)."""
         c = np.empty(self.m)
@@ -324,28 +316,28 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
 
     ``start`` = (primal, multipliers), of lengths n_vars and the canonical
     constraint count (as in a SolverResult), warm-starts the IPM at that
-    primal point, with slacks max(-c(z), δ * feas_scale) and multipliers
+    primal point, with slacks max(-c(y), δ * feas_scale) and multipliers
     max(multipliers, δ), δ = _WARM_GAP; the primal point need not be
     feasible.  Other lengths raise ValueError.  Without a start the IPM
-    begins at z = 0, with slacks max(1, -c(0)) and unit multipliers.
+    begins at y = 0, with slacks max(1, -c(0)) and unit multipliers.  The
+    returned primal is a new array, never the start's.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     p = problem
-    n, m, scale = p.n_vars, p.m, p.var_scale
+    n, m = p.n_vars, p.m
     cols = [g.cols for g in p.groups]
     z = np.zeros(n)
     if start is not None:
-        primal, lam0 = (np.asarray(a, dtype=np.float64).reshape(-1) for a in start)
-        if primal.size != n or lam0.size != m:
-            raise ValueError(f"start has lengths ({primal.size}, {lam0.size}), "
+        z, lam0 = (np.array(a, dtype=np.float64).reshape(-1) for a in start)
+        if z.size != n or lam0.size != m:
+            raise ValueError(f"start has lengths ({z.size}, {lam0.size}), "
                              f"expected ({n}, {m})")
-        z = primal / scale
 
     if m == 0:
         # unconstrained convex QP: one Newton solve
         z = _BlockKKT(cols, [2.0 * g.H for g in p.groups], None).solve(-p.q0)
-        return SolverResult(primal=z * scale, objective_value=p.objective(z)[0],
+        return SolverResult(primal=z, objective_value=p.objective(z)[0],
                             status="optimal", kkt_residual=0.0, duality_gap=0.0,
                             iterations=1, multipliers=np.zeros(0))
 
@@ -463,7 +455,7 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
         status = "infeasible"
 
     return SolverResult(
-        primal=z * scale,
+        primal=z,
         objective_value=p.objective(z)[0],
         status=status,
         kkt_residual=float(kkt_rel),
@@ -485,8 +477,7 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
     Evaluates every constraint at the primal point and computes the Lagrangian
     dual value at the returned multipliers by direct minimization; true iff
     the point is feasible, the multipliers are sign-correct, and the gap is
-    within tol (scaled by 1 + |objective|).  Works in the scaled variables,
-    where feasibility and the dual value are the same.
+    within tol (scaled by 1 + |objective|).
     """
     if result.status != "optimal":
         return False
@@ -497,7 +488,7 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
     if np.any(lam < -tol):
         return False
 
-    y = np.asarray(result.primal, dtype=np.float64) / p.var_scale
+    y = np.asarray(result.primal, dtype=np.float64)
     cvals, _ = p.constraints(y)
     if cvals.size and float(np.max(cvals)) > tol * p.feas_scale:
         return False
@@ -538,11 +529,12 @@ def problem_to_json(problem: ConvexSubproblem) -> str:
                         kinds=list(g.kinds)) for g in p.groups],
         "q0": p.q0.tolist(), "c0": p.c0,
         "budget": p.budget.tolist() if p.budget is not None else None,
-        "budget_const": p.budget_const, "var_scale": p.var_scale.tolist(),
+        "budget_const": p.budget_const,
     })
 
 
 def problem_from_json(text: str) -> ConvexSubproblem:
+    """Inverse of problem_to_json; an older text's "var_scale" key is ignored."""
     doc = json.loads(text)
     groups = []
     for gd in doc["groups"]:
@@ -554,5 +546,4 @@ def problem_from_json(text: str) -> ConvexSubproblem:
             f: np.array(gd[f], dtype=np.float64).reshape(shapes[f]) for f in _GROUP_ARRAYS}))
     return ConvexSubproblem(groups=groups, q0=np.array(doc["q0"], dtype=np.float64),
                             c0=doc["c0"], budget=doc["budget"],
-                            budget_const=doc["budget_const"],
-                            var_scale=np.array(doc["var_scale"], dtype=np.float64))
+                            budget_const=doc["budget_const"])

@@ -94,6 +94,13 @@ def focused_power_terms(g, p_c, p_list, f_list):
     return float(out)
 
 
+def realized_focused_power(g, pre, n):
+    """Focused power of subcarrier n's streams on an adversary with channel g:
+    sum over streams q of |g^H q|^2, as one einsum over the stacked streams."""
+    streams = np.concatenate([pre.p_c[n][None], pre.p[:, n], pre.f[:, n]])
+    return float(np.sum(np.abs(np.einsum("sa,a->s", streams, np.conj(g))) ** 2))
+
+
 def sample_covariance_focused_power(R, p_c, p_list, f_list, draws, rng):
     """Monte-Carlo estimate of the average focused power for g ~ CN(0, R)."""
     n = R.shape[0]

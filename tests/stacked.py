@@ -35,20 +35,17 @@ def sign_row(n, i):
 
 
 def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
-                    budget_const=0.0, var_scale=None) -> ConvexSubproblem:
+                    budget_const=0.0) -> ConvexSubproblem:
     """The stacked form of
 
         minimize    z'Hz + q0'z + c0
         subject to  z'Q_i z + lin_i'z + const_i <= 0    (each row)
                     budget'(z * z) + budget_const <= 0
 
-    over z = var_scale * y, with H (n, n) and each row (kind, Q (n, n) or
-    None, lin (n,), const).  ``blocks`` (default: one block) partitions the
+    with H (n, n) and each row (kind, Q (n, n) or None, lin (n,), const).  ``blocks`` (default: one block) partitions the
     variables; H and every row must lie inside one block.  Blocks of equal
     width and row kinds form a group, in order of first appearance, and each
     block keeps its rows in the order given."""
-    s = np.ones(n) if var_scale is None else np.asarray(var_scale, dtype=np.float64)
-    ss = np.outer(s, s)
     blocks = [np.arange(n)] if blocks is None else [np.asarray(b) for b in blocks]
     owner = np.empty(n, dtype=np.int64)
     for b, cols in enumerate(blocks):
@@ -64,8 +61,7 @@ def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
         b = owner[support[0]] if support.size else 0
         if np.any(owner[support] != b):
             raise ValueError("a row may not span blocks")
-        per_block[b].append((kind, Q * ss, lin * s, float(const)))
-    H = H * ss
+        per_block[b].append((kind, Q, lin, float(const)))
 
     members = {}
     for cols, rs in zip(blocks, per_block):
@@ -82,6 +78,5 @@ def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
             const=np.array([[r[3] for r in rs] for _, rs in ms]).reshape(nb, k),
             kinds=kinds))
     return ConvexSubproblem(
-        groups=groups, q0=(np.zeros(n) if q0 is None else np.asarray(q0)) * s, c0=c0,
-        budget=None if budget is None else np.asarray(budget) * s ** 2,
-        budget_const=budget_const, var_scale=var_scale)
+        groups=groups, q0=np.zeros(n) if q0 is None else q0, c0=c0, budget=budget,
+        budget_const=budget_const)

@@ -376,6 +376,8 @@ def test_criterion_10_adversary_statistics():
         mats.append(A @ A.conj().T / 4.0)
     for M in mats:
         ref = jacobi_eigenvalues(M)[-1]
-        got = ch.largest_eigenvalue(M)
-        assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+        # the public eigenvalue and the tau AuStatistics derives from R
+        for got in (ch.largest_eigenvalue(M),
+                    float(ch.AuStatistics(R=M[None, None], pilot_set=(1,)).tau[0, 0])):
+            assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
     _report(10, "adversary statistics cross-checks", time.perf_counter() - t0)

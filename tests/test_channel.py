@@ -230,14 +230,28 @@ class TestContainers:
         assert stats.pilot_set == (1, 5)
         assert np.array_equal(stats.pilot_idx, [0, 4])
         with pytest.raises(ValueError):
-            AuStatistics(R=stats.R, tau=stats.tau + 0.5, pilot_set=(1, 5))
-        with pytest.raises(ValueError):
-            AuStatistics(R=stats.R, tau=stats.tau, pilot_set=())
+            AuStatistics(R=stats.R, pilot_set=())
 
     def test_isotropic_statistics(self):
         stats = au_statistics_isotropic(4, 8, 2, (1, 3, 5))
         assert np.array_equal(stats.tau, np.ones((2, 8)))
+        assert np.array_equal(stats.tau, np.full((2, 8), largest_eigenvalue(np.eye(4))))
         assert np.array_equal(stats.R[1, 4], np.eye(4))
+
+    def test_tau_is_the_top_eigenvalue_of_r(self, rng):
+        for L, N, n_t in ((1, 1, 1), (2, 3, 4), (3, 5, 2)):
+            A = rng.standard_normal((L, N, n_t, n_t)) + 1j * rng.standard_normal((L, N, n_t, n_t))
+            R = A @ np.conj(np.swapaxes(A, 2, 3)) / n_t
+            tau = AuStatistics(R=R, pilot_set=(1,)).tau
+            assert tau.shape == (L, N)
+            assert tau.tobytes() == np.linalg.eigvalsh(R)[..., -1].tobytes()
+        assert AuStatistics(R=np.zeros((0, 4, 2, 2)), pilot_set=()).tau.shape == (0, 4)
+
+    def test_uniform_phase_tau_is_the_largest_eigenvalue(self):
+        for delta, n_t in ((2 * BETA, 4), (0.0, 3), (np.pi, 8)):
+            stats = au_statistics_uniform_phase(delta, n_t, 5, 2, (2,))
+            top = largest_eigenvalue(au_covariance_uniform_phase(delta, n_t))
+            assert np.array_equal(stats.tau, np.full((2, 5), top))
 
 
 class TestPilotPlacement:

@@ -96,6 +96,27 @@ def test_blocks_partition_and_order(case):
     assert np.all(s[~prec] == 1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(layouts())
+def test_global_column_order(case):
+    # the precoders stream by stream, each over its subcarriers in order, then
+    # the split: common (RSMA), private by (user, subcarrier), jamming by
+    # (adversary, pilot subcarrier)
+    layout, seed = case
+    pre, X = _random_point(layout, seed)
+    pilots = sorted(set(int(n) for n in layout.pilot_idx))
+    N = range(layout.N)
+    want = ([_re(pre.p_c[n]) for n in N] if layout.rsma else []) \
+        + [_re(pre.p[k, n]) for k in range(layout.K) for n in N] \
+        + [_re(pre.f[l, n]) for l in range(layout.L) for n in pilots] \
+        + ([X] if layout.rsma else [])
+    assert np.array_equal(layout.pack(pre, X), np.concatenate([np.zeros(0)] + want))
+    w = 2 * layout.n_t
+    assert np.array_equal(layout.prec_cols, np.arange(layout.n_vars - layout.x_cols.size))
+    assert np.array_equal(layout.x_cols, layout.prec_cols.size + np.arange(layout.x_cols.size))
+    assert layout.prec_cols.size == w * int(layout.streams.sum())
+
+
 @settings(max_examples=100, deadline=None)
 @given(layouts())
 @example(case=(VariableLayout(3, 6, 2, 2, np.array([4, 1], dtype=np.int64), True), 7))

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamcom.channel import (au_statistics_none, au_statistics_uniform_phase,
-                            make_deterministic_scenario)
+                            exponential_delay_profile, make_deterministic_scenario,
+                            synth_selective_channel)
 from jamcom.metrics import (
     PrecoderSet,
     attach_realized_jamming,
     jamming_power_avg,
-    jamming_power_realized,
     rate_report,
     stream_mses,
 )
@@ -17,6 +17,7 @@ from jamcom.optimizer import _subcarrier_major
 from oracles import (
     focused_power_terms,
     interference_sums,
+    realized_focused_power,
     sample_covariance_focused_power,
     stream_sinr_mse,
 )
@@ -32,6 +33,11 @@ def cn(rng, *shape):
 def random_precoders(rng, n_t=4, N=3, K=2, L=1, scale=1.0):
     return PrecoderSet(p_c=scale * cn(rng, N, n_t), p=scale * cn(rng, K, N, n_t),
                        f=scale * cn(rng, L, N, n_t))
+
+
+def realized(g, pre, n):
+    """The realized focused power: the average under the covariance g g^H."""
+    return jamming_power_avg(np.outer(g, np.conj(g)), pre, n)
 
 
 def same_values_three_layouts(rng, M, K, N, n_t):
@@ -163,18 +169,18 @@ class TestMutualInfo:
 class TestJammingPower:
     def test_zero_precoders(self):
         pre = PrecoderSet.zeros(4, 2, 2, 1)
-        assert jamming_power_realized(np.ones(4), pre, 0) == 0.0
+        assert realized(np.ones(4), pre, 0) == 0.0
 
     def test_orthogonal_adversary(self):
         pre = PrecoderSet.zeros(4, 1, 1, 0)
         pre.p[0, 0, 0] = 1.0
         g = np.array([0, 1.0, 0, 0], dtype=complex)
-        assert jamming_power_realized(g, pre, 0) == 0.0
+        assert realized(g, pre, 0) == 0.0
 
     def test_matches_termwise_oracle(self, rng):
         pre = random_precoders(rng)
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got = jamming_power_realized(g, pre, 1)
+        got = realized(g, pre, 1)
         ref = focused_power_terms(g, pre.p_c[1], [pre.p[i, 1] for i in range(2)],
                                   [pre.f[0, 1]])
         assert abs(got - ref) < 1e-12 * (1 + ref)
@@ -189,7 +195,7 @@ class TestJammingPower:
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         R = np.outer(g, g.conj())
         assert jamming_power_avg(R, pre, 0) == pytest.approx(
-            jamming_power_realized(g, pre, 0), rel=1e-10)
+            realized_focused_power(g, pre, 0), rel=1e-10)
 
     def test_statistical_average_against_sampling(self, rng):
         pre = random_precoders(rng, scale=0.5)
@@ -215,8 +221,8 @@ class TestJammingPower:
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         R = au_statistics_uniform_phase(2 * BETA, 4, 3, 1, (1,)).R[0, 0]
         c = 2.7
-        assert jamming_power_realized(g, pre.scaled(c), 0) == pytest.approx(
-            c * jamming_power_realized(g, pre, 0), rel=1e-12)
+        assert realized(g, pre.scaled(c), 0) == pytest.approx(
+            c * realized(g, pre, 0), rel=1e-12)
         assert jamming_power_avg(R, pre.scaled(c), 0) == pytest.approx(
             c * jamming_power_avg(R, pre, 0), rel=1e-12)
 
@@ -296,7 +302,17 @@ class TestRateReport:
         assert rep.lambda_realized.shape == (1, 2)
         for j, n in enumerate((0, 2)):
             assert rep.lambda_realized[0, j] == pytest.approx(
-                jamming_power_realized(cs.g[0, n], pre, n), rel=1e-12)
+                realized_focused_power(cs.g[0, n], pre, n), rel=1e-12)
+
+    def test_realized_jamming_matches_einsum_oracle(self, rng):
+        cs = synth_selective_channel(exponential_delay_profile(1.2e-6, 12), 4, 5, 2, 2, seed=4)
+        stats = au_statistics_uniform_phase(2 * BETA, 4, 5, 2, (4, 1, 3))
+        pre = random_precoders(rng, N=5, L=2)
+        rep = attach_realized_jamming(rate_report(cs, pre, None, stats=stats), cs, pre)
+        want = [[realized_focused_power(cs.g[l, n], pre, n) for n in (0, 2, 3)]
+                for l in range(2)]
+        assert rep.lambda_realized.shape == (2, 3)
+        np.testing.assert_allclose(rep.lambda_realized, want, rtol=1e-13, atol=0)
 
     def test_lambda_avg_per_adversary_and_pilot(self, rng):
         cs = make_deterministic_scenario(THETA, BETA, 4, 4)

@@ -152,16 +152,17 @@ class TestAugmentedMseQuadratic:
                     mse = stream_sinr_mse(samples[0, k, n], pre, n, k, "private")[1]
                     target += 1.0 + np.log(mse)
             z = layout.pack(pre, np.zeros(4))
-            assert prob.objective(z / prob.var_scale)[0] == pytest.approx(target, abs=1e-12)
+            scale = layout.var_scale(10.0)
+            assert prob.objective(z / scale)[0] == pytest.approx(target, abs=1e-12)
             X = -np.abs(rng.standard_normal(4))
-            wm = prob.objective(layout.pack(pre, X) / prob.var_scale)[0]
+            wm = prob.objective(layout.pack(pre, X) / scale)[0]
             assert wm == pytest.approx(2 * 4 - _wsr_nats(state, X if layout.rsma else np.zeros(4)),
                                        abs=1e-12)
             assert wm == pytest.approx(target + (X.sum() if layout.rsma else 0.0), abs=1e-12)
 
     def test_common_constraint_is_minus_common_information(self, rng):
         layout, samples, pre, prob, _ = self._setup(rng)
-        c = prob.constraints(layout.pack(pre, np.zeros(4)) / prob.var_scale)[0]
+        c = prob.constraints(layout.pack(pre, np.zeros(4)) / layout.var_scale(10.0))[0]
         seen = []
         for g, cg in zip(prob.groups, prob.split(c)):
             assert g.kinds[:2] == ("q", "q")
@@ -253,7 +254,8 @@ class TestStackedEmission:
                                   "desk0_first_subproblem.npz")) as data:
             ref = dict(data)
         p = scheme.lower() + "_"
-        prob = first_subproblem(*desk_instance_0(scheme))
+        csit, stats, config = desk_instance_0(scheme)
+        prob = first_subproblem(csit, stats, config)
 
         def bits(a):
             # bitwise, up to the sign of zero (+ 0.0 turns -0.0 into +0.0)
@@ -281,7 +283,9 @@ class TestStackedEmission:
         assert bits(prob.budget) == bits(ref[p + "span_D"][0])
         assert not np.any(ref[p + "span_A"])
         assert bits(prob.q0) == bits(ref[p + "q0"]) and prob.c0 == float(ref[p + "c0"])
-        assert bits(prob.var_scale) == bits(ref[p + "scale"])
+        layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
+                                scheme == "RSMA")
+        assert bits(layout.var_scale(config.P_t)) == bits(ref[p + "scale"])
 
 
 def saa_shape_setup():
@@ -879,7 +883,7 @@ def random_instance(K, L, N, n_t, pilots, sigma2, M, P_t, rho, seed):
 
     A = c(L, N, n_t, n_t)
     R = A @ np.conj(np.swapaxes(A, 2, 3)) / n_t
-    stats = AuStatistics(R=R, tau=np.linalg.eigvalsh(R)[..., -1], pilot_set=tuple(pilots))
+    stats = AuStatistics(R=R, pilot_set=tuple(pilots))
     csit = CsitModel(h_hat=c(K, N, n_t), sigma_ie2=sigma2)
     thr = build_thresholds(stats, rho, P_t) if L else None
     return csit, stats, SolveConfig(P_t=P_t, scheme="SDMA", M=M, seed=seed, thresholds=thr)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def halfspace_problem():
     return stacked_problem(4, np.eye(4), [lower_bound(4, [0], [2.0], 1.0)])
 
 
-def random_block_problem(seed, with_signs=True, blocks="two", var_scale=None, relax=0.0):
+def random_block_problem(seed, with_signs=True, blocks="two", relax=0.0):
     """Two 5-variable blocks, each with a PSD objective and a quadratic bound,
     an affine floor on block 0 (lowered by ``relax``), the sign of z3 and z8,
     and a norm budget coupling the blocks; ``blocks=None`` states the same
@@ -41,7 +42,7 @@ def random_block_problem(seed, with_signs=True, blocks="two", var_scale=None, re
         rows += [sign_row(10, 3), sign_row(10, 8)]
     return stacked_problem(10, H, rows, q0=rng.standard_normal(10) * 0.5, c0=0.3,
                            blocks=parts if blocks == "two" else blocks,
-                           budget=np.ones(10), budget_const=-4.0, var_scale=var_scale)
+                           budget=np.ones(10), budget_const=-4.0)
 
 
 class TestReferenceSolutions:
@@ -72,7 +73,8 @@ class TestBatchedContractions:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rows_gradients_and_hessian_match_per_row_loops(self, seed):
-        prob = random_block_problem(seed, var_scale=np.linspace(0.5, 2.0, 10))
+        # a budget row with unequal weights, so each block must read its own
+        prob = dataclasses.replace(random_block_problem(seed), budget=np.linspace(0.25, 4.0, 10))
         rng = np.random.default_rng(seed + 100)
         y, lam, dy = (rng.standard_normal(n) for n in (10, prob.m, 10))
         c, jac = prob.constraints(y)
@@ -114,7 +116,6 @@ class TestKktAndCertification:
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            # no var_scale: the solver variables are z
             lag_p = prob.objective(zp)[0] + lam @ prob.constraints(zp)[0]
             lag_m = prob.objective(zm)[0] + lam @ prob.constraints(zm)[0]
             grad[i] = (lag_p - lag_m) / (2 * eps)
@@ -161,13 +162,6 @@ class TestDeterminismAndStructure:
         assert rb.objective_value == pytest.approx(rd.objective_value, abs=1e-7)
         np.testing.assert_allclose(rb.primal, rd.primal, atol=1e-5)
 
-    def test_var_scale_preserves_solution(self):
-        prob = random_block_problem(13)
-        scaled = random_block_problem(13, var_scale=np.full(prob.n_vars, 3.0))
-        r0 = solve(prob, 1e-9)
-        r1 = solve(scaled, 1e-9)
-        assert r1.objective_value == pytest.approx(r0.objective_value, abs=1e-6)
-
     def test_relaxing_affine_constraint_never_hurts(self):
         for seed in range(4):
             prob = random_block_problem(seed)
@@ -196,8 +190,7 @@ class TestDeterminismAndStructure:
         for groups in ([g], [g, other, other], [g, moved]):
             with pytest.raises(ValueError):
                 dataclasses.replace(prob, groups=groups)
-        for bad in (dict(budget=np.ones(3)), dict(var_scale=np.ones(3)),
-                    dict(var_scale=np.zeros(10)), dict(q0=np.zeros(11))):
+        for bad in (dict(budget=np.ones(3)), dict(q0=np.zeros(11))):
             with pytest.raises(ValueError):
                 dataclasses.replace(prob, **bad)
 
@@ -253,6 +246,16 @@ class TestWarmStart:
         np.testing.assert_allclose(res.primal, ref.primal, atol=1e-6)
         assert res.objective_value == pytest.approx(ref.objective_value, abs=1e-8)
 
+    def test_primal_never_aliases_the_start(self):
+        prob = random_block_problem(6)
+        ref = solve(prob, 1e-9)
+        for tol in (1e-9, 1e3):    # 1e3 accepts the start itself as the first iterate
+            start = ref.primal.copy()
+            res = solve(prob, tol, start=(start, ref.multipliers))
+            assert not np.shares_memory(res.primal, start)
+            assert np.array_equal(start, ref.primal)
+        assert res.iterations == 1
+
     def test_start_of_wrong_length_rejected(self):
         prob = random_block_problem(2)
         m = solve(prob, 1e-8).multipliers.size
@@ -271,11 +274,15 @@ class TestSerialization:
             for f in ("cols", "H", "Q", "lin", "const"):
                 assert getattr(g, f).tobytes() == getattr(h, f).tobytes()
             assert g.kinds == h.kinds
-        for f in ("q0", "budget", "var_scale"):
+        for f in ("q0", "budget"):
             assert getattr(prob, f).tobytes() == getattr(back, f).tobytes()
         a = solve(prob, 1e-9)
         b = solve(back, 1e-9)
         assert np.array_equal(a.primal, b.primal)
+        # older texts carry the arrays' variable scale; the arrays are over y
+        doc = json.loads(problem_to_json(prob))
+        doc["var_scale"] = [3.0] * prob.n_vars
+        assert problem_to_json(problem_from_json(json.dumps(doc))) == problem_to_json(prob)
 
     def test_assembled_subproblem_round_trips(self):
         # the first RSMA subproblem of a run whose focused-power floors bind
@@ -293,7 +300,7 @@ class TestSerialization:
         b = solve(problem_from_json(problem_to_json(prob)), 1e-7)
         assert a.status == "optimal"
         assert np.array_equal(a.primal, b.primal)
-        floors = prob.constraints(a.primal / prob.var_scale)[0][prob.a_constraints]
+        floors = prob.constraints(a.primal)[0][prob.a_constraints]
         assert np.all(np.abs(floors) < 1e-4)
 
     def test_infeasible_reports_violating_constraints(self):
