@@ -71,20 +71,31 @@ class ExperimentConfig:
             raise ValueError("strategy must be 1 or 2")
         if not self.pilot_sets:
             raise ValueError("pilot_sets must be nonempty")
-        # the run settings every cell passes on meet SolveConfig's own checks
-        opt.SolveConfig(P_t=1.0, M=self.M, seed=self.seed, eps_r=self.eps_r,
-                        max_outer=self.max_outer)
+        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
+        # every cell's power budget and run settings meet SolveConfig's own checks
+        for snr in self.snr_db_list:
+            try:
+                opt.SolveConfig(P_t=_total_power(snr), M=self.M, seed=self.seed,
+                                eps_r=self.eps_r, max_outer=self.max_outer)
+            except ValueError as exc:
+                raise ValueError(f"at snr_db {snr!r}: {exc}") from None
         model = dict(self.channel_model)
         if model.get("type") not in _CHANNEL_TYPES:
             raise ValueError(f"channel_model.type must be one of {_CHANNEL_TYPES}")
         object.__setattr__(self, "pilot_sets", tuple(
             p if isinstance(p, int) else tuple(p) for p in self.pilot_sets))
-        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         object.__setattr__(self, "scheme_list", tuple(self.scheme_list))
         for spec in self.pilot_sets:
             idx = self.resolve_pilots(spec)
             if any(i < 1 or i > self.N for i in idx):
                 raise ValueError(f"pilot placement {spec!r} outside 1..{self.N}")
+        # the channel model meets the builders' own checks before any cell runs
+        try:
+            _build_channels(self)
+            for spec in self.pilot_sets:
+                _build_stats(self, self.resolve_pilots(spec))
+        except KeyError as exc:
+            raise ValueError(f"channel_model lacks the field {exc.args[0]!r}") from None
 
     def resolve_pilots(self, spec: Union[int, tuple]) -> tuple:
         if isinstance(spec, int):
@@ -145,6 +156,14 @@ class ResultTable:
 # cell execution
 
 
+def _total_power(snr_db: float) -> float:
+    """The power budget P_t of an SNR point (unit noise); inf on overflow."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return float("inf")
+
+
 def _build_channels(config: ExperimentConfig) -> ch.ChannelSet:
     model = config.channel_model
     if model["type"] == "deterministic":
@@ -186,7 +205,7 @@ def _run_pair(args) -> List[ResultRow]:
     config, chan, pair, timing, with_trace = args
     snr_i, snr_db, pspec = pair
     pilot_set = config.resolve_pilots(pspec)
-    P_t = 10.0 ** (snr_db / 10.0)
+    P_t = _total_power(snr_db)
     sigma2 = ch.csit_error_variance(P_t, config.N, config.alpha)
     csit = ch.CsitModel(h_hat=chan.h, sigma_ie2=sigma2, alpha=config.alpha)
     stats = _build_stats(config, pilot_set)

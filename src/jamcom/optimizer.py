@@ -105,16 +105,16 @@ class SolveConfig:
     thresholds: Optional[np.ndarray] = None    # (L, |pilot_set|) focused-power floors
 
     def __post_init__(self):
-        if self.P_t <= 0.0:
-            raise ValueError("P_t must be positive")
+        if not 0.0 < self.P_t < np.inf:
+            raise ValueError(f"P_t must be positive and finite, got {self.P_t!r}")
         if self.scheme not in ("RSMA", "SDMA"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not all(isinstance(v, (int, np.integer)) for v in (self.M, self.max_outer, self.seed)):
             raise ValueError("M, max_outer and seed must be integers")
         if self.M < 1 or self.max_outer < 1:
             raise ValueError("M and the iteration cap must be >= 1")
-        if self.eps_r <= 0.0:
-            raise ValueError("eps_r must be positive")
+        if not 0.0 < self.eps_r < np.inf:
+            raise ValueError(f"eps_r must be positive and finite, got {self.eps_r!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.thresholds is not None:
@@ -686,7 +686,7 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
             fault = _solve_fault(res, config, floors)
             if fault:
                 raise OptimizerError(fault)
-            run.solver_flags.append(f"{outer0 + i}:{res.status}")
+            run.solver_flags.append(f"{outer0 + i}:{res.exit}")
             counts["solve_near_feasible"] += 1
         new_prec, new_X = run.layout.unpack(res.primal * scale)
         new_prec = _project_power(new_prec, config.P_t)

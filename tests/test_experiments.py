@@ -59,7 +59,8 @@ class TestConfig:
             tiny_config(pilot_sets=[(1, 99)])
 
     @pytest.mark.parametrize("field,value", [("M", 0), ("M", 2.5), ("max_outer", 0),
-                                             ("eps_r", -1.0), ("seed", -1)])
+                                             ("eps_r", -1.0), ("eps_r", float("nan")),
+                                             ("seed", -1)])
     def test_bad_run_settings_rejected(self, field, value):
         with pytest.raises(ValueError):
             tiny_config(**{field: value})
@@ -212,6 +213,22 @@ class TestCli:
         assert cli_main(["--config", cfg, "--out", str(out)] + flags) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"channel_model": {"type": "selective", "n_taps": 0}}, "n_taps"),
+        ({"channel_model": {"type": "deterministic", "beta": BETA}}, "'theta'"),
+        ({"snr_db_list": [float("nan")]}, "P_t"),
+        ({"snr_db_list": [4000.0]}, "P_t"),
+        ({"eps_r": float("nan")}, "eps_r")])
+    def test_bad_cell_inputs_exit_one_before_any_cell(self, tmp_path, capsys, overrides,
+                                                      message):
+        # each of these once ended in a traceback from inside the first cell
+        cfg = self._write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert cli_main(["--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (out / "results.csv").exists()
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

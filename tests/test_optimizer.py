@@ -539,6 +539,14 @@ class TestThresholds:
         with pytest.raises(ValueError):
             threshold_strategy(3, 4, 32)
 
+    @pytest.mark.parametrize("field,bad", [("P_t", np.nan), ("P_t", np.inf),
+                                           ("eps_r", np.nan), ("eps_r", np.inf)])
+    def test_non_finite_run_setting_rejected(self, field, bad):
+        # a NaN or inf P_t ended in a NaN rate after max_outer iterations; a
+        # NaN eps_r never converged, and an inf one stopped after one iteration
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SolveConfig(**{"P_t": 10.0, "scheme": "SDMA", "M": 4, field: bad})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_threshold_rejected(self, bad):
         # a NaN floor made the floor check's tolerance NaN, so no floor was
@@ -751,7 +759,8 @@ class TestOptimize:
             if len(warm) == 2:    # a warm-started solve fails far from feasible
                 res = dataclasses.replace(res, status="max_iter", violations=[(0, "q[0]", 1.0)])
             elif len(warm) == 4:  # a later one stops short, near-feasible
-                res = dataclasses.replace(res, status="max_iter", violations=[])
+                res = dataclasses.replace(res, status="max_iter", exit="no_progress",
+                                          violations=[])
             return res
 
         monkeypatch.setattr(cvx, "solve", spy)
@@ -760,6 +769,8 @@ class TestOptimize:
         counts = res.report.diagnostics["counts"]
         assert counts["solve_cold_retry"] == 1 and counts["solve_near_feasible"] == 1
         assert len(warm) == res.outer_iterations + 1
+        # the near-feasible solve of outer iteration 2 is flagged by its exit
+        assert res.report.diagnostics["solver_flags"] == ["2:no_progress"]
 
     def test_extrapolation_safeguard(self):
         # desk instance 0 of the acceptance suite: 5 dB, one pilot, active floors
