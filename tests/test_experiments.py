@@ -217,6 +217,8 @@ class TestCli:
     @pytest.mark.parametrize("overrides,message", [
         ({"channel_model": {"type": "selective", "n_taps": 0}}, "n_taps"),
         ({"channel_model": {"type": "deterministic", "beta": BETA}}, "'theta'"),
+        ({"channel_model": {"type": "deterministic", "theta": THETA, "beta": BETA,
+                            "au_spread": -1.0}}, "delta"),
         ({"snr_db_list": [float("nan")]}, "P_t"),
         ({"snr_db_list": [4000.0]}, "P_t"),
         ({"eps_r": float("nan")}, "eps_r")])
