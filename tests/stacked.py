@@ -42,10 +42,11 @@ def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
         subject to  z'Q_i z + lin_i'z + const_i <= 0    (each row)
                     budget'(z * z) + budget_const <= 0
 
-    with H (n, n) and each row (kind, Q (n, n) or None, lin (n,), const).  ``blocks`` (default: one block) partitions the
-    variables; H and every row must lie inside one block.  Blocks of equal
-    width and row kinds form a group, in order of first appearance, and each
-    block keeps its rows in the order given."""
+    with H (n, n) and each row (kind, Q (n, n) or None, lin (n,), const).
+    ``blocks`` (default: one block) partitions the variables; H and every row
+    must lie inside one block.  Blocks of equal width and row kinds form a
+    group, in order of first appearance, and each block keeps its rows in the
+    order given."""
     blocks = [np.arange(n)] if blocks is None else [np.asarray(b) for b in blocks]
     owner = np.empty(n, dtype=np.int64)
     for b, cols in enumerate(blocks):

@@ -111,10 +111,8 @@ def test_global_column_order(case):
         + [_re(pre.f[l, n]) for l in range(layout.L) for n in pilots] \
         + ([X] if layout.rsma else [])
     assert np.array_equal(layout.pack(pre, X), np.concatenate([np.zeros(0)] + want))
-    w = 2 * layout.n_t
     assert np.array_equal(layout.prec_cols, np.arange(layout.n_vars - layout.x_cols.size))
     assert np.array_equal(layout.x_cols, layout.prec_cols.size + np.arange(layout.x_cols.size))
-    assert layout.prec_cols.size == w * int(layout.streams.sum())
 
 
 @settings(max_examples=100, deadline=None)
