@@ -71,6 +71,10 @@ class ExperimentConfig:
             raise ValueError("strategy must be 1 or 2")
         if not self.pilot_sets:
             raise ValueError("pilot_sets must be nonempty")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
+        if not -np.inf < self.base_rho < np.inf:
+            raise ValueError(f"base_rho must be finite, got {self.base_rho!r}")
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         # every cell's power budget and run settings meet SolveConfig's own checks
         for snr in self.snr_db_list:

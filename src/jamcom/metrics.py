@@ -1,7 +1,10 @@
 """MMSE, mutual-information, and jamming-power evaluation.
 
 All reported rates are base-2 (bits); the noise variance is fixed to one, so
-SNR in dB is 10*log10 of the power budget.  :func:`stream_mses` and
+SNR in dB is 10*log10 of the power budget.  A design's precoders are one
+array, :attr:`PrecoderSet.q` (N, 1+K+L, n_t): per subcarrier the common,
+private and jamming streams, in that row order, which every evaluation here
+indexes directly.  :func:`stream_mses` and
 :func:`rate_report` are the one evaluation path: every stream's mutual
 information is -log2 of its MMSE-filter MSE, i.e. log2(1 + SINR).  The
 independent references they are checked against live in ``tests/oracles.py``.
@@ -30,72 +33,68 @@ NOISE_VAR = 1.0
 _LN2 = float(np.log(2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrecoderSet:
-    """Common, private, and jamming precoders per subcarrier.
+    """Every precoder of a design, stacked per subcarrier.
 
-    p_c: (N, n_t); p: (K, N, n_t); f: (L, N, n_t), all complex.  A scheme
-    without a common stream simply carries an all-zero p_c; jamming precoders
-    vanish outside the pilot set by construction.
+    q (N, 1+K+L, n_t) complex: on subcarrier n, row 0 is the common stream,
+    rows 1..K the private streams and rows K+1..K+L the jamming streams.  A
+    scheme without a common stream carries an all-zero row 0; jamming rows
+    vanish outside the pilot set by construction.  Every evaluation here and
+    the optimizer's variable layout index q in this row order.  p_c (N, n_t),
+    p (K, N, n_t) and f (L, N, n_t) are views of q, read-only attributes
+    whose entries write through to q.  ``PrecoderSet(p_c, p, f)`` stacks the
+    three parts once; :meth:`stacked` wraps an array already in this order.
     """
 
-    p_c: np.ndarray
-    p: np.ndarray
-    f: np.ndarray
+    q: np.ndarray
+    K: int
 
-    def __post_init__(self):
-        for name in ("p_c", "p", "f"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.complex128))
-        if self.p.ndim != 3 or self.f.ndim != 3 or self.p_c.ndim != 2:
+    def __init__(self, p_c, p, f):
+        p_c, p, f = (np.asarray(a, dtype=np.complex128) for a in (p_c, p, f))
+        if p.ndim != 3 or f.ndim != 3 or p_c.ndim != 2:
             raise ValueError("p_c must be (N, n_t); p and f must be (count, N, n_t)")
-        N, n_t = self.p_c.shape
-        if self.p.shape[1:] != (N, n_t) or self.f.shape[1:] != (N, n_t):
+        if p.shape[1:] != p_c.shape or f.shape[1:] != p_c.shape:
             raise ValueError("inconsistent (N, n_t) across precoder arrays")
+        q = np.concatenate([p_c[:, None], p.transpose(1, 0, 2), f.transpose(1, 0, 2)], axis=1)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "K", p.shape[0])
+
+    @classmethod
+    def stacked(cls, q: np.ndarray, K: int) -> "PrecoderSet":
+        """Wrap q (N, 1+K+L, n_t), complex, in the row order above, uncopied."""
+        if q.ndim != 3 or q.dtype != np.complex128 or not 0 <= K < q.shape[1]:
+            raise ValueError("q must be complex (N, 1+K+L, n_t)")
+        out = cls.__new__(cls)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "K", K)
+        return out
 
     @property
-    def N(self) -> int:
-        return self.p_c.shape[0]
+    def p_c(self) -> np.ndarray:
+        return self.q[:, 0]
 
     @property
-    def n_t(self) -> int:
-        return self.p_c.shape[1]
+    def p(self) -> np.ndarray:
+        return self.q[:, 1:1 + self.K].transpose(1, 0, 2)
 
     @property
-    def K(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def L(self) -> int:
-        return self.f.shape[0]
+    def f(self) -> np.ndarray:
+        return self.q[:, 1 + self.K:].transpose(1, 0, 2)
 
     def subcarrier_power(self, n: int) -> float:
-        return float(np.sum(np.abs(self.p_c[n]) ** 2)
-                     + np.sum(np.abs(self.p[:, n]) ** 2)
-                     + np.sum(np.abs(self.f[:, n]) ** 2))
+        return float(np.sum(np.abs(self.q[n]) ** 2))
 
     def total_power(self) -> float:
-        return float(np.sum(np.abs(self.p_c) ** 2)
-                     + np.sum(np.abs(self.p) ** 2)
-                     + np.sum(np.abs(self.f) ** 2))
+        return float(np.sum(np.abs(self.q) ** 2))
 
     def scaled(self, c: float) -> "PrecoderSet":
         """All precoders multiplied by sqrt(c); powers scale by c."""
-        s = np.sqrt(c)
-        return PrecoderSet(p_c=s * self.p_c, p=s * self.p, f=s * self.f)
+        return PrecoderSet.stacked(np.sqrt(c) * self.q, self.K)
 
     @staticmethod
     def zeros(n_t: int, N: int, K: int, L: int) -> "PrecoderSet":
-        return PrecoderSet(
-            p_c=np.zeros((N, n_t), dtype=np.complex128),
-            p=np.zeros((K, N, n_t), dtype=np.complex128),
-            f=np.zeros((L, N, n_t), dtype=np.complex128),
-        )
-
-
-def _streams(precoders: PrecoderSet, n) -> np.ndarray:
-    """Every precoder on subcarrier n stacked as rows: common, private, jamming
-    (1+K+L, n_t); n = slice(None) stacks all subcarriers, (1+K+L, N, n_t)."""
-    return np.concatenate([precoders.p_c[n][None], precoders.p[:, n], precoders.f[:, n]])
+        return PrecoderSet.stacked(np.zeros((N, 1 + K + L, n_t), dtype=np.complex128), K)
 
 
 def jamming_power_avg(R: np.ndarray, precoders: PrecoderSet, n):
@@ -103,8 +102,7 @@ def jamming_power_avg(R: np.ndarray, precoders: PrecoderSet, n):
     of subcarrier n; R = g g^H gives the realized power on channel g.  A
     stack of covariances R (..., n_t, n_t) broadcasts against an index array
     n, giving their common shape; one R and one n give a float."""
-    # each subcarrier's streams contiguous, so every entry has a lone call's bits
-    q = np.ascontiguousarray(np.moveaxis(_streams(precoders, n), 0, -2))
+    q = precoders.q[n]    # each subcarrier's streams contiguous: a lone call's bits
     R = np.asarray(R, dtype=np.complex128)
     out = np.real(np.einsum("...sa,...ab,...sb->...", q.conj(), R, q))
     return float(out) if out.ndim == 0 else out
@@ -129,8 +127,7 @@ def stream_mses(samples: np.ndarray, precoders: PrecoderSet):
     hs = np.asarray(samples, dtype=np.complex128)
     own = np.arange(hs.shape[1])
     # y[k, n, s] = q_s^H h = conj(h^H q_s) for every stream s of subcarrier n
-    q = _streams(precoders, slice(None)).swapaxes(0, 1)        # (N, 1+K+L, n_t)
-    y = np.conj(q) @ hs.transpose(1, 2, 3, 0)                  # (K, N, 1+K+L, M)
+    y = np.conj(precoders.q) @ hs.transpose(1, 2, 3, 0)        # (K, N, 1+K+L, M)
     pw = y.real ** 2 + y.imag ** 2
     hp_c = np.conj(y[:, :, 0])
     hp_own = np.conj(y[own, :, 1 + own])

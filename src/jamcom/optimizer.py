@@ -51,8 +51,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .channel import AuStatistics, CsitModel, draw_csit_samples
-from .metrics import (_LN2, NOISE_VAR, PrecoderSet, RateReport, _streams,
-                      jamming_power_avg, rate_report, stream_mses)
+from .metrics import (_LN2, NOISE_VAR, PrecoderSet, RateReport, jamming_power_avg,
+                      rate_report, stream_mses)
 from . import solver as cvx
 
 __all__ = [
@@ -253,8 +253,9 @@ def _revec(v: np.ndarray) -> np.ndarray:
 class VariableLayout:
     """Index map from precoders and split variables to the real solver vector.
 
-    streams[n, s] marks the streams on subcarrier n: s = 0 common (RSMA
-    only), 1..K private, K+1..K+L jamming (pilots only).  Each occupies 2n_t
+    streams[n, s] marks the streams on subcarrier n, rows s of
+    ``PrecoderSet.q[n]``: the common one (RSMA only), the private ones and the
+    jamming ones (pilots only).  Each occupies 2n_t
     columns slots[n, s] = [Re q; Im q] (-1 where absent), numbered stream by
     stream, each stream subcarrier by subcarrier; then comes the split X (N,),
     one total per subcarrier, RSMA only.  blocks[n] gathers subcarrier n's
@@ -292,8 +293,7 @@ class VariableLayout:
     def pack(self, precoders: PrecoderSet, X: Optional[np.ndarray]) -> np.ndarray:
         """Solver vector of the precoders and the (N,) split; SDMA ignores X."""
         z = np.empty(self.n_vars)
-        q = _revec(np.moveaxis(_streams(precoders, slice(None)), 0, 1))
-        z[self.slots[self.streams]] = q[self.streams]
+        z[self.slots[self.streams]] = _revec(precoders.q[self.streams])
         if self.rsma:
             if np.shape(X) != (self.N,):
                 raise ValueError(f"split has shape {np.shape(X)}, expected ({self.N},)")
@@ -302,12 +302,12 @@ class VariableLayout:
 
     def unpack(self, z: np.ndarray) -> Tuple[PrecoderSet, np.ndarray]:
         """Precoders and (N,) split of z; absent streams and SDMA's split are zero."""
-        nt, K = self.n_t, self.K
-        q = np.zeros((1 + K + self.L, self.N, nt), dtype=np.complex128)
+        nt = self.n_t
+        q = np.zeros((self.N, 1 + self.K + self.L, nt), dtype=np.complex128)
         zs = z[self.slots[self.streams]]
-        q.swapaxes(0, 1)[self.streams] = zs[:, :nt] + 1j * zs[:, nt:]
+        q[self.streams] = zs[:, :nt] + 1j * zs[:, nt:]
         X = z[self.x_cols] if self.rsma else np.zeros(self.N)
-        return PrecoderSet(p_c=q[0], p=q[1:1 + K], f=q[1 + K:]), X
+        return PrecoderSet.stacked(q, self.K), X
 
 
 def linearize_jamming(layout: VariableLayout, precoders_t: PrecoderSet,
@@ -319,7 +319,7 @@ def linearize_jamming(layout: VariableLayout, precoders_t: PrecoderSet,
     exact at the expansion point and never above the true quadratic."""
     n = np.asarray(n)
     F, on = n.size, layout.streams[n]
-    q = np.moveaxis(_streams(precoders_t, n), 0, 1)[on].reshape(F, -1, layout.n_t)
+    q = precoders_t.q[n][on].reshape(F, -1, layout.n_t)
     Rq = q @ np.swapaxes(R, -1, -2)            # row s: R q_s
     # a (1, m) @ (m, 1) product keeps np.vdot's bits, a sum or einsum does not
     const = -np.real(np.conj(q).reshape(F, 1, -1) @ Rq.reshape(F, -1, 1)).reshape(F)
@@ -386,8 +386,8 @@ def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> Pre
     rsma = config.scheme == "RSMA"
     floors = _Floors(stats, config.thresholds, config.P_t)
     power = floors.value / stats.tau[floors.adv, floors.sub]
-    f = np.zeros((stats.L, N, n_t), dtype=np.complex128)
-    f[floors.adv, floors.sub] = np.sqrt(power)[:, None] * _phase_fix(
+    q = np.zeros((N, 1 + K + stats.L, n_t), dtype=np.complex128)
+    q[floors.sub, 1 + K + floors.adv] = np.sqrt(power)[:, None] * _phase_fix(
         np.linalg.eigh(floors.R)[1][..., -1])
     # summed in floor order: np.sum's pairwise order moves the last bits
     jam_power = float(np.cumsum(np.append(0.0, power))[-1])
@@ -396,20 +396,18 @@ def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> Pre
             f"jamming floors need power {jam_power:.6g} > budget {config.P_t:.6g}")
 
     rem = max(config.P_t - jam_power, 0.0)
-    p_c = np.zeros((N, n_t), dtype=np.complex128)
-    p = np.zeros((K, N, n_t), dtype=np.complex128)
     p_common = rem / 2.0 if rsma else 0.0
     p_private = rem - p_common
     for n in range(N):
         if rsma and p_common > 0.0:
             u_mat, *_ = np.linalg.svd(csit.h_hat[:, n, :].T, full_matrices=False)
-            p_c[n] = np.sqrt(p_common / N) * _phase_fix(u_mat[:, 0])
+            q[n, 0] = np.sqrt(p_common / N) * _phase_fix(u_mat[:, 0])
         for k in range(K):
             hk = csit.h_hat[k, n]
             nrm = np.linalg.norm(hk)
             direction = hk / nrm if nrm > 0.0 else np.eye(n_t)[0]
-            p[k, n] = np.sqrt(p_private / (K * N)) * direction
-    return PrecoderSet(p_c=p_c, p=p, f=f)
+            q[n, 1 + k] = np.sqrt(p_private / (K * N)) * direction
+    return PrecoderSet.stacked(q, K)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +525,11 @@ def _project_floor_free(precoders: PrecoderSet, P_t: float,
     excess = precoders.total_power() - P_t
     if excess <= 0.0:
         return precoders
-    free_power = float(np.sum(np.abs(_streams(precoders, slice(None))[:, free]) ** 2))
+    free_power = float(np.sum(np.abs(precoders.q[free]) ** 2))
     if free_power <= excess:
         return None
-    s = np.where(free, np.sqrt((free_power - excess) / free_power), 1.0)[:, None]
-    return PrecoderSet(p_c=s * precoders.p_c, p=s * precoders.p, f=s * precoders.f)
+    s = np.where(free, np.sqrt((free_power - excess) / free_power), 1.0)[:, None, None]
+    return PrecoderSet.stacked(s * precoders.q, precoders.K)
 
 
 def _wsr_nats(state: WmmseState, X: np.ndarray) -> float:
@@ -596,8 +594,7 @@ def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
     replaces cur only if its sampled WSR beats wsr.  Returns the running point
     (precoders, split, state, wsr), the counter name of the outcome and
     whether the rate of the second candidate was tested."""
-    raw = PrecoderSet(*(c + beta * (c - p) for c, p in (
-        (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f))))
+    raw = PrecoderSet.stacked(cur.q + beta * (cur.q - prev.q), cur.K)
     y = _project_power(raw, config.P_t)
     free_projected = False
     if floors.missed(y, config.P_t):

@@ -60,7 +60,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [("M", 0), ("M", 2.5), ("max_outer", 0),
                                              ("eps_r", -1.0), ("eps_r", float("nan")),
-                                             ("seed", -1)])
+                                             ("seed", -1), ("alpha", -0.5),
+                                             ("alpha", float("nan")), ("alpha", float("inf")),
+                                             ("base_rho", float("nan"))])
     def test_bad_run_settings_rejected(self, field, value):
         with pytest.raises(ValueError):
             tiny_config(**{field: value})
@@ -221,7 +223,10 @@ class TestCli:
                             "au_spread": -1.0}}, "delta"),
         ({"snr_db_list": [float("nan")]}, "P_t"),
         ({"snr_db_list": [4000.0]}, "P_t"),
-        ({"eps_r": float("nan")}, "eps_r")])
+        ({"eps_r": float("nan")}, "eps_r"),
+        ({"alpha": -0.5}, "alpha"),
+        ({"alpha": float("nan")}, "alpha"),
+        ({"base_rho": float("nan")}, "base_rho")])
     def test_bad_cell_inputs_exit_one_before_any_cell(self, tmp_path, capsys, overrides,
                                                       message):
         # each of these once ended in a traceback from inside the first cell

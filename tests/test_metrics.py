@@ -62,6 +62,56 @@ SCALAR_H = np.array([[1.0, 0, 0, 0]], dtype=complex)
 SCALAR_P = np.array([[np.sqrt(3.0), 0, 0, 0]], dtype=complex)
 
 
+def _parts(N=4, n_t=3, K=2, L=1, **shapes):
+    """Zero p_c, p and f of the given sizes, any of them replaced by a zero
+    array of the shape given for it."""
+    shapes = {"p_c": (N, n_t), "p": (K, N, n_t), "f": (L, N, n_t), **shapes}
+    return {name: np.zeros(shape, dtype=complex) for name, shape in shapes.items()}
+
+
+class TestPrecoderSet:
+    """One array q (N, 1+K+L, n_t): per subcarrier the common stream, the
+    private streams, then the jamming streams."""
+
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("L", [0, 2])
+    def test_parts_come_back_bitwise_in_stream_order(self, rng, K, L):
+        N, n_t = 5, 3
+        p_c, p, f = cn(rng, N, n_t), cn(rng, K, N, n_t), cn(rng, L, N, n_t)
+        pre = PrecoderSet(p_c=p_c, p=p, f=f)
+        assert pre.q.shape == (N, 1 + K + L, n_t) and pre.K == K
+        for got, want in ((pre.p_c, p_c), (pre.p, p), (pre.f, f)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for n in range(N):
+            rows = [p_c[n]] + [p[k, n] for k in range(K)] + [f[l, n] for l in range(L)]
+            assert pre.q[n].tobytes() == np.array(rows).tobytes()
+
+    def test_stacked_wraps_without_copying(self, rng):
+        q = cn(rng, 4, 1 + 2 + 1, 3)
+        pre = PrecoderSet.stacked(q, 2)
+        assert pre.q is q
+        assert np.array_equal(pre.p_c, q[:, 0])
+        assert np.array_equal(pre.p[1], q[:, 2]) and np.array_equal(pre.f[0], q[:, 3])
+        pre.f[0, 1] = 0.0   # the parts are views: a write lands in q
+        assert not np.any(q[1, 3])
+
+    @pytest.mark.parametrize("shapes", [
+        {"p_c": (3,)}, {"p": (4, 3)}, {"f": (4, 3)},
+        {"p": (2, 5, 3)}, {"p": (2, 4, 2)}, {"f": (1, 5, 3)}, {"f": (1, 4, 2)}],
+        ids=["p_c-ndim", "p-ndim", "f-ndim", "p-N", "p-n_t", "f-N", "f-n_t"])
+    def test_malformed_parts_rejected(self, shapes):
+        with pytest.raises(ValueError):
+            PrecoderSet(**_parts(**shapes))
+
+    @pytest.mark.parametrize("q,K", [
+        (np.zeros((4, 3), dtype=complex), 1), (np.zeros((4, 3, 2)), 1),
+        (np.zeros((4, 3, 2), dtype=complex), 3), (np.zeros((4, 3, 2), dtype=complex), -1)],
+        ids=["ndim", "real", "K-too-large", "K-negative"])
+    def test_malformed_stack_rejected(self, q, K):
+        with pytest.raises(ValueError):
+            PrecoderSet.stacked(q, K)
+
+
 class TestInterferenceTerms:
     """The stage totals of stream_mses: T_p sums every private stream, the
     jamming and the noise; T_c adds the common stream."""
