@@ -62,10 +62,10 @@ SCALAR_H = np.array([[1.0, 0, 0, 0]], dtype=complex)
 SCALAR_P = np.array([[np.sqrt(3.0), 0, 0, 0]], dtype=complex)
 
 
-def _parts(N=4, n_t=3, K=2, L=1, **shapes):
-    """Zero p_c, p and f of the given sizes, any of them replaced by a zero
-    array of the shape given for it."""
-    shapes = {"p_c": (N, n_t), "p": (K, N, n_t), "f": (L, N, n_t), **shapes}
+def _parts(**shapes):
+    """Zero p_c, p and f for N = 4, n_t = 3, K = 2 and L = 1, any of them
+    given another shape here."""
+    shapes = {"p_c": (4, 3), "p": (2, 4, 3), "f": (1, 4, 3), **shapes}
     return {name: np.zeros(shape, dtype=complex) for name, shape in shapes.items()}
 
 
