@@ -134,8 +134,8 @@ class CsitModel:
             raise ValueError("h_hat must have shape (K, N, n_t)")
         if not 0.0 <= self.sigma_ie2 <= 1.0:
             raise ValueError("sigma_ie2 must lie in [0, 1]")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
 
     @property
     def K(self) -> int:
@@ -281,11 +281,15 @@ def csit_error_variance(P_t: float, N: int, alpha: float) -> float:
     """Estimation error variance (P_t / N) ** (-alpha), clamped to [0, 1].
 
     Clamping only takes effect when P_t < N (per-subcarrier power below one).
+    A NaN P_t or a non-finite alpha raises: the clamp would map it to 0.0,
+    perfect CSIT.
     """
-    if P_t <= 0.0:
-        raise ValueError("P_t must be positive")
+    if not P_t > 0.0:
+        raise ValueError(f"P_t must be positive, got {P_t!r}")
     if N < 1:
         raise ValueError("N must be >= 1")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     return float(min(1.0, max(0.0, (P_t / N) ** (-alpha))))
 
 

@@ -30,11 +30,18 @@ fraction of a full pass (Homem-de-Mello, "Variable-sample methods for
 stochastic optimization", ACM TOMACS 2003).  Below 4,096 draws there is one
 stage.
 
-The focused-power floors of a run are one ``_Floors`` object, built once from
-the statistics, thresholds and budget: the active (adversary, pilot) pairs as
+The focused-power floors are one ``_Floors`` object, built once per
+``optimize`` call from the statistics, thresholds and budget, and shared by an
+RSMA run and its SDMA restriction: the active (adversary, pilot) pairs as
 arrays, the floor-free subcarriers, the check tolerance, the subproblems'
 margin and each block group's floor rows.  Every consumer evaluates or
 linearizes all floors in one batched call.
+
+An RSMA run not handed its SDMA restriction solves it from its own endpoint
+(a reverse continuation from RSMA to SDMA): the common stream is turned off
+and its power moved onto each subcarrier's private streams, so every
+subcarrier keeps its power.  Only if that point misses a true floor does the
+restriction start from ``initialize``.
 
 Internal bookkeeping uses natural logarithms, for which the weight u = 1/mse
 is the exact stationary point of u*mse - ln(u) and the optimized surrogate
@@ -206,9 +213,12 @@ def _wmmse_state(samples: np.ndarray, precoders: PrecoderSet) -> WmmseState:
 
 
 def threshold_strategy(strategy: int, pilot_count: int, N: int, base_rho: float = 0.9) -> float:
-    """Threshold strictness: proportional to the pilot count (1) or constant (2)."""
+    """Threshold strictness: proportional to the pilot count (1) or constant (2),
+    clamped to [0, 1]; a non-finite base_rho raises."""
     if pilot_count > N:
         raise ValueError("pilot_count cannot exceed N")
+    if not np.isfinite(base_rho):
+        raise ValueError(f"base_rho must be finite, got {base_rho!r}")
     if strategy == 1:
         rho = base_rho * pilot_count / (N / 2.0)
     elif strategy == 2:
@@ -382,9 +392,14 @@ def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> Pre
     remaining power drives the common stream along the dominant left singular
     vector of the stacked channel estimates, half spreads equally over
     matched-filter private precoders."""
+    return _initialize(csit, stats, config, _Floors(stats, config.thresholds, config.P_t))
+
+
+def _initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
+                floors: _Floors) -> PrecoderSet:
+    """``initialize`` with the run's floors already built."""
     K, N, n_t = csit.K, csit.N, csit.n_t
     rsma = config.scheme == "RSMA"
-    floors = _Floors(stats, config.thresholds, config.P_t)
     power = floors.value / stats.tau[floors.adv, floors.sub]
     q = np.zeros((N, 1 + K + stats.L, n_t), dtype=np.complex128)
     q[floors.sub, 1 + K + floors.adv] = np.sqrt(power)[:, None] * _phase_fix(
@@ -407,6 +422,22 @@ def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> Pre
             nrm = np.linalg.norm(hk)
             direction = hk / nrm if nrm > 0.0 else np.eye(n_t)[0]
             q[n, 1 + k] = np.sqrt(p_private / (K * N)) * direction
+    return PrecoderSet.stacked(q, K)
+
+
+def _private_start(endpoint: PrecoderSet) -> PrecoderSet:
+    """The common-stream-off point made from an RSMA endpoint: its common row
+    zeroed and each subcarrier's private rows scaled so that the subcarrier
+    keeps its power; the jamming rows are untouched.  A subcarrier without
+    private power keeps zero private rows and so loses its common power."""
+    K = endpoint.K
+    q = endpoint.q.copy()
+    power = np.abs(q[:, :1 + K]) ** 2
+    private = np.sum(power[:, 1:], axis=(1, 2))
+    scale = np.divide(np.sum(power[:, 0], axis=-1) + private, private,
+                      out=np.ones_like(private), where=private > 0.0)
+    q[:, 1:1 + K] *= np.sqrt(scale)[:, None, None]
+    q[:, 0] = 0.0
     return PrecoderSet.stacked(q, K)
 
 
@@ -725,14 +756,17 @@ def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
 
 
 def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
-                     trace_sink: Optional[Callable[[dict], None]]) -> OptimizeResult:
+                     trace_sink: Optional[Callable[[dict], None]], floors: _Floors,
+                     start: Optional[PrecoderSet] = None) -> OptimizeResult:
+    """One run of ``config.scheme`` from ``start``, or from ``initialize``
+    without one; the split starts at zero either way."""
     samples = _subcarrier_major(draw_csit_samples(csit, config.M, config.seed))
-    prec = initialize(csit, stats, config)
+    prec = _initialize(csit, stats, config, floors) if start is None else start
     X = np.zeros(csit.N)
     run = _Run(
         layout=VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
                               config.scheme == "RSMA"),
-        config=config, floors=_Floors(stats, config.thresholds, config.P_t),
+        config=config, floors=floors,
         counts=dict.fromkeys(_COUNTERS, 0), solver_flags=[], trace_sink=trace_sink)
 
     # Sample-size continuation: the early stages ascend on a prefix of the
@@ -813,23 +847,40 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     richer scheme with a zero split) and returns whichever endpoint achieves
     the higher sum rate, so enabling the common stream can never hurt.  A
     caller that already solved the restriction can pass it as ``restricted``.
+    Otherwise the restriction starts from the RSMA endpoint with the common
+    row zeroed and each subcarrier's private rows scaled so that the
+    subcarrier keeps its power, the jamming rows untouched; if that point
+    misses a true focused-power floor, it starts from ``initialize`` as a
+    lone SDMA run does.  ``restriction_start`` in the diagnostics records
+    which start was used, ``"endpoint"`` or ``"initialize"``; it is absent
+    when ``restricted`` was passed.  From the endpoint the restriction
+    polishes the RSMA point, so it is returned more often than from
+    ``initialize``; the returned sum rate is still the higher of the two,
+    and ``restricted_sum_rate`` or ``unrestricted_sum_rate`` gives the other.
 
     Raises InfeasibleError when no feasible starting point exists and
     OptimizerError when a subproblem solve fails beyond repair; hitting the
     iteration caps returns the best iterate with ``converged=False``.
     """
+    floors = _Floors(stats, config.thresholds, config.P_t)
+    full = _optimize_single(csit, stats, config, trace_sink, floors)
     if config.scheme != "RSMA":
-        return _optimize_single(csit, stats, config, trace_sink)
-    full = _optimize_single(csit, stats, config, trace_sink)
+        return full
+    ran = {}
     if restricted is None:
-        restricted = _optimize_single(csit, stats, sdma_restrict(config), None)
+        # the restriction flips only the scheme, so the floors carry over
+        start = _private_start(full.precoders)
+        if floors.missed(start, config.P_t):
+            start = None
+        restricted = _optimize_single(csit, stats, sdma_restrict(config), None, floors, start)
+        ran["restriction_start"] = "initialize" if start is None else "endpoint"
     if restricted.report.R_sum <= full.report.R_sum:
-        full.report.diagnostics["restricted_sum_rate"] = restricted.report.R_sum
+        full.report.diagnostics.update(restricted_sum_rate=restricted.report.R_sum, **ran)
         return full
     report = dataclasses.replace(
         restricted.report,
         diagnostics=dict(restricted.report.diagnostics,
                          fallback_from="RSMA",
                          unrestricted_sum_rate=full.report.R_sum,
-                         scheme="RSMA"))
+                         scheme="RSMA", **ran))
     return dataclasses.replace(restricted, report=report)

@@ -51,3 +51,13 @@ def test_gate_passes_a_capped_desk_run_and_flags_a_power_excess(wl):
     assert wl.gate(inst.csit, inst.stats, config, res) == []
     loud = dataclasses.replace(res, precoders=res.precoders.scaled(2.0))
     assert any(p.startswith("power") for p in wl.gate(inst.csit, inst.stats, config, loud))
+
+
+def test_gate_passes_a_desk_run_that_returns_its_restriction(wl):
+    # desk instance 0's restriction, started from the RSMA endpoint, beats it,
+    # so the gate's SDMA reference is the returned rate itself
+    inst = wl.desk_instances(0)[0]
+    res = op.optimize(inst.csit, inst.stats, inst.config)
+    assert res.report.diagnostics["fallback_from"] == "RSMA"
+    assert wl.sdma_reference(res, None) == res.report.R_sum
+    assert wl.gate(inst.csit, inst.stats, inst.config, res) == []

@@ -124,6 +124,14 @@ class TestCsitErrorVariance:
         with pytest.raises(ValueError):
             csit_error_variance(0.0, 32, 0.6)
 
+    @pytest.mark.parametrize("P_t,alpha", [(np.nan, 0.6), (10.0, np.nan), (10.0, np.inf)],
+                             ids=["nan-power", "nan-alpha", "inf-alpha"])
+    def test_rejects_non_finite_input(self, P_t, alpha):
+        # each of these read 0.0, perfect CSIT, through the clamp
+        with pytest.raises(ValueError, match="P_t must be positive" if np.isnan(P_t)
+                           else "alpha must be finite"):
+            csit_error_variance(P_t, 8, alpha)
+
 
 class TestAuCovariance:
     def test_point_mass_is_all_ones(self):
@@ -207,6 +215,13 @@ class TestCsitSamples:
         cs = make_deterministic_scenario(THETA, BETA, 4, 8)
         with pytest.raises(ValueError):
             CsitModel(h_hat=cs.h, sigma_ie2=1.5)
+
+    @pytest.mark.parametrize("alpha", [-0.5, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_alpha(self, alpha):
+        # a NaN alpha passed the old alpha < 0 check
+        cs = make_deterministic_scenario(THETA, BETA, 4, 8)
+        with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+            CsitModel(h_hat=cs.h, sigma_ie2=0.3, alpha=alpha)
 
 
 class TestContainers:

@@ -226,6 +226,12 @@ class TestAugmentedMseQuadratic:
                 assert np.linalg.eigvalsh((Q + Q.T) / 2).min() >= -1e-10
 
 
+def single(csit, stats, config, trace_sink):
+    """One run of config.scheme alone, without the RSMA restriction."""
+    return _optimize_single(csit, stats, config, trace_sink,
+                            op._Floors(stats, config.thresholds, config.P_t))
+
+
 def first_subproblem(csit, stats, config):
     """The first subproblem a run of ``config`` solves, floors tightened as the
     run tightens them."""
@@ -314,6 +320,18 @@ def spy_steps(monkeypatch):
     return steps
 
 
+def spy_runs(monkeypatch):
+    """Record the config, start and result of every single-scheme run."""
+    runs, run = [], op._optimize_single
+
+    def spy(csit, stats, config, trace_sink, floors, start=None):
+        runs.append((config, start, run(csit, stats, config, trace_sink, floors, start)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(op, "_optimize_single", spy)
+    return runs
+
+
 class TestSampledPassAllocation:
     def test_state_and_assembly_peak_below_three_sample_arrays(self):
         # a stray transposed or conjugated copy of the samples costs a whole
@@ -343,7 +361,7 @@ class TestSampledPassAllocation:
         nbytes = draw_csit_samples(csit, config.M, 0).nbytes
         tracemalloc.start()
         try:
-            _optimize_single(csit, stats, config, None)
+            single(csit, stats, config, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,7 +389,7 @@ class TestSampleStages:
                             lambda layout, samples, *a: seen.append(samples.copy())
                             or assemble(layout, samples, *a))
         traced = []
-        res = _optimize_single(csit, stats, config, traced.append)
+        res = single(csit, stats, config, traced.append)
         assert len(draws) == 1
         full = draw(csit, config.M, config.seed)
         stages = res.report.diagnostics["sample_stages"]
@@ -396,7 +414,7 @@ class TestSampleStages:
         nbytes = draw_csit_samples(csit, config.M, 0).nbytes
         tracemalloc.start()
         try:
-            res = _optimize_single(csit, stats, config, None)
+            res = single(csit, stats, config, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -406,7 +424,7 @@ class TestSampleStages:
     @pytest.mark.parametrize("max_outer", [1, 2, 3, 200])
     def test_stage_iterations_sum_to_outer(self, max_outer):
         csit, stats, config = saa_shape_setup()
-        res = _optimize_single(csit, stats, dataclasses.replace(
+        res = single(csit, stats, dataclasses.replace(
             config, scheme="SDMA", max_outer=max_outer), None)
         stages = res.report.diagnostics["sample_stages"]
         assert sum(n for _, n in stages) == res.outer_iterations <= max_outer
@@ -415,7 +433,7 @@ class TestSampleStages:
 
     def test_single_stage_below_4096_draws(self):
         csit, stats, config = desk_instance_0("SDMA")
-        res = _optimize_single(csit, stats, config, None)
+        res = single(csit, stats, config, None)
         assert res.report.diagnostics["sample_stages"] == [[config.M, res.outer_iterations]]
 
     @pytest.mark.parametrize("scheme", ["SDMA", "RSMA"])
@@ -538,6 +556,13 @@ class TestThresholds:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             threshold_strategy(3, 4, 32)
+
+    @pytest.mark.parametrize("strategy", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_base_rho_rejected(self, strategy, bad):
+        # the clamp read NaN as rho 0.0 (no floors) and inf as 1.0
+        with pytest.raises(ValueError, match="base_rho must be finite"):
+            threshold_strategy(strategy, 2, 8, base_rho=bad)
 
     @pytest.mark.parametrize("field,bad", [("P_t", np.nan), ("P_t", np.inf),
                                            ("eps_r", np.nan), ("eps_r", np.inf)])
@@ -698,6 +723,45 @@ class TestOptimize:
             P_t=10.0, scheme="RSMA", M=4, seed=2, thresholds=thr,
             eps_r=1e-3), restricted=sdma)
         assert rsma.report.R_sum >= sdma.report.R_sum - 1e-6
+        assert "restriction_start" not in rsma.report.diagnostics   # no restriction ran
+
+    def test_restriction_starts_from_the_endpoint(self, monkeypatch):
+        # without restricted, the restriction starts where the RSMA run ended,
+        # its common power moved onto the private streams of each subcarrier
+        csit, stats, cfg = desk_instance_0("RSMA")
+        runs = spy_runs(monkeypatch)
+        res = optimize(csit, stats, cfg, restricted=None)
+        (rsma_cfg, rsma_start, rsma), (sdma_cfg, start, _) = runs
+        assert rsma_cfg == cfg and rsma_start is None and sdma_cfg == sdma_restrict(cfg)
+        end = rsma.precoders
+        assert np.all(start.p_c == 0.0) and np.array_equal(start.f, end.f)
+        np.testing.assert_allclose([start.subcarrier_power(n) for n in range(csit.N)],
+                                   [end.subcarrier_power(n) for n in range(csit.N)],
+                                   rtol=1e-12)
+        assert not op._Floors(stats, cfg.thresholds, cfg.P_t).missed(start, cfg.P_t)
+        assert res.report.diagnostics["restriction_start"] == "endpoint"
+
+    def test_endpoint_restriction_takes_fewer_outer_iterations(self, monkeypatch):
+        csit, stats, cfg = desk_instance_0("RSMA")
+        cold = optimize(*desk_instance_0("SDMA"))     # the restriction from initialize
+        runs = spy_runs(monkeypatch)
+        optimize(csit, stats, cfg, restricted=None)
+        (_, _, rsma), (_, _, sdma) = runs
+        assert sdma.outer_iterations < min(rsma.outer_iterations, cold.outer_iterations)
+
+    def test_restriction_starts_from_initialize_when_a_floor_is_missed(self, monkeypatch):
+        # a non-isotropic adversary: the moved power lowers a focused power
+        # below its floor, so the restriction starts as a lone SDMA run does
+        csit, stats, cfg = random_instance(3, 1, 1, 2, [1], 0.3, 4, 10.0, 0.8, 2)
+        cfg = dataclasses.replace(cfg, scheme="RSMA")
+        runs = spy_runs(monkeypatch)
+        res = optimize(csit, stats, cfg)
+        (_, _, rsma), (_, start, sdma) = runs
+        floors = op._Floors(stats, cfg.thresholds, cfg.P_t)
+        assert floors.missed(op._private_start(rsma.precoders), cfg.P_t)
+        assert start is None
+        assert res.report.diagnostics["restriction_start"] == "initialize"
+        assert res.report.R_sum == max(rsma.report.R_sum, sdma.report.R_sum)
 
     def test_jamming_exists_only_on_pilots(self):
         chan, csit, stats = paper_setup(sigma2=0.3, pilots=2)
@@ -781,7 +845,7 @@ class TestOptimize:
         thr = build_thresholds(stats, threshold_strategy(1, 1, 8), P_t)
         for scheme in ("SDMA", "RSMA"):
             traced = []
-            res = _optimize_single(csit, stats, SolveConfig(
+            res = single(csit, stats, SolveConfig(
                 P_t=P_t, scheme=scheme, M=4, seed=100, thresholds=thr), traced.append)
             d = res.report.diagnostics
             wsr = d["wsr_trace_nats"]
@@ -799,7 +863,7 @@ class TestOptimize:
     def test_rsma_step_takes_full_capacity_split(self, monkeypatch):
         csit, stats, cfg = desk_instance_0("RSMA")
         steps = spy_steps(monkeypatch)
-        res = _optimize_single(csit, stats, cfg, None)
+        res = single(csit, stats, cfg, None)
         accepted = [s for s in steps if s[4] == "extrapolation_accepted"]
         assert len(accepted) == res.report.diagnostics["counts"]["extrapolation_accepted"] >= 1
         for _, X, state, wsr, _, _ in accepted:
@@ -811,7 +875,7 @@ class TestOptimize:
     def test_floor_free_candidate_taken_on_floored_run(self, monkeypatch, scheme):
         csit, stats, cfg = desk_instance_0(scheme)
         steps = spy_steps(monkeypatch)
-        res = _optimize_single(csit, stats, cfg, None)
+        res = single(csit, stats, cfg, None)
         used = [s for s in steps if s[5]]
         assert len(used) == res.report.diagnostics["counts"]["extrapolation_free_projected"]
         kept = [y for y, _, _, _, outcome, _ in used if outcome == "extrapolation_accepted"]
@@ -847,9 +911,9 @@ class TestOptimize:
                 return cur, X, state, wsr, "extrapolation_rate_rejected", False
             return y, X_y, state_y, wsr_y, "extrapolation_accepted", False
 
-        res = _optimize_single(csit, stats, config, None)
+        res = single(csit, stats, config, None)
         monkeypatch.setattr(op, "_extrapolate", uniform_step)
-        ref = _optimize_single(csit, stats, config, None)
+        ref = single(csit, stats, config, None)
         assert res.report.diagnostics["counts"]["extrapolation_accepted"] >= 1
         for f in ("p_c", "p", "f"):
             assert getattr(res.precoders, f).tobytes() == getattr(ref.precoders, f).tobytes()
