@@ -37,11 +37,9 @@ arrays, the floor-free subcarriers, the check tolerance, the subproblems'
 margin and each block group's floor rows.  Every consumer evaluates or
 linearizes all floors in one batched call.
 
-An RSMA run not handed its SDMA restriction solves it from its own endpoint
-(a reverse continuation from RSMA to SDMA): the common stream is turned off
-and its power moved onto each subcarrier's private streams, so every
-subcarrier keeps its power.  Only if that point misses a true floor does the
-restriction start from ``initialize``.
+An RSMA run not handed its SDMA restriction starts it from its own endpoint,
+the common stream's power moved onto each subcarrier's private streams
+(a reverse continuation), or from ``initialize`` if that misses a floor.
 
 Internal bookkeeping uses natural logarithms, for which the weight u = 1/mse
 is the exact stationary point of u*mse - ln(u) and the optimized surrogate
@@ -848,15 +846,10 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     the higher sum rate, so enabling the common stream can never hurt.  A
     caller that already solved the restriction can pass it as ``restricted``.
     Otherwise the restriction starts from the RSMA endpoint with the common
-    row zeroed and each subcarrier's private rows scaled so that the
-    subcarrier keeps its power, the jamming rows untouched; if that point
-    misses a true focused-power floor, it starts from ``initialize`` as a
-    lone SDMA run does.  ``restriction_start`` in the diagnostics records
-    which start was used, ``"endpoint"`` or ``"initialize"``; it is absent
-    when ``restricted`` was passed.  From the endpoint the restriction
-    polishes the RSMA point, so it is returned more often than from
-    ``initialize``; the returned sum rate is still the higher of the two,
-    and ``restricted_sum_rate`` or ``unrestricted_sum_rate`` gives the other.
+    stream's power moved onto each subcarrier's private streams, or from
+    ``initialize`` if that point misses a true floor; ``restriction_start``
+    records which (``"endpoint"`` or ``"initialize"``).  From the endpoint
+    the restriction polishes the RSMA point, so it is returned more often.
 
     Raises InfeasibleError when no feasible starting point exists and
     OptimizerError when a subproblem solve fails beyond repair; hitting the
@@ -866,21 +859,21 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     full = _optimize_single(csit, stats, config, trace_sink, floors)
     if config.scheme != "RSMA":
         return full
-    ran = {}
+    extra = {}
     if restricted is None:
         # the restriction flips only the scheme, so the floors carry over
         start = _private_start(full.precoders)
         if floors.missed(start, config.P_t):
             start = None
         restricted = _optimize_single(csit, stats, sdma_restrict(config), None, floors, start)
-        ran["restriction_start"] = "initialize" if start is None else "endpoint"
+        extra["restriction_start"] = "initialize" if start is None else "endpoint"
     if restricted.report.R_sum <= full.report.R_sum:
-        full.report.diagnostics.update(restricted_sum_rate=restricted.report.R_sum, **ran)
+        full.report.diagnostics.update(restricted_sum_rate=restricted.report.R_sum, **extra)
         return full
     report = dataclasses.replace(
         restricted.report,
         diagnostics=dict(restricted.report.diagnostics,
                          fallback_from="RSMA",
                          unrestricted_sum_rate=full.report.R_sum,
-                         scheme="RSMA", **ran))
+                         scheme="RSMA", **extra))
     return dataclasses.replace(restricted, report=report)
