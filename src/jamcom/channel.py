@@ -346,11 +346,17 @@ def evenly_spaced_pilots(count: int, N: int) -> tuple:
 def draw_csit_samples(csit: CsitModel, M: int, seed: int) -> np.ndarray:
     """Sampled channel realizations consistent with the CSI error model.
 
-    Returns shape (M, K, N, n_t).  With sigma_ie2 = 0 every sample equals the
-    estimate exactly; samples are deterministic per seed.
+    Returns shape (M, K, N, n_t), stored subcarrier-major: a view of an array
+    contiguous as (K, N, n_t, M), so a prefix samples[:m] is a view too and
+    every sampled pass is a batched matmul over the samples' (K, N, n_t, M)
+    transpose.  With sigma_ie2 = 0 every sample equals the estimate exactly;
+    samples are deterministic per seed.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    sig = np.sqrt(csit.sigma_ie2)
-    tilde = complex_gaussian(rng_stream(seed, 2), (M,) + csit.h_hat.shape)
-    return np.sqrt(1.0 - csit.sigma_ie2) * csit.h_hat[None] + sig * tilde
+    K, N, n_t = csit.h_hat.shape
+    tilde = complex_gaussian(rng_stream(seed, 2), (M, K, N, n_t))
+    out = np.empty((K, N, n_t, M), dtype=np.complex128).transpose(3, 0, 1, 2)
+    np.multiply(np.sqrt(csit.sigma_ie2), tilde, out=out)
+    out += np.sqrt(1.0 - csit.sigma_ie2) * csit.h_hat
+    return out

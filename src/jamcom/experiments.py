@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -111,12 +110,12 @@ class ExperimentConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = sorted(set(doc) - known)
+        fields = dataclasses.fields(ExperimentConfig)
+        unknown = sorted(set(doc) - {f.name for f in fields})
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        missing = sorted(k for k in ("n_t", "K", "L", "N", "pilot_sets", "snr_db_list",
-                                     "scheme_list", "channel_model") if k not in doc)
+        missing = sorted(f.name for f in fields
+                         if f.default is dataclasses.MISSING and f.name not in doc)
         if missing:
             raise ValueError(f"missing config keys: {missing}")
         return ExperimentConfig(**doc)
@@ -294,6 +293,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     chan = _build_channels(config)
     jobs = [(config, chan, pair, timing, with_trace) for pair in _pairs(config)]
     if workers > 1:
+        # imported here: a serial sweep, and ``import jamcom``, never pay for it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_run_pair, jobs))
     else:

@@ -120,9 +120,9 @@ def stream_mses(samples: np.ndarray, precoders: PrecoderSet):
     total received powers (signal + interference + noise) at the two SIC
     stages, all shaped (M, K, N).  The inner products of every stream come
     from one batched matmul over the (K, N, n_t, M) transpose of samples, so
-    a subcarrier-major array (contiguous in that order, as the optimizer lays
-    out its samples) is fastest; the outputs are (M, K, N) views of
-    (K, N, M) arrays.
+    a subcarrier-major array (contiguous in that order, as
+    ``draw_csit_samples`` stores it) is fastest; the outputs are (M, K, N)
+    views of (K, N, M) arrays.
     """
     hs = np.asarray(samples, dtype=np.complex128)
     own = np.arange(hs.shape[1])

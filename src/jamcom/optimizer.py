@@ -19,11 +19,11 @@ common rate its weakest user decodes, so common-stream power it adds counts.
 A kept step lengthens beta and a refused one shortens it.  The surrogate is
 tight at the running point either way, so the ascent stays monotone.
 Channel uncertainty enters through sample averaging over draws from the CSI
-error model; each run lays its samples out once, subcarrier-major (contiguous
+error model, which ``draw_csit_samples`` stores subcarrier-major (contiguous
 as (K, N, n_t, M)), so an iteration's sampled work, the MMSE state and the
 surrogate's grams and linear terms, is a few batched matmuls.  Large sample
 sets are ascended in stages (sample-size continuation): the loop first runs on
-the first M/4^j of the one draw, for every j that leaves at least 1,024
+a view of the first M/4^j draws, for every j that leaves at least 1,024
 draws, each stage starting where the smaller one ended, and finishes with the
 unchanged full-M loop, so early iterations far from the optimum cost a
 fraction of a full pass (Homem-de-Mello, "Variable-sample methods for
@@ -33,9 +33,10 @@ stage.
 The focused-power floors are one ``_Floors`` object, built once per
 ``optimize`` call from the statistics, thresholds and budget, and shared by an
 RSMA run and its SDMA restriction: the active (adversary, pilot) pairs as
-arrays, the floor-free subcarriers, the check tolerance, the subproblems'
-margin and each block group's floor rows.  Every consumer evaluates or
-linearizes all floors in one batched call.
+arrays, the floor-free subcarriers, the check tolerance and the subproblems'
+margin (both scaled to the larger of the budget and the largest floor) and
+each block group's floor rows.  Every consumer evaluates or linearizes all
+floors in one batched call.
 
 An RSMA run not handed its SDMA restriction starts it from its own endpoint,
 the common stream's power moved onto each subcarrier's private streams
@@ -185,11 +186,6 @@ class OptimizeResult:
 # weight / filter updates
 
 
-def _subcarrier_major(samples: np.ndarray) -> np.ndarray:
-    """The same (M, K, N, n_t) samples, stored contiguously as (K, N, n_t, M)."""
-    return np.ascontiguousarray(samples.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
-
-
 def _wmmse_state(samples: np.ndarray, precoders: PrecoderSet) -> WmmseState:
     eps_c, eps_p, hp_c, hp_own, T_c, T_p = (
         a.transpose(1, 2, 0) for a in stream_mses(samples, precoders))
@@ -213,8 +209,8 @@ def _wmmse_state(samples: np.ndarray, precoders: PrecoderSet) -> WmmseState:
 def threshold_strategy(strategy: int, pilot_count: int, N: int, base_rho: float = 0.9) -> float:
     """Threshold strictness: proportional to the pilot count (1) or constant (2),
     clamped to [0, 1]; a non-finite base_rho raises."""
-    if pilot_count > N:
-        raise ValueError("pilot_count cannot exceed N")
+    if not 1 <= pilot_count <= N:
+        raise ValueError(f"pilot_count must lie in 1..N = {N}, got {pilot_count!r}")
     if not np.isfinite(base_rho):
         raise ValueError(f"base_rho must be finite, got {base_rho!r}")
     if strategy == 1:
@@ -348,10 +344,11 @@ class _Floors:
     """A run's active focused-power floors: each (adversary, pilot) pair with a
     positive threshold, adversary-major, as arrays adv, sub (subcarrier),
     value and R (F, n_t, n_t).  count (N,) is each subcarrier's number of
-    floors; free marks those with none.  tol is the shortfall allowed before
-    a floor counts as missed: None without thresholds, set even if all are 0
-    so the check still catches a budget excess.  margin raises every floor in
-    the subproblems, whose solves meet constraints to a tolerance scaling with
+    floors; free marks those with none.  No thresholds means all-zero ones.
+    Both tolerances scale with 1 + max(largest threshold, P_t), the size of
+    the powers checked: tol is the floor shortfall or budget excess allowed
+    before a point counts as missed, and margin raises every floor in the
+    subproblems, whose solves meet constraints to a tolerance scaling with
     their size.  rows[nf] (blocks, nf): the floors, adversary order, of the
     subcarriers with nf floors, subcarrier order; one block group's rows."""
 
@@ -360,11 +357,8 @@ class _Floors:
         thr = np.zeros(shape) if thresholds is None else np.asarray(thresholds, dtype=np.float64)
         if thr.shape != shape:
             raise ValueError("thresholds must have shape (L, |pilot_set|)")
-        self.tol, self.margin = None, 0.0
-        if thresholds is not None and thr.size > 0:
-            top = float(thr.max())
-            self.tol = 1e-9 * (1.0 + top)
-            self.margin = 10.0 * _SOLVER_TOL * (1.0 + max(top, P_t))
+        scale = 1.0 + max(float(thr.max(initial=0.0)), P_t)
+        self.tol, self.margin = 1e-9 * scale, 10.0 * _SOLVER_TOL * scale
         self.adv, j = np.nonzero(thr > 0.0)
         self.sub, self.value = stats.pilot_idx[j], thr[self.adv, j]
         self.R = stats.R[self.adv, self.sub]
@@ -381,7 +375,7 @@ class _Floors:
         return float(max(prec.total_power() - P_t, 0.0, *gaps))
 
     def missed(self, prec: PrecoderSet, P_t: float) -> bool:
-        return self.tol is not None and self.shortfall(prec, P_t) > self.tol
+        return self.shortfall(prec, P_t) > self.tol
 
 
 def initialize(csit: CsitModel, stats: AuStatistics, config: SolveConfig) -> PrecoderSet:
@@ -614,7 +608,7 @@ def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
     sampled WSR wsr) away from the previous solve ``prev``: y = cur + beta
     (cur - prev) on every precoder, scaled onto the power budget.  The first
     candidate scales y uniformly; if it misses a true floor by more than
-    ``floors.tol`` (if it has one), the second scales only the ``floors.free``
+    ``floors.tol``, the second scales only the ``floors.free``
     subcarriers, which carry no floor, as the raw y usually still meets the
     floors that the uniform scaling breaks (the focused power is convex).  The
     floors come first because they cost no sampled pass.  An RSMA candidate
@@ -758,7 +752,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                      start: Optional[PrecoderSet] = None) -> OptimizeResult:
     """One run of ``config.scheme`` from ``start``, or from ``initialize``
     without one; the split starts at zero either way."""
-    samples = _subcarrier_major(draw_csit_samples(csit, config.M, config.seed))
+    samples = draw_csit_samples(csit, config.M, config.seed)
     prec = _initialize(csit, stats, config, floors) if start is None else start
     X = np.zeros(csit.N)
     run = _Run(
@@ -782,9 +776,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         if stage is not None:
             prec, X = stage.prec, stage.X
             stage = None    # frees the last stage's state before this one's first pass
-        part = samples if draws == config.M else _subcarrier_major(samples[:draws])
-        stage = _ascend(run, part, prec, X, outer, cap)
-        del part            # a prefix copy is freed before the next stage
+        stage = _ascend(run, samples[:draws], prec, X, outer, cap)
         outer += stage.iterations
         ran.append([draws, stage.iterations])
     prec, X = stage.prec, stage.X

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from jamcom.channel import (
     au_covariance_uniform_phase,
     au_statistics_isotropic,
     au_statistics_uniform_phase,
+    complex_gaussian,
     csit_error_variance,
     draw_csit_samples,
     evenly_spaced_pilots,
     exponential_delay_profile,
     largest_eigenvalue,
     make_deterministic_scenario,
+    rng_stream,
     steering_channel,
     synth_selective_channel,
 )
@@ -210,6 +214,31 @@ class TestCsitSamples:
         err = samples - np.sqrt(1 - sigma2) * csit.h_hat[None]
         var = float(np.mean(np.abs(err) ** 2))
         assert abs(var - sigma2) < 0.1 * sigma2
+
+    def test_contiguous_along_the_sample_axis(self):
+        samples = draw_csit_samples(self._csit(0.3), 5, seed=3)
+        assert samples.shape == (5, 2, 8, 4)
+        assert samples.transpose(1, 2, 3, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.3, 1.0])
+    def test_same_bits_as_the_error_model_formula(self, sigma2):
+        csit = self._csit(sigma2)
+        tilde = complex_gaussian(rng_stream(9, 2), (6,) + csit.h_hat.shape)
+        want = np.sqrt(1.0 - sigma2) * csit.h_hat[None] + np.sqrt(sigma2) * tilde
+        assert draw_csit_samples(csit, 6, seed=9).tobytes() == want.tobytes()
+
+    def test_peak_memory_near_two_sample_arrays(self):
+        # the draw and the sample array; a separate sum or relaid copy adds one
+        rng = np.random.default_rng(3)
+        h_hat = rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4))
+        csit = CsitModel(h_hat=h_hat, sigma_ie2=0.3)
+        tracemalloc.start()
+        try:
+            samples = draw_csit_samples(csit, 4096, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * samples.nbytes
 
     def test_rejects_invalid_variance(self):
         cs = make_deterministic_scenario(THETA, BETA, 4, 8)

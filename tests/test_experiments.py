@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -43,7 +44,10 @@ class TestConfig:
             ExperimentConfig.from_json(json.dumps(doc))
 
     def test_missing_keys_rejected(self):
-        with pytest.raises(ValueError, match="missing config keys"):
+        # every field without a default is required
+        with pytest.raises(ValueError, match=re.escape(
+                "missing config keys: ['K', 'L', 'N', 'channel_model', 'pilot_sets', "
+                "'scheme_list', 'snr_db_list']")):
             ExperimentConfig.from_json(json.dumps({"n_t": 4}))
 
     def test_empty_scheme_list_rejected(self):

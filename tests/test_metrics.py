@@ -13,7 +13,6 @@ from jamcom.metrics import (
     rate_report,
     stream_mses,
 )
-from jamcom.optimizer import _subcarrier_major
 from oracles import (
     focused_power_terms,
     interference_sums,
@@ -41,10 +40,12 @@ def realized(g, pre, n):
 
 
 def same_values_three_layouts(rng, M, K, N, n_t):
-    """One set of samples as a C-contiguous array, the optimizer's
-    subcarrier-major view and a strided slice of a larger array."""
+    """One set of samples as a C-contiguous array, a subcarrier-major view
+    (contiguous as (K, N, n_t, M), as ``draw_csit_samples`` stores it) and a
+    strided slice of a larger array."""
     strided = cn(rng, 2 * M, K, N, n_t)[::2]
-    layouts = [np.ascontiguousarray(strided), _subcarrier_major(strided), strided]
+    major = np.ascontiguousarray(strided.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    layouts = [np.ascontiguousarray(strided), major, strided]
     assert layouts[1].transpose(1, 2, 3, 0).flags.c_contiguous
     assert not any(a.flags.c_contiguous for a in layouts[1:])
     return layouts

@@ -29,7 +29,6 @@ from jamcom.optimizer import (
     _assemble_subproblem,
     _optimize_single,
     _project_floor_free,
-    _subcarrier_major,
     _surrogate_coefficients,
     _wmmse_state,
     _wsr_nats,
@@ -185,13 +184,13 @@ class TestAugmentedMseQuadratic:
         assert np.count_nonzero(v_c) == 0 and np.count_nonzero(v_p) == 0
 
     def test_sample_averaged_terms_match_oracle(self, rng):
-        # M=64 samples, jamming precoders present, on the C-contiguous draw and
-        # on the subcarrier-major layout the optimizer uses
+        # M=64 samples, jamming precoders present, on the subcarrier-major draw
+        # the optimizer uses and on its C-contiguous copy
         K, N, n_t = 2, 3, 3
         cn = lambda *sh: rng.standard_normal(sh) + 1j * rng.standard_normal(sh)
         drawn = draw_csit_samples(CsitModel(h_hat=cn(K, N, n_t), sigma_ie2=0.3), 64, 7)
         pre = PrecoderSet(p_c=cn(N, n_t), p=cn(K, N, n_t), f=cn(1, N, n_t))
-        for samples in (drawn, _subcarrier_major(drawn)):
+        for samples in (drawn, np.ascontiguousarray(drawn)):
             Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(
                 samples, _wmmse_state(samples, pre))
             for k in range(K):
@@ -235,7 +234,7 @@ def single(csit, stats, config, trace_sink):
 def first_subproblem(csit, stats, config):
     """The first subproblem a run of ``config`` solves, floors tightened as the
     run tightens them."""
-    samples = _subcarrier_major(draw_csit_samples(csit, config.M, config.seed))
+    samples = draw_csit_samples(csit, config.M, config.seed)
     layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
                             config.scheme == "RSMA")
     pre = initialize(csit, stats, config)
@@ -338,7 +337,7 @@ class TestSampledPassAllocation:
         # samples.nbytes
         csit, stats, config = saa_shape_setup()
         n_t, N, K, M = csit.n_t, csit.N, csit.K, config.M
-        samples = _subcarrier_major(draw_csit_samples(csit, M, 0))
+        samples = draw_csit_samples(csit, M, 0)
         pre = initialize(csit, stats, config)
         layout = VariableLayout(n_t, N, K, 0, stats.pilot_idx, rsma=True)
         tracemalloc.start()
@@ -352,10 +351,9 @@ class TestSampledPassAllocation:
 
     @pytest.mark.parametrize("scheme", ["SDMA", "RSMA"])
     def test_run_peak_keeps_at_most_two_states(self, scheme):
-        # a whole run holds the samples, briefly their subcarrier-major copy,
-        # and at most two WMMSE states (the running point's and a candidate's),
-        # about 4.15 sample arrays; each stale state left referenced between
-        # iterations adds 0.75 of one
+        # a whole run holds the samples and at most two WMMSE states (the
+        # running point's and a candidate's), about 4.15 sample arrays; each
+        # stale state left referenced between iterations adds 0.75 of one
         csit, stats, config = saa_shape_setup()
         config = dataclasses.replace(config, scheme=scheme, max_outer=6)
         nbytes = draw_csit_samples(csit, config.M, 0).nbytes
@@ -384,9 +382,9 @@ class TestSampleStages:
         draws, seen = [], []
         draw, assemble = op.draw_csit_samples, op._assemble_subproblem
         monkeypatch.setattr(op, "draw_csit_samples",
-                            lambda *a: draws.append(a) or draw(*a))
+                            lambda *a: draws.append(draw(*a)) or draws[-1])
         monkeypatch.setattr(op, "_assemble_subproblem",
-                            lambda layout, samples, *a: seen.append(samples.copy())
+                            lambda layout, samples, *a: seen.append(samples)
                             or assemble(layout, samples, *a))
         traced = []
         res = single(csit, stats, config, traced.append)
@@ -397,6 +395,8 @@ class TestSampleStages:
         assert sum(n for _, n in stages) == res.outer_iterations == len(seen) <= 5
         for samples, size in zip(seen, [d for d, n in stages for _ in range(n)]):
             assert samples.shape[0] == size
+            # every stage ascends on a view of the one draw, not on a copy
+            assert np.shares_memory(samples, draws[0])
             assert samples.tobytes() == full[:size].tobytes()
         # each trace record names its stage; the reported trace is the full stage's
         assert [t["draws"] for t in traced] == sorted(t["draws"] for t in traced)
@@ -493,6 +493,45 @@ class TestFloorFreeProjection:
             assert _project_floor_free(pre, P_t, free) is pre
 
 
+class TestFloorTolerance:
+    """One rule for every run: the check tolerance and the subproblems' margin
+    scale with 1 + max(largest threshold, P_t), and no thresholds read as
+    all-zero ones."""
+
+    def test_none_reads_as_zero_thresholds(self):
+        for stats in (au_statistics_isotropic(4, 8, 1, (1, 5)), au_statistics_none(4, 8)):
+            none = op._Floors(stats, None, 1e7)
+            zeros = op._Floors(stats, np.zeros((stats.L, stats.pilot_idx.size)), 1e7)
+            assert (none.tol, none.margin) == (zeros.tol, zeros.margin)
+            assert none.tol == 1e-9 * (1.0 + 1e7)
+            assert none.free.all() and not none.rows
+
+    def test_budget_projection_is_not_a_miss_at_high_snr(self, rng):
+        # rounding in the projection exceeds an absolute 1e-9 from 70 dB on
+        P_t = 1e7
+        floors = op._Floors(au_statistics_isotropic(4, 8, 1, (1, 5)), np.zeros((1, 2)), P_t)
+        for _ in range(200):
+            q = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
+            pre = op._project_power(PrecoderSet.stacked(q * 1e4, 2), P_t)
+            assert not floors.missed(pre, P_t)
+
+    @pytest.mark.parametrize("snr_db", [70.0, 80.0])
+    def test_zero_thresholds_run_as_none(self, snr_db):
+        # with all-zero thresholds the floor check read the budget projection's
+        # rounding as a miss and refused extrapolation steps "on the floors"
+        P_t = 10.0 ** (snr_db / 10.0)
+        chan = synth_selective_channel(exponential_delay_profile(1.2e-6, 12), 4, 8, 2, 1, seed=0)
+        csit = CsitModel(h_hat=chan.h, sigma_ie2=csit_error_variance(P_t, 8, 0.6), alpha=0.6)
+        stats = au_statistics_isotropic(4, 8, 1, evenly_spaced_pilots(2, 8))
+        config = SolveConfig(P_t=P_t, scheme="SDMA", M=4, seed=100, max_outer=30)
+        none = optimize(csit, stats, config)
+        zero = optimize(csit, stats, dataclasses.replace(config, thresholds=np.zeros((1, 2))))
+        assert zero.report.diagnostics["counts"]["extrapolation_floor_rejected"] == 0
+        assert zero.precoders.q.tobytes() == none.precoders.q.tobytes()
+        assert zero.split.X.tobytes() == none.split.X.tobytes()
+        assert zero.report.R_sum == none.report.R_sum
+
+
 class TestJammingLinearization:
     def _setup(self, rng, N=4):
         layout = VariableLayout(4, N, 2, 1, np.array([0, 2]), rsma=True)
@@ -556,6 +595,14 @@ class TestThresholds:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             threshold_strategy(3, 4, 32)
+
+    @pytest.mark.parametrize("strategy,pilots,N", [(1, 0, 0), (1, 0, 8), (1, -2, 8),
+                                                   (2, -1, 8), (1, 9, 8), (2, 9, 8)])
+    def test_pilot_count_outside_one_to_n_rejected(self, strategy, pilots, N):
+        # (1, 0, 0) divided by zero, (1, -2, 8) clamped to rho 0 and (2, -1, 8)
+        # returned 0.9
+        with pytest.raises(ValueError, match="pilot_count must lie in"):
+            threshold_strategy(strategy, pilots, N)
 
     @pytest.mark.parametrize("strategy", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
