@@ -92,6 +92,10 @@ class ExperimentConfig:
             idx = self.resolve_pilots(spec)
             if any(i < 1 or i > self.N for i in idx):
                 raise ValueError(f"pilot placement {spec!r} outside 1..{self.N}")
+        # result rows and curve files tell cells apart by their pilot count
+        counts = [len(self.resolve_pilots(spec)) for spec in self.pilot_sets]
+        if len(set(counts)) < len(counts):
+            raise ValueError(f"pilot_sets {self.pilot_sets!r} repeat a pilot count")
         # the channel model meets the builders' own checks before any cell runs
         try:
             _build_channels(self)
@@ -288,10 +292,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
 
     Optimizer failures are recorded in the affected row (status "infeasible")
     and the sweep continues.  Rows are ordered by the deterministic cell
-    order, independent of the worker count.
+    order, independent of the worker count.  At most ``workers`` processes
+    run the (snr, pilot_set) points, never more than there are points, and
+    a sweep with one point or ``workers=1`` runs in this process.
     """
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     chan = _build_channels(config)
     jobs = [(config, chan, pair, timing, with_trace) for pair in _pairs(config)]
+    # the pool starts all its processes at the first submit, used or not
+    workers = min(workers, len(jobs))
     if workers > 1:
         # imported here: a serial sweep, and ``import jamcom``, never pay for it
         from concurrent.futures import ProcessPoolExecutor
@@ -382,13 +392,15 @@ options:
   --quick           reduced scale for CI: N=8, M=4, coarse tolerances
   --trace           write per-cell convergence traces (JSON lines)
   --timing          record wall-clock times in the CSV (breaks byte determinism)
-  --workers W       parallel worker processes (default 1)
+  --workers W       worker processes, at most one per SNR/pilot point (default 1)
 """
 
 
 def _apply_quick(config: ExperimentConfig) -> ExperimentConfig:
-    pilot_sets = tuple(
-        min(p if isinstance(p, int) else len(p), 8) for p in config.pilot_sets)
+    # counts clamped to 8; one the clamp repeats is kept once, in first-occurrence
+    # order, as rows and curve files key on it
+    pilot_sets = tuple(dict.fromkeys(
+        min(p if isinstance(p, int) else len(p), 8) for p in config.pilot_sets))
     return dataclasses.replace(
         config, N=8, M=4, eps_r=1e-3, max_outer=60,
         pilot_sets=pilot_sets)
@@ -442,6 +454,8 @@ def cli_main(argv: Sequence[str]) -> int:
         if opts["quick"]:
             config = _apply_quick(config)
         workers = int(opts["workers"])
+        if workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {workers}")
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

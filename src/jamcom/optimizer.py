@@ -30,13 +30,14 @@ fraction of a full pass (Homem-de-Mello, "Variable-sample methods for
 stochastic optimization", ACM TOMACS 2003).  Below 4,096 draws there is one
 stage.
 
-The focused-power floors are one ``_Floors`` object, built once per
-``optimize`` call from the statistics, thresholds and budget, and shared by an
-RSMA run and its SDMA restriction: the active (adversary, pilot) pairs as
-arrays, the floor-free subcarriers, the check tolerance and the subproblems'
-margin (both scaled to the larger of the budget and the largest floor) and
-each block group's floor rows.  Every consumer evaluates or linearizes all
-floors in one batched call.
+The samples and floors are built once per ``optimize`` call and shared by an
+RSMA run and its SDMA restriction: the draws as one array, whose stages ascend
+on prefix views of it, and the focused-power floors as one ``_Floors`` object,
+built from the statistics, thresholds and budget: the active (adversary,
+pilot) pairs as arrays, the floor-free subcarriers, the check tolerance and the
+subproblems' margin (both scaled to the larger of the budget and the largest
+floor) and each block group's floor rows.  Every consumer evaluates or
+linearizes all floors in one batched call.
 
 An RSMA run not handed its SDMA restriction starts it from its own endpoint,
 the common stream's power moved onto each subcarrier's private streams
@@ -644,162 +645,120 @@ def _sample_stages(M: int) -> List[int]:
     return stages
 
 
-@dataclass
-class _Run:
-    """What every stage of one run shares: the instance, the floors and the
-    counters, flags and trace sink the stages add to."""
-
-    layout: VariableLayout
-    config: SolveConfig
-    floors: _Floors
-    counts: dict
-    solver_flags: List[str]
-    trace_sink: Optional[Callable[[dict], None]]
-
-
-@dataclass
-class _Stage:
-    """Where one stage's ascent ended."""
-
-    prec: PrecoderSet
-    X: np.ndarray
-    state: WmmseState
-    converged: bool
-    wsr_trace: List[float]
-    iterations: int
-
-
-def _ascend(run: _Run, samples: np.ndarray, prec: PrecoderSet, X: np.ndarray,
-            outer0: int, max_iter: int) -> _Stage:
-    """The WMMSE/SCA ascent on ``samples`` from the point (prec, X), for at
-    most max_iter outer iterations numbered from outer0, with a cold first
-    solve and a fresh extrapolation weight."""
-    config, floors, counts = run.config, run.floors, run.counts
-    scale = run.layout.var_scale(config.P_t)
-    state = _wmmse_state(samples, prec)
-    solved = prec    # the last solve's point, from which the next step extrapolates
-    start = None
-    wsr_prev = 0.0
-    converged = False
-    wsr_trace: List[float] = []
-    done = 0
-    beta = _BETA_START
-
-    for i in range(max_iter):
-        # prec is both the point of the weights and filters and the Taylor
-        # point of the floors, so one solve refreshes all three together
-        prob = _assemble_subproblem(run.layout, samples, state, prec, floors, config.P_t)
-        res = cvx.solve(prob, tol=_SOLVER_TOL, start=start)
-        counts["ipm_" + res.exit] += 1
-        if start is not None and _solve_fault(res, config, floors):
-            # the warm start comes from the last solve, not from the running
-            # point an extrapolation step may have moved to; from there the
-            # IPM can stall where a cold start does not
-            res = cvx.solve(prob, tol=_SOLVER_TOL)
-            counts["solve_cold_retry"] += 1
-            counts["ipm_" + res.exit] += 1
-        # only an optimal solve seeds the next one: a stalled or capped solve's
-        # multipliers may be huge and would trip the next solve's infeasible rule
-        start = (res.primal, res.multipliers) if res.status == "optimal" else None
-        done = i + 1
-        if res.status != "optimal":
-            fault = _solve_fault(res, config, floors)
-            if fault:
-                raise OptimizerError(fault)
-            run.solver_flags.append(f"{outer0 + i}:{res.exit}")
-            counts["solve_near_feasible"] += 1
-        new_prec, new_X = run.layout.unpack(res.primal * scale)
-        new_prec = _project_power(new_prec, config.P_t)
-        new_X = np.minimum(new_X, 0.0)
-        # a candidate is accepted only if it passes both checks below; each
-        # failure is reachable only through solver slop or the repairs above,
-        # so progress is exhausted and the running point is kept
-        if floors.missed(new_prec, config.P_t):
-            counts["stop_floor_shortfall"] += 1
-            converged = True
-            break
-        new_state = _wmmse_state(samples, new_prec)
-        wsr = _wsr_nats(new_state, new_X)
-        if wsr < wsr_prev - 1e-9 and i > 0:
-            counts["stop_wsr_decrease"] += 1
-            converged = True
-            break
-        prec, X, state = new_prec, new_X, new_state
-        del new_state  # at most two states alive: the running point's and y's
-        converged = abs(wsr - wsr_prev) <= config.eps_r
-        if not converged:
-            prec, X, state, wsr, outcome, free_projected = _extrapolate(
-                samples, solved, prec, X, state, wsr, beta, config, floors)
-            counts[outcome] += 1
-            counts["extrapolation_free_projected"] += free_projected
-            beta = (min(beta * _BETA_GROW, _BETA_MAX) if outcome == "extrapolation_accepted"
-                    else max(beta * _BETA_SHRINK, _BETA_MIN))
-        solved = new_prec
-        wsr_trace.append(wsr)
-        if run.trace_sink is not None:
-            run.trace_sink({
-                "outer": outer0 + i, "draws": samples.shape[0], "wsr_nats": wsr,
-                "max_violation": floors.shortfall(prec, config.P_t),
-            })
-        if converged:
-            break
-        wsr_prev = wsr
-    return _Stage(prec, X, state, converged, wsr_trace, done)
-
-
 def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
-                     trace_sink: Optional[Callable[[dict], None]], floors: _Floors,
+                     draws: np.ndarray, floors: _Floors,
+                     trace_sink: Optional[Callable[[dict], None]] = None,
                      start: Optional[PrecoderSet] = None) -> OptimizeResult:
-    """One run of ``config.scheme`` from ``start``, or from ``initialize``
-    without one; the split starts at zero either way."""
-    samples = draw_csit_samples(csit, config.M, config.seed)
+    """One run of ``config.scheme`` on ``draws`` (config.M samples) from
+    ``start``, or from ``initialize`` without one; the split starts at zero
+    either way.
+
+    Sample-size continuation: stage j ascends on the first
+    ``_sample_stages(config.M)[j]`` draws, far from the optimum where fewer
+    draws point the same way, from where stage j - 1 ended, with a cold first
+    solve and a fresh extrapolation weight.  Stage j of S ends at global outer
+    iteration ``config.max_outer - (S - 1 - j)``, leaving one iteration for
+    every later stage, so the last, full-M stage always runs; with
+    ``max_outer`` below S the smallest stages are skipped."""
+    layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
+                            config.scheme == "RSMA")
+    scale = layout.var_scale(config.P_t)
+    counts, solver_flags, ran = dict.fromkeys(_COUNTERS, 0), [], []
     prec = _initialize(csit, stats, config, floors) if start is None else start
     X = np.zeros(csit.N)
-    run = _Run(
-        layout=VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
-                              config.scheme == "RSMA"),
-        config=config, floors=floors,
-        counts=dict.fromkeys(_COUNTERS, 0), solver_flags=[], trace_sink=trace_sink)
-
-    # Sample-size continuation: the early stages ascend on a prefix of the
-    # draws, far from the optimum where fewer draws point the same way; the
-    # last stage is the full-M ascent from where they ended.  Each early stage
-    # leaves one outer iteration for every stage after it.
     stages = _sample_stages(config.M)
-    ran: List[List[int]] = []
     outer = 0
-    stage = None
-    for j, draws in enumerate(stages):
-        cap = config.max_outer - outer - (len(stages) - 1 - j)
-        if cap < 1:
-            continue
-        if stage is not None:
-            prec, X = stage.prec, stage.X
-            stage = None    # frees the last stage's state before this one's first pass
-        stage = _ascend(run, samples[:draws], prec, X, outer, cap)
-        outer += stage.iterations
-        ran.append([draws, stage.iterations])
-    prec, X = stage.prec, stage.X
+    for j in range(max(0, len(stages) - config.max_outer), len(stages)):
+        samples = draws[:stages[j]]
+        # frees the last stage's state, and a candidate its stop refused,
+        # before this one's first pass
+        state = new_state = None
+        state = _wmmse_state(samples, prec)
+        solved = prec    # the last solve's point, from which the next step extrapolates
+        warm = None
+        wsr_prev = 0.0
+        converged = False
+        wsr_trace: List[float] = []
+        beta = _BETA_START
+        first = outer
+        for i in range(first, config.max_outer - (len(stages) - 1 - j)):
+            # prec is both the point of the weights and filters and the Taylor
+            # point of the floors, so one solve refreshes all three together
+            prob = _assemble_subproblem(layout, samples, state, prec, floors, config.P_t)
+            res = cvx.solve(prob, tol=_SOLVER_TOL, start=warm)
+            counts["ipm_" + res.exit] += 1
+            fault = _solve_fault(res, config, floors)
+            if warm is not None and fault:
+                # the warm start comes from the last solve, not from the running
+                # point an extrapolation step may have moved to; from there the
+                # IPM can stall where a cold start does not
+                res = cvx.solve(prob, tol=_SOLVER_TOL)
+                counts["solve_cold_retry"] += 1
+                counts["ipm_" + res.exit] += 1
+                fault = _solve_fault(res, config, floors)
+            # only an optimal solve seeds the next one: a stalled or capped solve's
+            # multipliers may be huge and would trip the next solve's infeasible rule
+            warm = (res.primal, res.multipliers) if res.status == "optimal" else None
+            outer = i + 1
+            if fault:
+                raise OptimizerError(fault)
+            if res.status != "optimal":
+                solver_flags.append(f"{i}:{res.exit}")
+                counts["solve_near_feasible"] += 1
+            new_prec, new_X = layout.unpack(res.primal * scale)
+            new_prec = _project_power(new_prec, config.P_t)
+            new_X = np.minimum(new_X, 0.0)
+            # a candidate is accepted only if it passes both checks below; each
+            # failure is reachable only through solver slop or the repairs above,
+            # so progress is exhausted and the running point is kept
+            if floors.missed(new_prec, config.P_t):
+                counts["stop_floor_shortfall"] += 1
+                converged = True
+                break
+            new_state = _wmmse_state(samples, new_prec)
+            wsr = _wsr_nats(new_state, new_X)
+            if wsr < wsr_prev - 1e-9 and i > first:
+                counts["stop_wsr_decrease"] += 1
+                converged = True
+                break
+            prec, X, state = new_prec, new_X, new_state
+            new_state = None  # at most two states alive: the running point's and y's
+            converged = abs(wsr - wsr_prev) <= config.eps_r
+            if not converged:
+                prec, X, state, wsr, outcome, free_projected = _extrapolate(
+                    samples, solved, prec, X, state, wsr, beta, config, floors)
+                counts[outcome] += 1
+                counts["extrapolation_free_projected"] += free_projected
+                beta = (min(beta * _BETA_GROW, _BETA_MAX) if outcome == "extrapolation_accepted"
+                        else max(beta * _BETA_SHRINK, _BETA_MIN))
+            solved = new_prec
+            wsr_trace.append(wsr)
+            if trace_sink is not None:
+                trace_sink({"outer": i, "draws": stages[j], "wsr_nats": wsr,
+                            "max_violation": floors.shortfall(prec, config.P_t)})
+            if converged:
+                break
+            wsr_prev = wsr
+        ran.append([stages[j], outer - first])
 
     # the rate depends on each subcarrier's total only; report it evenly split.
     # SDMA's split is its exact zeros: the clamp would make them -0.0
     if config.scheme == "RSMA":
-        X = _clamp_split(stage.state, X)
+        X = _clamp_split(state, X)
     split = CommonSplitVars(X=np.tile(X / csit.K, (csit.K, 1)))
     diagnostics = {
-        "converged": stage.converged,
+        "converged": converged,
         "outer_iterations": outer,
-        "wsr_trace_nats": stage.wsr_trace,
-        "max_violation": run.floors.shortfall(prec, config.P_t),
-        "solver_flags": run.solver_flags,
-        "counts": run.counts,
+        "wsr_trace_nats": wsr_trace,
+        "max_violation": floors.shortfall(prec, config.P_t),
+        "solver_flags": solver_flags,
+        "counts": counts,
         "sample_stages": ran,
         "scheme": config.scheme,
     }
-    report = rate_report(samples, prec, split.C_bits, stats=stats,
-                         diagnostics=diagnostics)
+    report = rate_report(draws, prec, split.C_bits, stats=stats, diagnostics=diagnostics)
     return OptimizeResult(precoders=prec, split=split, report=report,
-                          converged=stage.converged, outer_iterations=outer)
+                          converged=converged, outer_iterations=outer)
 
 
 def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
@@ -833,8 +792,9 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     Each ``trace_sink`` record carries its stage's ``draws``.
 
     A run with the common stream enabled also evaluates the common-stream-off
-    restriction of the same instance (every such solution is feasible for the
-    richer scheme with a zero split) and returns whichever endpoint achieves
+    restriction of the same instance, on the same draws (every such solution
+    is feasible for the richer scheme with a zero split), and returns whichever
+    endpoint achieves
     the higher sum rate, so enabling the common stream can never hurt.  A
     caller that already solved the restriction can pass it as ``restricted``.
     Otherwise the restriction starts from the RSMA endpoint with the common
@@ -847,17 +807,19 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     OptimizerError when a subproblem solve fails beyond repair; hitting the
     iteration caps returns the best iterate with ``converged=False``.
     """
+    draws = draw_csit_samples(csit, config.M, config.seed)
     floors = _Floors(stats, config.thresholds, config.P_t)
-    full = _optimize_single(csit, stats, config, trace_sink, floors)
+    full = _optimize_single(csit, stats, config, draws, floors, trace_sink)
     if config.scheme != "RSMA":
         return full
     extra = {}
     if restricted is None:
-        # the restriction flips only the scheme, so the floors carry over
+        # the restriction flips only the scheme, so the draws and floors carry over
         start = _private_start(full.precoders)
         if floors.missed(start, config.P_t):
             start = None
-        restricted = _optimize_single(csit, stats, sdma_restrict(config), None, floors, start)
+        restricted = _optimize_single(csit, stats, sdma_restrict(config), draws, floors,
+                                      start=start)
         extra["restriction_start"] = "initialize" if start is None else "endpoint"
     if restricted.report.R_sum <= full.report.R_sum:
         full.report.diagnostics.update(restricted_sum_rate=restricted.report.R_sum, **extra)

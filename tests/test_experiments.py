@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -5,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from jamcom import optimizer as op
 from jamcom.channel import csit_error_variance, evenly_spaced_pilots
 from jamcom.experiments import (
     ExperimentConfig,
     ResultRow,
     ResultTable,
+    _apply_quick,
     cli_main,
     emit_csv,
     emit_plotdata,
@@ -131,6 +134,33 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, workers=2)
         assert serial.csv_tuples() == parallel.csv_tuples()
 
+    def test_pool_never_larger_than_the_sweep(self, monkeypatch):
+        # the pool forks all its workers at the first submit, so a worker
+        # count above the number of (snr, pilot_set) points would fork idle ones
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        run_experiment(tiny_config(snr_db_list=[8.0, 16.0], scheme_list=["SDMA"]), workers=8)
+        assert asked == [2]
+        run_experiment(tiny_config(scheme_list=["SDMA"]), workers=8)   # one point: no pool
+        assert asked == [2]
+        for workers in (0, -3, 2.0):
+            with pytest.raises(ValueError, match="workers"):
+                run_experiment(tiny_config(), workers=workers)
+
 
 class TestPersistence:
     def _table(self):
@@ -211,7 +241,9 @@ class TestCli:
         assert cli_main(["--config", cfg, "--scheme", "fancy"]) == 1
 
     @pytest.mark.parametrize("overrides,flags", [({"M": 0}, []), ({"eps_r": -1}, []),
-                                                 ({}, ["--seed", "-1"])])
+                                                 ({}, ["--seed", "-1"]),
+                                                 ({}, ["--workers", "0"]),
+                                                 ({}, ["--workers", "-2"])])
     def test_bad_run_settings_exit_one_before_any_cell(self, tmp_path, capsys, overrides,
                                                        flags):
         cfg = self._write_config(tmp_path, **overrides)
@@ -230,7 +262,9 @@ class TestCli:
         ({"eps_r": float("nan")}, "eps_r"),
         ({"alpha": -0.5}, "alpha"),
         ({"alpha": float("nan")}, "alpha"),
-        ({"base_rho": float("nan")}, "base_rho")])
+        ({"base_rho": float("nan")}, "base_rho"),
+        # both sets hold two pilots: their rows and curve file would merge
+        ({"pilot_sets": [[1, 5], [2, 6]]}, "repeat a pilot count")])
     def test_bad_cell_inputs_exit_one_before_any_cell(self, tmp_path, capsys, overrides,
                                                       message):
         # each of these once ended in a traceback from inside the first cell
@@ -304,3 +338,31 @@ class TestCli:
         assert rc == 0
         table = parse_csv(str(out / "results.csv"))
         assert table.rows[0].pilot_count == 8  # pilot counts clamped to quick N
+
+    def test_quick_mode_keeps_each_clamped_pilot_count_once(self):
+        cfg = tiny_config(N=32, pilot_sets=[8, 16, [1, 2, 3], 4, 12])
+        assert _apply_quick(cfg).pilot_sets == (8, 3, 4)
+
+    def test_failed_cell_is_recorded_and_exits_two(self, tmp_path, capsys, monkeypatch):
+        # an optimizer failure costs its own cell only: the row records it, the
+        # other scheme's cell is unchanged and the exit status reports it
+        cfg = tiny_config()
+        sdma = run_experiment(cfg).rows[1]
+        optimize = op.optimize
+
+        def fail_rsma(csit, stats, config, **kw):
+            if config.scheme == "RSMA":
+                raise op.OptimizerError("subproblem solve failed: forced")
+            return optimize(csit, stats, config, **kw)
+
+        monkeypatch.setattr(op, "optimize", fail_rsma)
+        rsma_row, sdma_row = run_experiment(cfg).rows
+        assert (rsma_row.scheme, rsma_row.status) == ("RSMA", "infeasible")
+        assert rsma_row.sum_rate == 0.0 and rsma_row.iters == 0
+        assert np.isnan(rsma_row.jam_margin)
+        assert rsma_row.detail["error"] == "subproblem solve failed: forced"
+        assert sdma_row.csv_tuple() == sdma.csv_tuple() and sdma_row.status == sdma.status
+        path = self._write_config(tmp_path)
+        assert cli_main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+        out = capsys.readouterr().out
+        assert "2 cells" in out and "(1 failed)" in out

@@ -226,9 +226,11 @@ class TestAugmentedMseQuadratic:
 
 
 def single(csit, stats, config, trace_sink):
-    """One run of config.scheme alone, without the RSMA restriction."""
-    return _optimize_single(csit, stats, config, trace_sink,
-                            op._Floors(stats, config.thresholds, config.P_t))
+    """One run of config.scheme alone, without the RSMA restriction, on the
+    draws ``optimize`` would make."""
+    return _optimize_single(csit, stats, config,
+                            op.draw_csit_samples(csit, config.M, config.seed),
+                            op._Floors(stats, config.thresholds, config.P_t), trace_sink)
 
 
 def first_subproblem(csit, stats, config):
@@ -323,8 +325,8 @@ def spy_runs(monkeypatch):
     """Record the config, start and result of every single-scheme run."""
     runs, run = [], op._optimize_single
 
-    def spy(csit, stats, config, trace_sink, floors, start=None):
-        runs.append((config, start, run(csit, stats, config, trace_sink, floors, start)))
+    def spy(csit, stats, config, draws, floors, trace_sink=None, start=None):
+        runs.append((config, start, run(csit, stats, config, draws, floors, trace_sink, start)))
         return runs[-1][2]
 
     monkeypatch.setattr(op, "_optimize_single", spy)
@@ -421,15 +423,26 @@ class TestSampleStages:
         assert len(res.report.diagnostics["sample_stages"]) == 2
         assert peak <= 4.25 * nbytes
 
-    @pytest.mark.parametrize("max_outer", [1, 2, 3, 200])
-    def test_stage_iterations_sum_to_outer(self, max_outer):
+    @staticmethod
+    def _check_stage_iterations(M, max_outer, sizes):
         csit, stats, config = saa_shape_setup()
         res = single(csit, stats, dataclasses.replace(
-            config, scheme="SDMA", max_outer=max_outer), None)
+            config, scheme="SDMA", M=M, max_outer=max_outer), None)
         stages = res.report.diagnostics["sample_stages"]
         assert sum(n for _, n in stages) == res.outer_iterations <= max_outer
-        assert stages[-1][0] == config.M and stages[-1][1] >= 1   # the full stage runs
-        assert [d for d, _ in stages] == ([4096] if max_outer == 1 else [1024, 4096])
+        assert stages[-1][0] == M and stages[-1][1] >= 1   # the full stage runs
+        assert [d for d, _ in stages] == sizes
+
+    @pytest.mark.parametrize("max_outer", [1, 2, 3, 200])
+    def test_stage_iterations_sum_to_outer(self, max_outer):
+        self._check_stage_iterations(4096, max_outer, [4096] if max_outer == 1 else [1024, 4096])
+
+    @pytest.mark.parametrize("max_outer,sizes", [(1, [16384]), (2, [4096, 16384]),
+                                                 (3, [1024, 4096, 16384])])
+    def test_three_stage_iterations_sum_to_outer(self, max_outer, sizes):
+        # stage j of S ends at outer iteration max_outer - (S - 1 - j): a cap
+        # below S skips the smallest stages, every stage that runs gets one
+        self._check_stage_iterations(16384, max_outer, sizes)
 
     def test_single_stage_below_4096_draws(self):
         csit, stats, config = desk_instance_0("SDMA")
@@ -689,6 +702,14 @@ class TestOptimize:
             monkeypatch.setattr(module, name, counted)
         optimize(*desk_instance_0("RSMA"), restricted=None)
         assert all(calls.values()), calls
+
+    def test_one_draw_per_optimize_call(self, monkeypatch):
+        # the RSMA run and its SDMA restriction ascend on the same draws
+        calls, draw = [], op.draw_csit_samples
+        monkeypatch.setattr(op, "draw_csit_samples", lambda *a: calls.append(a) or draw(*a))
+        runs = spy_runs(monkeypatch)
+        optimize(*desk_instance_0("RSMA"), restricted=None)
+        assert len(calls) == 1 and len(runs) == 2
 
     def test_sdma_restrict_flips_scheme_only(self):
         cfg = SolveConfig(P_t=10.0, scheme="RSMA", M=4, seed=1)
