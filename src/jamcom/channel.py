@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -343,20 +343,55 @@ def evenly_spaced_pilots(count: int, N: int) -> tuple:
     return tuple(1 + (i * N) // count for i in range(count))
 
 
+# every sampled pass walks the draws in chunks of about this many bytes of
+# samples, so its per-sample temporaries are a fixed size whatever M is
+_CHUNK_BYTES = 1 << 18
+
+
+def _sample_chunks(shape) -> List[slice]:
+    """Slices of the sample axis of a sample array shaped (M, K, N, n_t):
+    max(1, _CHUNK_BYTES // (K N n_t 16)) draws each, the last one shorter."""
+    M, K, N, n_t = shape
+    step = max(1, _CHUNK_BYTES // (K * N * n_t * 16))
+    return [slice(m, min(m + step, M)) for m in range(0, M, step)]
+
+
+def _chunk_sums(samples: np.ndarray, part: Callable[[np.ndarray], tuple]) -> list:
+    """The sums over the chunks of samples of the arrays part(chunk) returns.
+    The first chunk's arrays are taken as they are, so draws that fit in one
+    chunk give part(samples)'s bits, signed zeros included."""
+    total = None
+    for c in _sample_chunks(samples.shape):
+        sums = part(samples[c])
+        total = list(sums) if total is None else [t + s for t, s in zip(total, sums)]
+    return total
+
+
 def draw_csit_samples(csit: CsitModel, M: int, seed: int) -> np.ndarray:
     """Sampled channel realizations consistent with the CSI error model.
 
     Returns shape (M, K, N, n_t), stored subcarrier-major: a view of an array
     contiguous as (K, N, n_t, M), so a prefix samples[:m] is a view too and
     every sampled pass is a batched matmul over the samples' (K, N, n_t, M)
-    transpose.  With sigma_ie2 = 0 every sample equals the estimate exactly;
-    samples are deterministic per seed.
+    transpose.  The error draws are made chunk by chunk (``_sample_chunks``),
+    the real parts into the output, then the imaginary parts, each chunk
+    finished in place, so beside the output only one chunk's temporaries
+    exist; the values are those of ``complex_gaussian`` over the whole shape.
+    With sigma_ie2 = 0 every sample equals the estimate exactly; samples are
+    deterministic per seed.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     K, N, n_t = csit.h_hat.shape
-    tilde = complex_gaussian(rng_stream(seed, 2), (M, K, N, n_t))
+    rng = rng_stream(seed, 2)
     out = np.empty((K, N, n_t, M), dtype=np.complex128).transpose(3, 0, 1, 2)
-    np.multiply(np.sqrt(csit.sigma_ie2), tilde, out=out)
-    out += np.sqrt(1.0 - csit.sigma_ie2) * csit.h_hat
+    chunks = _sample_chunks(out.shape)
+    # the real parts come first in the stream, as in complex_gaussian
+    for c in chunks:
+        out.real[c] = rng.standard_normal(out[c].shape)
+    for c in chunks:
+        im = rng.standard_normal(out[c].shape)
+        tilde = (out.real[c] + 1j * im) / np.sqrt(2.0)
+        np.multiply(np.sqrt(csit.sigma_ie2), tilde, out=out[c])
+        out[c] += np.sqrt(1.0 - csit.sigma_ie2) * csit.h_hat
     return out

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channel import AuStatistics, ChannelSet
+from .channel import AuStatistics, ChannelSet, _chunk_sums
 
 __all__ = [
     "PrecoderSet",
@@ -81,9 +81,6 @@ class PrecoderSet:
     @property
     def f(self) -> np.ndarray:
         return self.q[:, 1 + self.K:].transpose(1, 0, 2)
-
-    def subcarrier_power(self, n: int) -> float:
-        return float(np.sum(np.abs(self.q[n]) ** 2))
 
     def total_power(self) -> float:
         return float(np.sum(np.abs(self.q) ** 2))
@@ -170,7 +167,8 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
 
     ``samples`` is either a ChannelSet (evaluated as a single realization) or
     an (M, K, N, n_t) sample array, in which case mutual informations are
-    sample averages.  ``C`` is the common-rate split in bits, validated
+    sample averages, summed chunk by chunk (``channel._chunk_sums``) so
+    that no per-sample array outlives its chunk.  ``C`` is the common-rate split in bits, validated
     against per-subcarrier decodability; omitted means an all-private scheme.
     ``stats`` adds the statistically averaged focused power on the pilot set;
     :func:`attach_realized_jamming` adds the realized one afterwards.
@@ -186,9 +184,11 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     if C.shape != (K, N):
         raise ValueError(f"C has shape {C.shape}, expected {(K, N)}")
 
-    eps_c, eps_p, *_ = stream_mses(hs, precoders)
-    I_private = np.mean(-np.log2(eps_p), axis=0)
-    I_common = np.mean(-np.log2(eps_c), axis=0)
+    def part(chunk):
+        eps_c, eps_p, *_ = stream_mses(chunk, precoders)
+        return np.sum(-np.log2(eps_p), axis=0), np.sum(-np.log2(eps_c), axis=0)
+
+    I_private, I_common = (t / M for t in _chunk_sums(hs, part))
 
     slack = I_common.min(axis=0) - C.sum(axis=0)
     if float(slack.min()) < -1e-6:

@@ -11,7 +11,7 @@ after an optimal one is warm-started from that solve's primal and multipliers.
 After each solve that still makes progress, a safeguarded extrapolation step
 y = z_k + beta (z_k - z_{k-1}) from the last two solves' precoders, projected
 onto the power budget, replaces the running point only if it meets the true
-floors and raises the sampled sum rate; its state then serves as the next
+floors and raises the sampled sum rate, and so becomes the point of the next
 iteration's weights.  The projection first scales every subcarrier; if that
 pushes a focused power under its floor, it scales only the subcarriers that
 carry no floor instead.  With a common stream the step takes the largest
@@ -20,8 +20,18 @@ A kept step lengthens beta and a refused one shortens it.  The surrogate is
 tight at the running point either way, so the ascent stays monotone.
 Channel uncertainty enters through sample averaging over draws from the CSI
 error model, which ``draw_csit_samples`` stores subcarrier-major (contiguous
-as (K, N, n_t, M)), so an iteration's sampled work, the MMSE state and the
-surrogate's grams and linear terms, is a few batched matmuls.  Large sample
+as (K, N, n_t, M)).  Every sampled pass walks the draws in fixed-size chunks
+(``channel._chunk_sums``, 256 KiB of samples each) and keeps only
+per-(user, subcarrier) sums, divided by M once, so no per-sample array
+outlives its chunk and a pass needs the draws plus one chunk's temporaries
+whatever M is.  There are two passes.  The WSR-only pass (``_sampled_info``)
+gives a point's sampled mutual informations, a ``WmmseState``; it scores
+every solve point and every extrapolation candidate.  The fused pass
+(``_surrogate``) runs once per iteration at the running point and adds up
+the surrogate's grams, linear terms and constants from each chunk's MMSE
+weights and filters (the per-chunk kernels ``_wmmse_state`` and
+``_surrogate_coefficients``).  Draws that fit in one chunk are one pass of
+a few batched matmuls, as before chunking, with the same bits.  Large sample
 sets are ascended in stages (sample-size continuation): the loop first runs on
 a view of the first M/4^j draws, for every j that leaves at least 1,024
 draws, each stage starting where the smaller one ended, and finishes with the
@@ -57,7 +67,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .channel import AuStatistics, CsitModel, draw_csit_samples
+from .channel import AuStatistics, CsitModel, _chunk_sums, draw_csit_samples
 from .metrics import (_LN2, NOISE_VAR, PrecoderSet, RateReport, jamming_power_avg,
                       rate_report, stream_mses)
 from . import solver as cvx
@@ -138,23 +148,13 @@ def sdma_restrict(config: SolveConfig) -> SolveConfig:
 
 @dataclass
 class WmmseState:
-    """The augmented-MSE weights of the common (c) and private (p) streams at
-    one point, with u = 1/mse the MSE weight and g the MMSE filter.
+    """The sampled mutual informations (nats) of the common (c) and private
+    (p) streams at one point, mean ln u over the samples with u = 1/mse the
+    MSE weight, shaped (K, N): all a run keeps of a point between sampled
+    passes.  ``_sampled_info`` computes it."""
 
-    w_* = u|g|^2 (real) and a_* = u g^* (complex) are per (user, subcarrier,
-    sample), shaped (K, N, M); info_* = mean ln u (the sampled mutual
-    information, nats) and r_* = mean u(|g|^2 N0 + 1) - ln u (the surrogate's
-    constant) are sample means, shaped (K, N).
-    """
-
-    w_c: np.ndarray
-    a_c: np.ndarray
-    w_p: np.ndarray
-    a_p: np.ndarray
     info_c: np.ndarray
     info_p: np.ndarray
-    r_c: np.ndarray
-    r_p: np.ndarray
 
 
 @dataclass
@@ -187,20 +187,34 @@ class OptimizeResult:
 # weight / filter updates
 
 
-def _wmmse_state(samples: np.ndarray, precoders: PrecoderSet) -> WmmseState:
-    eps_c, eps_p, hp_c, hp_own, T_c, T_p = (
-        a.transpose(1, 2, 0) for a in stream_mses(samples, precoders))
+def _wmmse_state(chunk: np.ndarray, precoders: PrecoderSet) -> tuple:
+    """Per-chunk kernel of the fused pass: the augmented-MSE weights at
+    precoders of every sample of chunk (m draws), with u = 1/mse the MSE
+    weight and g the MMSE filter.  Returns (w_c, a_c, w_p, a_p, r_c, r_p):
+    w_* = u|g|^2 (real) and a_* = u g^* (complex) per (user, subcarrier,
+    sample), shaped (K, N, m), and r_* the chunk sums of u(|g|^2 N0 + 1),
+    shaped (K, N)."""
+    _, _, hp_c, hp_own, T_c, T_p = (a.transpose(1, 2, 0) for a in stream_mses(chunk, precoders))
     # u_c = T_c/T_p, g_c = (h^H p_c)^*/T_c and u_p = T_p/D, g_p = (h^H p_k)^*/T_p
     # with D = T_p - |h^H p_k|^2, so the weights need no complex division
     P_c = hp_c.real ** 2 + hp_c.imag ** 2
     P_own = hp_own.real ** 2 + hp_own.imag ** 2
     D = T_p - P_own
     w_c, w_p = P_c / (T_p * T_c), P_own / (T_p * D)
-    info_c, info_p = -np.mean(np.log(eps_c), axis=-1), -np.mean(np.log(eps_p), axis=-1)
-    return WmmseState(
-        w_c=w_c, a_c=hp_c / T_p, w_p=w_p, a_p=hp_own / D, info_c=info_c, info_p=info_p,
-        r_c=np.mean(w_c * NOISE_VAR + T_c / T_p, axis=-1) - info_c,
-        r_p=np.mean(w_p * NOISE_VAR + T_p / D, axis=-1) - info_p)
+    return (w_c, hp_c / T_p, w_p, hp_own / D, np.sum(w_c * NOISE_VAR + T_c / T_p, axis=-1),
+            np.sum(w_p * NOISE_VAR + T_p / D, axis=-1))
+
+
+def _sampled_info(samples: np.ndarray, precoders: PrecoderSet) -> WmmseState:
+    """The WSR-only pass: the sampled mutual informations at precoders, the
+    chunk sums of ln u added up and divided by M once."""
+    def part(chunk):
+        eps_c, eps_p = (a.transpose(1, 2, 0) for a in stream_mses(chunk, precoders)[:2])
+        return np.sum(np.log(eps_c), axis=-1), np.sum(np.log(eps_p), axis=-1)
+
+    sum_c, sum_p = _chunk_sums(samples, part)
+    M = samples.shape[0]
+    return WmmseState(info_c=-(sum_c / M), info_p=-(sum_p / M))
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +452,40 @@ def _private_start(endpoint: PrecoderSet) -> PrecoderSet:
 # subproblem assembly
 
 
-def _surrogate_coefficients(samples: np.ndarray, state: WmmseState):
-    """Sample-averaged gram matrices, linear vectors, and constants of the
-    augmented MSEs, per (user, subcarrier): batched matmuls over the
-    (K, N, n_t, M) transpose of samples."""
-    M = samples.shape[0]
-    h = samples.transpose(1, 2, 3, 0)
+def _surrogate_coefficients(chunk: np.ndarray, weights) -> tuple:
+    """Per-chunk kernel of the fused pass: the chunk sums of the augmented
+    MSEs' gram matrices S = sum w h h^H (complex) and linear vectors
+    sum h a, per (user, subcarrier), for the weights (w_c, a_c, w_p, a_p) of
+    its samples: batched matmuls over the (K, N, n_t, m) transpose of chunk."""
+    w_c, a_c, w_p, a_p = weights
+    h = chunk.transpose(1, 2, 3, 0)
     wh = np.empty(h.shape, dtype=np.complex128)
 
     def gram(w):
-        # conj(w h) @ h^T = conj(S) = S^T for S = sum_m w h h^H; conjugating the
-        # weighted copy keeps every matmul operand a plain or transposed view
+        # conj(w h) @ h^T = conj(S) = S^T; conjugating the weighted copy keeps
+        # every matmul operand a plain or transposed view
         np.multiply(h, w[:, :, None], out=wh)
         np.conj(wh, out=wh)
-        return _realrep((wh @ h.swapaxes(-1, -2)).swapaxes(-1, -2) / M)
+        return (wh @ h.swapaxes(-1, -2)).swapaxes(-1, -2)
 
     def linear(a):
-        return (h @ a[..., None])[..., 0] / M
+        return (h @ a[..., None])[..., 0]
 
-    return (gram(state.w_c), gram(state.w_p), linear(state.a_c), linear(state.a_p),
-            state.r_c, state.r_p)
+    return gram(w_c), gram(w_p), linear(a_c), linear(a_p)
+
+
+def _surrogate(samples: np.ndarray, precoders: PrecoderSet, state: WmmseState) -> tuple:
+    """The fused pass: the surrogate's sample-averaged coefficients at
+    precoders, whose sampled information is ``state``, added up chunk by
+    chunk and divided by M once.  Returns (S_c, S_p, v_c, v_p, r_c, r_p): the
+    common and private gram matrices (K, N, n_t, n_t) complex, linear vectors
+    (K, N, n_t) and constants mean u(|g|^2 N0 + 1) - ln u (K, N)."""
+    def part(chunk):
+        weights = _wmmse_state(chunk, precoders)
+        return _surrogate_coefficients(chunk, weights[:4]) + weights[4:]
+
+    S_c, S_p, v_c, v_p, r_c, r_p = (t / samples.shape[0] for t in _chunk_sums(samples, part))
+    return S_c, S_p, v_c, v_p, r_c - state.info_c, r_p - state.info_p
 
 
 def _block_diag(R: np.ndarray, count: int, lead: int = 0) -> np.ndarray:
@@ -470,10 +498,13 @@ def _block_diag(R: np.ndarray, count: int, lead: int = 0) -> np.ndarray:
     return out
 
 
-def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
-                         state: WmmseState, taylor: PrecoderSet, floors: _Floors,
+def _assemble_subproblem(layout: VariableLayout, coefficients: tuple,
+                         taylor: PrecoderSet, floors: _Floors,
                          P_t: float) -> cvx.ConvexSubproblem:
     """The convex subproblem in the solver's stacked form, over y = z / layout.var_scale(P_t).
+
+    ``coefficients`` are the surrogate's sample averages as ``_surrogate``
+    returns them, at the same point as ``taylor``.
 
     Block n is subcarrier n (``layout.blocks[n]``).  Its objective is the
     private augmented MSE, and its rows are, in order: the K common-MSE
@@ -483,7 +514,8 @@ def _assemble_subproblem(layout: VariableLayout, samples: np.ndarray,
     total-power budget is the spanning diagonal row.
     """
     K, N, sw, x = layout.K, layout.N, layout.slot_width, int(layout.rsma)
-    Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(samples, state)
+    S_c, S_p, v_c, v_p, r_c, r_p = coefficients
+    Rc, Rp = _realrep(S_c), _realrep(S_p)
     s = np.sqrt(P_t)       # the scale of every precoder entry
     s2 = s * s
     if floors.rows:
@@ -615,9 +647,10 @@ def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
     floors come first because they cost no sampled pass.  An RSMA candidate
     takes the full-capacity split, the common rate y's weakest user decodes,
     which is feasible for the next subproblem; SDMA keeps X.  The candidate
-    replaces cur only if its sampled WSR beats wsr.  Returns the running point
-    (precoders, split, state, wsr), the counter name of the outcome and
-    whether the rate of the second candidate was tested."""
+    replaces cur only if its sampled WSR beats wsr, which costs one WSR-only
+    pass.  Returns the running point (precoders, split, state, wsr), the
+    counter name of the outcome and whether the rate of the second candidate
+    was tested."""
     raw = PrecoderSet.stacked(cur.q + beta * (cur.q - prev.q), cur.K)
     y = _project_power(raw, config.P_t)
     free_projected = False
@@ -627,7 +660,7 @@ def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
         if y is None or floors.missed(y, config.P_t):
             return cur, X, state, wsr, "extrapolation_floor_rejected", False
         free_projected = True
-    state_y = _wmmse_state(samples, y)
+    state_y = _sampled_info(samples, y)
     X_y = -_split_capacity(state_y) if config.scheme == "RSMA" else X
     wsr_y = _wsr_nats(state_y, X_y)
     if wsr_y <= wsr:
@@ -670,10 +703,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     outer = 0
     for j in range(max(0, len(stages) - config.max_outer), len(stages)):
         samples = draws[:stages[j]]
-        # frees the last stage's state, and a candidate its stop refused,
-        # before this one's first pass
-        state = new_state = None
-        state = _wmmse_state(samples, prec)
+        state = _sampled_info(samples, prec)
         solved = prec    # the last solve's point, from which the next step extrapolates
         warm = None
         wsr_prev = 0.0
@@ -684,7 +714,8 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         for i in range(first, config.max_outer - (len(stages) - 1 - j)):
             # prec is both the point of the weights and filters and the Taylor
             # point of the floors, so one solve refreshes all three together
-            prob = _assemble_subproblem(layout, samples, state, prec, floors, config.P_t)
+            prob = _assemble_subproblem(layout, _surrogate(samples, prec, state), prec, floors,
+                                        config.P_t)
             res = cvx.solve(prob, tol=_SOLVER_TOL, start=warm)
             counts["ipm_" + res.exit] += 1
             fault = _solve_fault(res, config, floors)
@@ -715,14 +746,13 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                 counts["stop_floor_shortfall"] += 1
                 converged = True
                 break
-            new_state = _wmmse_state(samples, new_prec)
+            new_state = _sampled_info(samples, new_prec)
             wsr = _wsr_nats(new_state, new_X)
             if wsr < wsr_prev - 1e-9 and i > first:
                 counts["stop_wsr_decrease"] += 1
                 converged = True
                 break
             prec, X, state = new_prec, new_X, new_state
-            new_state = None  # at most two states alive: the running point's and y's
             converged = abs(wsr - wsr_prev) <= config.eps_r
             if not converged:
                 prec, X, state, wsr, outcome, free_projected = _extrapolate(

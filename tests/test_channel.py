@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jamcom.channel import (
+    _CHUNK_BYTES,
     AuStatistics,
     ChannelSet,
     CsitModel,
@@ -15,6 +16,7 @@ from jamcom.channel import (
     draw_csit_samples,
     evenly_spaced_pilots,
     exponential_delay_profile,
+    _sample_chunks,
     largest_eigenvalue,
     make_deterministic_scenario,
     rng_stream,
@@ -227,8 +229,22 @@ class TestCsitSamples:
         want = np.sqrt(1.0 - sigma2) * csit.h_hat[None] + np.sqrt(sigma2) * tilde
         assert draw_csit_samples(csit, 6, seed=9).tobytes() == want.tobytes()
 
-    def test_peak_memory_near_two_sample_arrays(self):
-        # the draw and the sample array; a separate sum or relaid copy adds one
+    @pytest.mark.parametrize("sigma2", [0.0, 0.3, 1.0])
+    def test_chunked_draw_has_the_formula_bits(self, sigma2):
+        # 3,976 draws in 16 chunks of 256, the last one of 136: chunked normal
+        # draws continue the one stream, so the bits are those of one draw
+        csit = self._csit(sigma2)
+        K, N, n_t = csit.h_hat.shape
+        step = _CHUNK_BYTES // (K * N * n_t * 16)
+        M = 15 * step + step // 2 + 8
+        assert len(_sample_chunks((M, K, N, n_t))) == 16
+        tilde = complex_gaussian(rng_stream(9, 2), (M,) + csit.h_hat.shape)
+        want = np.sqrt(1.0 - sigma2) * csit.h_hat[None] + np.sqrt(sigma2) * tilde
+        assert draw_csit_samples(csit, M, seed=9).tobytes() == want.tobytes()
+
+    def test_peak_memory_near_one_sample_array(self):
+        # the sample array and one chunk's normal draws and arithmetic,
+        # measured 1.19; a whole-M draw, sum or relaid copy adds one
         rng = np.random.default_rng(3)
         h_hat = rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4))
         csit = CsitModel(h_hat=h_hat, sigma_ie2=0.3)
@@ -238,7 +254,7 @@ class TestCsitSamples:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * samples.nbytes
+        assert peak <= 1.3 * samples.nbytes
 
     def test_rejects_invalid_variance(self):
         cs = make_deterministic_scenario(THETA, BETA, 4, 8)

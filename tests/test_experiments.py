@@ -128,6 +128,21 @@ class TestRunExperiment:
             if row.status == "optimal":
                 assert row.jam_margin >= -1e-6
 
+    @pytest.mark.parametrize("L", [1, 0])
+    def test_selective_sweep_with_and_without_adversaries(self, L):
+        # L = 1 takes the isotropic adversary statistics and the pilot-count
+        # threshold, 0.9 * 1 / (4 / 2); L = 0 has no floors and a zero margin
+        cfg = tiny_config(n_t=2, K=1, L=L, N=4, pilot_sets=[(1,)], M=4,
+                          channel_model={"type": "selective", "channel_seed": 3})
+        table = run_experiment(cfg)
+        assert [r.scheme for r in table.rows] == ["RSMA", "SDMA"]
+        for row in table.rows:
+            assert row.status in ("optimal", "maxiter") and np.isfinite(row.sum_rate)
+            if L:
+                assert row.jam_margin >= -1e-6 and row.detail["rho"] == 0.45
+            else:
+                assert row.jam_margin == 0.0 and row.detail["rho"] == 0.0
+
     def test_parallel_equals_serial(self):
         cfg = tiny_config(snr_db_list=[8.0, 16.0], scheme_list=["SDMA"])
         serial = run_experiment(cfg, workers=1)

@@ -239,7 +239,7 @@ class TestJammingPower:
     def test_identity_covariance_gives_total_power(self, rng):
         pre = random_precoders(rng)
         got = jamming_power_avg(np.eye(4), pre, 2)
-        assert got == pytest.approx(pre.subcarrier_power(2), rel=1e-12)
+        assert got == pytest.approx(np.sum(np.abs(pre.q[2]) ** 2), rel=1e-12)
 
     def test_rank_one_covariance_matches_realized(self, rng):
         pre = random_precoders(rng)

@@ -20,15 +20,17 @@ from jamcom.channel import (
     csit_error_variance,
 )
 from jamcom.metrics import PrecoderSet, jamming_power_avg, stream_mses
+from jamcom import channel as ch
 from jamcom import optimizer as op
 from jamcom import solver as cvx
 from jamcom.optimizer import (
     SolveConfig,
     VariableLayout,
-    WmmseState,
     _assemble_subproblem,
     _optimize_single,
     _project_floor_free,
+    _sampled_info,
+    _surrogate,
     _surrogate_coefficients,
     _wmmse_state,
     _wsr_nats,
@@ -71,30 +73,31 @@ def scalar_setup():
 
 
 class TestWeightUpdates:
-    # the state carries the weight u and filter g as ln u (info_*, a sample
-    # mean), u|g|^2 (w_*) and u g^* (a_*), so u = exp(info) at M=1 and g = w / a
+    # the WSR-only pass carries the weight u as ln u (info_*, a sample mean);
+    # the chunk kernel carries it and the filter g as u|g|^2 (w_*) and u g^*
+    # (a_*), so u = exp(info) at M=1 and g = w / a
 
     def test_scalar_weight_is_inverse_mse(self):
         samples, pre = scalar_setup()
-        state = _wmmse_state(samples, pre)
-        assert np.exp(state.info_p[0, 0]) == pytest.approx(4.0, rel=1e-12)  # mse 1/4
-        assert state.w_p[0, 0, 0] == pytest.approx(4.0 * 3.0 / 16.0, rel=1e-12)
+        assert np.exp(_sampled_info(samples, pre).info_p[0, 0]) == pytest.approx(
+            4.0, rel=1e-12)  # mse 1/4
+        _, _, w_p, *_ = _wmmse_state(samples, pre)
+        assert w_p[0, 0, 0] == pytest.approx(4.0 * 3.0 / 16.0, rel=1e-12)
 
     def test_zero_precoders_unit_weights(self):
         samples, _ = scalar_setup()
-        state = _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0))
+        state = _sampled_info(samples, PrecoderSet.zeros(4, 1, 1, 0))
         assert np.all(state.info_c == 0.0) and np.all(state.info_p == 0.0)
 
     def test_scalar_filter(self):
         samples, pre = scalar_setup()
-        state = _wmmse_state(samples, pre)
-        g_p = state.w_p / state.a_p
+        _, _, w_p, a_p, *_ = _wmmse_state(samples, pre)
+        g_p = w_p / a_p
         assert g_p[0, 0, 0] == pytest.approx(np.sqrt(3) / 4, rel=1e-12)
 
     def test_zero_precoders_zero_filters(self):
         samples, _ = scalar_setup()
-        state = _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0))
-        for a in (state.w_c, state.a_c, state.w_p, state.a_p):
+        for a in _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0))[:4]:
             assert np.all(a == 0.0)
 
     def test_filters_minimize_sampled_mse(self, rng):
@@ -104,10 +107,10 @@ class TestWeightUpdates:
             p_c=rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)),
             p=rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4)),
             f=rng.standard_normal((1, 8, 4)) + 1j * rng.standard_normal((1, 8, 4)))
-        state = _wmmse_state(samples, pre)
+        _, _, w_p, a_p, *_ = _wmmse_state(samples, pre)
         eps_p = stream_mses(samples, pre)[1]
         m, k, n = 2, 1, 5
-        g = state.w_p[k, n, m] / state.a_p[k, n, m]
+        g = w_p[k, n, m] / a_p[k, n, m]
         h = samples[m, k, n]
         _, Z, J = interference_sums(h, list(pre.p[:, n]), list(pre.f[:, n]), k)
         best = mse_of_filter(g, h, pre.p[k, n], Z + J)
@@ -135,9 +138,9 @@ class TestAugmentedMseQuadratic:
         pre.f[:, off_pilot] = 0.0  # jamming exists on pilots only
         if not rsma:
             pre.p_c[:] = 0.0
-        state = _wmmse_state(samples, pre)
-        prob = _assemble_subproblem(layout, samples, state, pre, op._Floors(stats, None, 10.0),
-                                    10.0)
+        state = _sampled_info(samples, pre)
+        prob = _assemble_subproblem(layout, _surrogate(samples, pre, state), pre,
+                                    op._Floors(stats, None, 10.0), 10.0)
         return layout, samples, pre, prob, state
 
     def test_identity_at_fresh_weights(self, rng):
@@ -175,32 +178,41 @@ class TestAugmentedMseQuadratic:
         assert sorted(seen) == list(range(4))
 
     def test_unit_weight_zero_filter_gives_one(self):
+        # at M=1 the chunk kernels' sums are the averages
         samples, _ = scalar_setup()
-        Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(
-            samples, _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0)))
+        weights = _wmmse_state(samples, PrecoderSet.zeros(4, 1, 1, 0))
+        Rc, Rp, v_c, v_p = _surrogate_coefficients(samples, weights[:4])
+        r_c, r_p = weights[4:]
         assert r_c[0, 0] == pytest.approx(1.0, abs=0)
         assert r_p[0, 0] == pytest.approx(1.0, abs=0)
         assert np.all(Rc == 0.0) and np.all(Rp == 0.0)
         assert np.count_nonzero(v_c) == 0 and np.count_nonzero(v_p) == 0
 
     def test_sample_averaged_terms_match_oracle(self, rng):
+        self._check_terms(rng, 1)
+
+    def test_chunked_terms_match_oracle(self, rng, monkeypatch):
+        # 13 chunks of 5 draws, the last one of 4
+        monkeypatch.setattr(ch, "_CHUNK_BYTES", 5 * 2 * 3 * 3 * 16)
+        self._check_terms(rng, 13)
+
+    @staticmethod
+    def _check_terms(rng, chunks):
         # M=64 samples, jamming precoders present, on the subcarrier-major draw
         # the optimizer uses and on its C-contiguous copy
         K, N, n_t = 2, 3, 3
         cn = lambda *sh: rng.standard_normal(sh) + 1j * rng.standard_normal(sh)
         drawn = draw_csit_samples(CsitModel(h_hat=cn(K, N, n_t), sigma_ie2=0.3), 64, 7)
+        assert len(ch._sample_chunks(drawn.shape)) == chunks
         pre = PrecoderSet(p_c=cn(N, n_t), p=cn(K, N, n_t), f=cn(1, N, n_t))
         for samples in (drawn, np.ascontiguousarray(drawn)):
-            Rc, Rp, v_c, v_p, r_c, r_p = _surrogate_coefficients(
-                samples, _wmmse_state(samples, pre))
+            Sc, Sp, v_c, v_p, r_c, r_p = _surrogate(samples, pre, _sampled_info(samples, pre))
             for k in range(K):
                 for n in range(N):
-                    for stage, R, v, r in (("common", Rc, v_c, r_c),
-                                           ("private", Rp, v_p, r_p)):
+                    for stage, R, v, r in (("common", Sc, v_c, r_c),
+                                           ("private", Sp, v_p, r_p)):
                         S, v_o, r_o = surrogate_terms(samples, pre, n, k, stage)
-                        for got, want in ((R[k, n], np.block([[S.real, -S.imag],
-                                                              [S.imag, S.real]])),
-                                          (v[k, n], v_o), (r[k, n], r_o)):
+                        for got, want in ((R[k, n], S), (v[k, n], v_o), (r[k, n], r_o)):
                             np.testing.assert_allclose(
                                 got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -213,9 +225,10 @@ class TestAugmentedMseQuadratic:
             u = 1.0 + np.abs(rng.standard_normal((2,) + shape))
             g = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
             w, a, zero = u * np.abs(g) ** 2, u * np.conj(g), np.zeros(shape[:2])
-            state = WmmseState(w_c=w[0], a_c=a[0], w_p=w[1], a_p=a[1],
-                               info_c=zero, info_p=zero, r_c=zero, r_p=zero)
-            prob = _assemble_subproblem(layout, samples, state, PrecoderSet.zeros(4, 4, 2, 1),
+            # at M=1 the chunk sums are the averages
+            coefficients = _surrogate_coefficients(samples, (w[0], a[0], w[1], a[1]))
+            prob = _assemble_subproblem(layout, coefficients + (zero, zero),
+                                        PrecoderSet.zeros(4, 4, 2, 1),
                                         op._Floors(stats, None, 10.0), 10.0)
             quads = [H for g in prob.groups for H in g.H] + [
                 g.Q[b, i] for g in prob.groups for b in range(g.cols.shape[0])
@@ -241,8 +254,8 @@ def first_subproblem(csit, stats, config):
                             config.scheme == "RSMA")
     pre = initialize(csit, stats, config)
     floors = op._Floors(stats, config.thresholds, config.P_t)
-    return _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre, floors,
-                                config.P_t)
+    return _assemble_subproblem(layout, _surrogate(samples, pre, _sampled_info(samples, pre)),
+                                pre, floors, config.P_t)
 
 
 class TestStackedEmission:
@@ -334,38 +347,55 @@ def spy_runs(monkeypatch):
 
 
 class TestSampledPassAllocation:
-    def test_state_and_assembly_peak_below_three_sample_arrays(self):
-        # a stray transposed or conjugated copy of the samples costs a whole
-        # samples.nbytes
-        csit, stats, config = saa_shape_setup()
-        n_t, N, K, M = csit.n_t, csit.N, csit.K, config.M
-        samples = draw_csit_samples(csit, M, 0)
-        pre = initialize(csit, stats, config)
-        layout = VariableLayout(n_t, N, K, 0, stats.pilot_idx, rsma=True)
+    """tracemalloc peaks at the saa shape, in sample arrays (4 MiB): every
+    sampled pass walks the draws in 256 KiB chunks, so beside the draws only
+    one chunk's temporaries exist; a per-sample array over all M draws, or a
+    stray transposed or conjugated copy of the samples, costs a whole one."""
+
+    @staticmethod
+    def _peak(fn):
         tracemalloc.start()
         try:
-            _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre,
-                                 op._Floors(stats, config.thresholds, config.P_t), config.P_t)
-            peak = tracemalloc.get_traced_memory()[1]
+            fn()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * samples.nbytes
+
+    def _point(self):
+        csit, stats, config = saa_shape_setup()
+        samples = draw_csit_samples(csit, config.M, 0)
+        return csit, stats, config, samples, initialize(csit, stats, config)
+
+    def test_wsr_only_pass_peak(self):
+        # measured 0.13
+        _, _, _, samples, pre = self._point()
+        assert self._peak(lambda: _sampled_info(samples, pre)) <= 0.25 * samples.nbytes
+
+    def test_state_and_assembly_peak_below_three_sample_arrays(self):
+        # the fused pass (the running point's weights, grams, linear terms and
+        # constants) and the assembly from its averages; measured 0.18
+        csit, stats, config, samples, pre = self._point()
+        layout = VariableLayout(csit.n_t, csit.N, csit.K, 0, stats.pilot_idx, rsma=True)
+        state = _sampled_info(samples, pre)
+        floors = op._Floors(stats, config.thresholds, config.P_t)
+        peak = self._peak(lambda: _assemble_subproblem(
+            layout, _surrogate(samples, pre, state), pre, floors, config.P_t))
+        assert peak <= 0.3 * samples.nbytes
+
+    def test_rate_report_peak(self):
+        # measured 0.13
+        _, _, _, samples, pre = self._point()
+        assert self._peak(lambda: op.rate_report(samples, pre)) <= 0.25 * samples.nbytes
 
     @pytest.mark.parametrize("scheme", ["SDMA", "RSMA"])
     def test_run_peak_keeps_at_most_two_states(self, scheme):
-        # a whole run holds the samples and at most two WMMSE states (the
-        # running point's and a candidate's), about 4.15 sample arrays; each
-        # stale state left referenced between iterations adds 0.75 of one
+        # a whole run, its draws included: the draws and one chunk's
+        # temporaries, measured 1.19 (SDMA) and 1.23 (RSMA); the states it
+        # keeps between passes are per (user, subcarrier) only
         csit, stats, config = saa_shape_setup()
         config = dataclasses.replace(config, scheme=scheme, max_outer=6)
         nbytes = draw_csit_samples(csit, config.M, 0).nbytes
-        tracemalloc.start()
-        try:
-            single(csit, stats, config, None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.4 * nbytes
+        assert self._peak(lambda: single(csit, stats, config, None)) <= 1.35 * nbytes
 
 
 class TestSampleStages:
@@ -382,12 +412,11 @@ class TestSampleStages:
         csit, stats, config = saa_shape_setup()
         config = dataclasses.replace(config, scheme="RSMA", max_outer=5)
         draws, seen = [], []
-        draw, assemble = op.draw_csit_samples, op._assemble_subproblem
+        draw, surrogate = op.draw_csit_samples, op._surrogate
         monkeypatch.setattr(op, "draw_csit_samples",
                             lambda *a: draws.append(draw(*a)) or draws[-1])
-        monkeypatch.setattr(op, "_assemble_subproblem",
-                            lambda layout, samples, *a: seen.append(samples)
-                            or assemble(layout, samples, *a))
+        monkeypatch.setattr(op, "_surrogate",
+                            lambda samples, *a: seen.append(samples) or surrogate(samples, *a))
         traced = []
         res = single(csit, stats, config, traced.append)
         assert len(draws) == 1
@@ -408,9 +437,9 @@ class TestSampleStages:
         assert len(wsr) <= stages[-1][1]
 
     def test_prefix_stage_freed_before_full_stage(self):
-        # the run peaks in the full stage at about 4.17 sample arrays, as a
-        # one-stage run does; the prefix stage's last state (0.19 of one) left
-        # referenced through the full stage lifts it to about 4.36
+        # the run peaks at the draws plus one chunk's temporaries, 1.23 sample
+        # arrays, as a one-stage run does; a prefix-stage array over its 1,024
+        # draws left referenced through the full stage would add 0.25 per copy
         csit, stats, config = saa_shape_setup()
         config = dataclasses.replace(config, scheme="RSMA", max_outer=6)
         nbytes = draw_csit_samples(csit, config.M, 0).nbytes
@@ -421,7 +450,7 @@ class TestSampleStages:
         finally:
             tracemalloc.stop()
         assert len(res.report.diagnostics["sample_stages"]) == 2
-        assert peak <= 4.25 * nbytes
+        assert peak <= 1.35 * nbytes
 
     @staticmethod
     def _check_stage_iterations(M, max_outer, sizes):
@@ -492,7 +521,7 @@ class TestFloorFreeProjection:
 
     def test_no_candidate_when_free_power_cannot_cover_the_excess(self, rng):
         pre, free = self._setup(rng)
-        floored_power = sum(pre.subcarrier_power(n) for n in np.flatnonzero(~free))
+        floored_power = sum(np.sum(np.abs(pre.q[n]) ** 2) for n in np.flatnonzero(~free))
         for P_t in ((1.0 - 1e-9) * floored_power, 0.5 * floored_power):
             assert _project_floor_free(pre, P_t, free) is None
 
@@ -702,6 +731,14 @@ class TestOptimize:
             monkeypatch.setattr(module, name, counted)
         optimize(*desk_instance_0("RSMA"), restricted=None)
         assert all(calls.values()), calls
+        # a saa-shaped run walks its 4,096 draws in several chunks, and every
+        # chunk loop still goes through the optimizer module's names
+        csit, stats, config = saa_shape_setup()
+        assert len(ch._sample_chunks((config.M, csit.K, csit.N, csit.n_t))) > 1
+        calls.update(dict.fromkeys(calls, 0))
+        optimize(csit, stats, dataclasses.replace(config, scheme="RSMA", max_outer=2))
+        assert all(calls[name] for name in ("draw_csit_samples", "stream_mses",
+                                            "rate_report", "sdma_restrict", "solve")), calls
 
     def test_one_draw_per_optimize_call(self, monkeypatch):
         # the RSMA run and its SDMA restriction ascend on the same draws
@@ -803,8 +840,8 @@ class TestOptimize:
         assert rsma_cfg == cfg and rsma_start is None and sdma_cfg == sdma_restrict(cfg)
         end = rsma.precoders
         assert np.all(start.p_c == 0.0) and np.array_equal(start.f, end.f)
-        np.testing.assert_allclose([start.subcarrier_power(n) for n in range(csit.N)],
-                                   [end.subcarrier_power(n) for n in range(csit.N)],
+        np.testing.assert_allclose([np.sum(np.abs(start.q[n]) ** 2) for n in range(csit.N)],
+                                   [np.sum(np.abs(end.q[n]) ** 2) for n in range(csit.N)],
                                    rtol=1e-12)
         assert not op._Floors(stats, cfg.thresholds, cfg.P_t).missed(start, cfg.P_t)
         assert res.report.diagnostics["restriction_start"] == "endpoint"
@@ -972,7 +1009,7 @@ class TestOptimize:
         def uniform_step(samples, prev, cur, X, state, wsr, beta, config, floors):
             y = op._project_power(PrecoderSet(*(c + beta * (c - p) for c, p in (
                 (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f)))), config.P_t)
-            state_y = _wmmse_state(samples, y)
+            state_y = _sampled_info(samples, y)
             X_y = op._clamp_split(state_y, X)
             wsr_y = _wsr_nats(state_y, X_y)
             if wsr_y <= wsr:
@@ -1004,9 +1041,10 @@ class TestOptimize:
         thr = build_thresholds(stats, 0.45, 10.0)
         samples = draw_csit_samples(csit, 1, 3)
         pre = initialize(csit, stats, SolveConfig(P_t=10.0, thresholds=thr, M=1))
+        coefficients = _surrogate(samples, pre, _sampled_info(samples, pre))
         for rsma, width in ((True, 8), (False, 0)):
             layout = VariableLayout(4, 8, 2, 1, stats.pilot_idx, rsma=rsma)
-            prob = _assemble_subproblem(layout, samples, _wmmse_state(samples, pre), pre,
+            prob = _assemble_subproblem(layout, coefficients, pre,
                                         op._Floors(stats, thr, 10.0), 10.0)
             assert layout.x_cols.shape == (width,)
             assert len(prob.sign_constraints) == width

@@ -7,8 +7,8 @@ import pytest
 from jamcom.channel import (CsitModel, au_statistics_uniform_phase, draw_csit_samples,
                             make_deterministic_scenario)
 from jamcom.optimizer import (SolveConfig, VariableLayout, _assemble_subproblem, _Floors,
-                              _wmmse_state, build_thresholds, initialize)
-from jamcom.solver import certify, problem_from_json, problem_to_json, solve
+                              _sampled_info, _surrogate, build_thresholds, initialize)
+from jamcom.solver import SolverError, certify, problem_from_json, problem_to_json, solve
 from stacked import lower_bound, quad_bound, sign_row, stacked_problem
 
 
@@ -194,6 +194,16 @@ class TestDeterminismAndStructure:
             with pytest.raises(ValueError):
                 dataclasses.replace(prob, **bad)
 
+    @pytest.mark.parametrize("rows", [[lower_bound(2, [0], [1.0], -1.0)], []],
+                             ids=["one_row", "no_rows"])
+    def test_indefinite_newton_system_raises(self, rows):
+        # with H = -I no regularization the retry loop tries makes the Newton
+        # matrix positive definite, with a row or without (the m == 0 path)
+        prob = stacked_problem(2, -np.eye(2), rows)
+        assert prob.m == len(rows)
+        with pytest.raises(SolverError, match="could not be factorized"):
+            solve(prob, 1e-8)
+
 
 def perturbed(prob, eps):
     """The problem with its linear objective scaled by 1 + eps and every
@@ -293,7 +303,7 @@ class TestSerialization:
         samples = draw_csit_samples(csit, 2, 0)
         pre = initialize(csit, stats, config)
         prob = _assemble_subproblem(VariableLayout(4, 4, 2, 1, stats.pilot_idx, rsma=True),
-                                    samples, _wmmse_state(samples, pre), pre,
+                                    _surrogate(samples, pre, _sampled_info(samples, pre)), pre,
                                     _Floors(stats, config.thresholds, config.P_t), config.P_t)
         assert len(prob.a_constraints) == 2
         a = solve(prob, 1e-7)
