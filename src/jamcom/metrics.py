@@ -167,9 +167,10 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
 
     ``samples`` is either a ChannelSet (evaluated as a single realization) or
     an (M, K, N, n_t) sample array, in which case mutual informations are
-    sample averages, summed chunk by chunk (``channel._chunk_sums``) so
-    that no per-sample array outlives its chunk.  ``C`` is the common-rate split in bits, validated
-    against per-subcarrier decodability; omitted means an all-private scheme.
+    sample averages, summed chunk by chunk (``channel._chunk_sums``) so that
+    no per-sample array outlives its chunk.  ``C`` is the common-rate split
+    in bits, validated against per-subcarrier decodability; omitted means an
+    all-private scheme.
     ``stats`` adds the statistically averaged focused power on the pilot set;
     :func:`attach_realized_jamming` adds the realized one afterwards.
     """
