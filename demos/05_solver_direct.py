@@ -25,14 +25,16 @@ rng = np.random.default_rng(3)
 # min z'Hz + q'z  s.t.  ||z||^2 <= 4,  z_0 + z_1 >= 1,  z_4 <= 0
 # with two independent variable blocks coupled only by the norm budget.
 # Every row reads y'Q y + lin'y + const <= 0 over its block's variables y; the
-# two blocks carry different rows, so each is a group of its own.
+# two blocks carry different rows, so each is a group of its own.  A group's
+# quad stacks its objective quadratic (row 0) and its row quadratics (here the
+# affine and sign rows' zeros).
 A1 = rng.standard_normal((3, 3))
 A2 = rng.standard_normal((3, 3))
 halfspace = BlockGroup(                      # block z[0:3]: 1 - z_0 - z_1 <= 0
-    cols=np.array([[0, 1, 2]]), H=(A1.T @ A1 / 3)[None], Q=np.zeros((1, 1, 3, 3)),
+    cols=np.array([[0, 1, 2]]), quad=np.stack([A1.T @ A1 / 3, np.zeros((3, 3))])[None],
     lin=np.array([[[-1.0, -1.0, 0.0]]]), const=np.array([[1.0]]), kinds=("a",))
 sign = BlockGroup(                           # block z[3:6]: z_4 <= 0
-    cols=np.array([[3, 4, 5]]), H=(A2.T @ A2 / 3)[None], Q=np.zeros((1, 1, 3, 3)),
+    cols=np.array([[3, 4, 5]]), quad=np.stack([A2.T @ A2 / 3, np.zeros((3, 3))])[None],
     lin=np.array([[[0.0, 1.0, 0.0]]]), const=np.array([[0.0]]), kinds=("sign",))
 prob = ConvexSubproblem(groups=[halfspace, sign], q0=rng.standard_normal(6) * 0.5,
                         budget=np.ones(6), budget_const=-4.0)

@@ -297,10 +297,11 @@ def au_covariance_uniform_phase(delta: float, n_t: int) -> np.ndarray:
     """Covariance of a steering channel with phase uniform on [0, delta].
 
     Entry (m, p) is the phase average of exp(-1j*(m-p)*beta); the diagonal is
-    exactly one.  delta = 0 degenerates to the all-ones rank-one matrix.
+    exactly one.  delta = 0 degenerates to the all-ones rank-one matrix.  A
+    negative or non-finite delta raises ValueError.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
     m = np.arange(n_t)
     a = m[:, None] - m[None, :]
     if delta == 0.0:

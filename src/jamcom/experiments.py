@@ -58,6 +58,10 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("n_t", "K", "L", "N"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if min(self.n_t, self.K, self.N) < 1 or self.L < 0:
             raise ValueError("n_t, K, N must be >= 1 and L >= 0")
         if not self.snr_db_list:

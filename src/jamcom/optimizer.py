@@ -126,7 +126,8 @@ class SolveConfig:
             raise ValueError(f"P_t must be positive and finite, got {self.P_t!r}")
         if self.scheme not in ("RSMA", "SDMA"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not all(isinstance(v, (int, np.integer)) for v in (self.M, self.max_outer, self.seed)):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.M, self.max_outer, self.seed)):
             raise ValueError("M, max_outer and seed must be integers")
         if self.M < 1 or self.max_outer < 1:
             raise ValueError("M and the iteration cap must be >= 1")
@@ -488,16 +489,6 @@ def _surrogate(samples: np.ndarray, precoders: PrecoderSet, state: WmmseState) -
     return S_c, S_p, v_c, v_p, r_c - state.info_c, r_p - state.info_p
 
 
-def _block_diag(R: np.ndarray, count: int, lead: int = 0) -> np.ndarray:
-    """count copies of each R (..., w, w) down the diagonal after lead zero rows
-    and columns, i.e. np.kron(np.eye(count), R) padded in front."""
-    w = R.shape[-1]
-    out = np.zeros(R.shape[:-2] + (lead + count * w,) * 2)
-    for at in range(lead, lead + count * w, w):
-        out[..., at:at + w, at:at + w] = R
-    return out
-
-
 def _assemble_subproblem(layout: VariableLayout, coefficients: tuple,
                          taylor: PrecoderSet, floors: _Floors,
                          P_t: float) -> cvx.ConvexSubproblem:
@@ -530,14 +521,16 @@ def _assemble_subproblem(layout: VariableLayout, coefficients: tuple,
         ns = [n for n in range(N) if keys[n] == (S, nf)]
         nb, wp, kc = len(ns), S * sw, K * x    # blocks, precoder width, common rows
         w, k = wp + x, kc + nf + x
-        H = np.zeros((nb, w, w))
-        Q = np.zeros((nb, k, w, w))
+        quad = np.zeros((nb, 1 + k, w, w))
         lin = np.zeros((nb, k, w))
         const = np.zeros((nb, k))
+        # the (sw, sw) diagonal tile of stream t in quadratic r is tiles[:, r, t]:
+        # the objective (r = 0) and the common-MSE rows are block-diagonal
+        tiles = np.einsum("...jkjl->...jkl", quad[..., :wp, :wp].reshape(nb, 1 + k, S, sw, S, sw))
         # the common slot carries no private-MSE power
-        H[:, :wp, :wp] = _block_diag(Rp[:, ns].sum(axis=0), S - x, sw * x) * s2
+        tiles[:, 0, x:] = (Rp[:, ns].sum(axis=0) * s2)[:, None]
         if x:
-            Q[:, :K, :wp, :wp] = _block_diag(Rc[:, ns].swapaxes(0, 1), S) * s2
+            tiles[:, 1:1 + K] = (Rc[:, ns].swapaxes(0, 1) * s2)[:, :, None]
             lin[:, :K, :sw] = -2.0 * _revec(v_c[:, ns].swapaxes(0, 1)) * s
             lin[:, :K, wp] = -1.0
             const[:, :K] = -(1.0 - r_c[:, ns].T)
@@ -545,7 +538,7 @@ def _assemble_subproblem(layout: VariableLayout, coefficients: tuple,
         if nf:
             lin[:, kc:kc + nf, :wp] = a_lin[floors.rows[nf]]
             const[:, kc:kc + nf] = a_const[floors.rows[nf]]
-        groups.append(cvx.BlockGroup(np.stack([layout.blocks[n] for n in ns]), H, Q, lin,
+        groups.append(cvx.BlockGroup(np.stack([layout.blocks[n] for n in ns]), quad, lin,
                                      const, ("q",) * kc + ("a",) * nf + ("sign",) * x))
 
     q0 = np.zeros(layout.n_vars)

@@ -8,22 +8,23 @@ A subproblem arrives in the stacked block form the IPM works on:
 
 with every H_b and Q_bi PSD and budget >= 0.  The blocks y_b = y[cols_b]
 partition the variables.  Blocks of one width that carry the same rows form a
-group (BlockGroup) of stacked arrays: cols (nb, w), H (nb, w, w), Q (nb, k, w,
-w), lin (nb, k, w) and const (nb, k).  Each row has a kind: "q" (quadratic),
-"a" (affine, Q = 0) or "sign" (y_x <= 0: Q = 0, lin = e_x, const = 0).  The
-diagonal budget row is the only row that spans blocks.  Rows are numbered
-group by group, block by block, row by row, with the budget row last;
-multipliers, warm starts and violations use this canonical numbering, and a
-violation names its row by kind and rank among that kind: "q[i]", "a[j]" or
-"sign[t]".
+group (BlockGroup) of stacked arrays: cols (nb, w), quad (nb, 1 + k, w, w),
+lin (nb, k, w) and const (nb, k), where quad[:, 0] = H_b and quad[:, i] = Q_bi.
+Each row has a kind: "q" (quadratic), "a" (affine, Q = 0) or "sign" (y_x <= 0:
+Q = 0, lin = e_x, const = 0).  The diagonal budget row is the only row that
+spans blocks.  Rows are numbered group by group, block by block, row by row,
+with the budget row last; multipliers, warm starts and violations use this
+canonical numbering, and a violation names its row by kind and rank among
+that kind: "q[i]", "a[j]" or "sign[t]".
 
 With a fixed row count per block, every per-iteration sum over rows is a
 batched contraction: the Lagrangian Hessian blocks are H_b + sum_i lam_bi Q_bi,
 the Newton blocks add G_b' diag(d_b) G_b over the row gradients G_b (k, w) of
 the block, and the budget row's gradient is the one rank-one (Sherman-Morrison)
-correction of the blockwise Newton solve.  The IPM and certify work from these
-arrays directly.  The iteration schedule is fixed and free of randomness, so
-identical inputs produce bitwise-identical results.
+correction of the blockwise Newton solve.  One product with each group's quad
+stack evaluates the objective and every row at a point, once per IPM iterate.
+The iteration schedule is fixed and free of randomness, so identical inputs
+produce bitwise-identical results.
 
 A solve starts cold, at y = 0 with unit multipliers, or warm from a caller's
 (primal, multipliers), typically the solution of a neighbouring problem.  A
@@ -43,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "BlockGroup",
@@ -67,8 +69,7 @@ class BlockGroup:
     """nb blocks of width w, each with the same k constraint rows, stacked."""
 
     cols: np.ndarray     # (nb, w) variable columns of each block
-    H: np.ndarray        # (nb, w, w) objective quadratic
-    Q: np.ndarray        # (nb, k, w, w) row quadratics
+    quad: np.ndarray     # (nb, 1 + k, w, w) objective quadratic, then row quadratics
     lin: np.ndarray      # (nb, k, w) row linear parts
     const: np.ndarray    # (nb, k) row constants
     kinds: Tuple[str, ...]   # (k,) the kind of each row, "q" | "a" | "sign"
@@ -82,12 +83,17 @@ class BlockGroup:
             raise ValueError(f"row kinds must be among {_KINDS}")
         nb, w = self.cols.shape
         k = len(self.kinds)
-        for name, shape in (("H", (nb, w, w)), ("Q", (nb, k, w, w)),
-                            ("lin", (nb, k, w)), ("const", (nb, k))):
+        for name, shape in (("quad", (nb, 1 + k, w, w)), ("lin", (nb, k, w)),
+                            ("const", (nb, k))):
             a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if a.shape != shape:
                 raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
             setattr(self, name, a)
+
+    # read-only views of quad: the objective quadratics (nb, w, w) and the
+    # row quadratics (nb, k, w, w)
+    H = property(lambda self: as_strided(self.quad[:, 0], writeable=False))
+    Q = property(lambda self: as_strided(self.quad[:, 1:], writeable=False))
 
 
 @dataclass
@@ -143,34 +149,29 @@ class ConvexSubproblem:
         """The (nb, k) views of a canonical row vector v, one per group."""
         return [v[rows].reshape(g.const.shape) for g, rows in zip(self.groups, self._rows)]
 
-    def objective(self, y: np.ndarray):
-        """Objective value and gradient at the point y."""
+    def evaluate(self, y: np.ndarray):
+        """(f, grad, c, jac) at the point y: the objective value and gradient,
+        the canonical row values (feasible means <= 0) and the Jacobian, i.e.
+        the (nb, k, w) row gradients of each group and the budget row's (n,)
+        gradient (None without a budget)."""
         f = float(self.q0 @ y) + self.c0
         grad = self.q0.copy()
-        for g in self.groups:
-            yb = y[g.cols]
-            Hy = np.matmul(g.H, yb[..., None])[..., 0]
-            f += float(np.sum(yb * Hy))
-            grad[g.cols] += 2.0 * Hy
-        return f, grad
-
-    def constraints(self, y: np.ndarray):
-        """Canonical row values at the point y (feasible means <= 0) and
-        the Jacobian: the (nb, k, w) row gradients of each group, and the
-        budget row's (n,) gradient (None without a budget)."""
         c = np.empty(self.m)
-        jac = []
+        G = []
         for g, rows in zip(self.groups, self._rows):
             yb = y[g.cols]
             nb, k, w = g.lin.shape
-            Qy = np.matmul(g.Q.reshape(nb, k * w, w), yb[..., None]).reshape(nb, k, w)
+            Ay = np.matmul(g.quad.reshape(nb, (1 + k) * w, w), yb[..., None]).reshape(nb, 1 + k, w)
+            Hy, Qy = Ay[:, 0], Ay[:, 1:]
+            f += float(np.sum(yb * Hy))
+            grad[g.cols] += 2.0 * Hy
             c[rows] = (g.const + np.sum(yb[:, None, :] * (Qy + g.lin), axis=2)).ravel()
-            jac.append(2.0 * Qy + g.lin)
+            G.append(2.0 * Qy + g.lin)
         grad_b = None
         if self.budget is not None:
             c[-1] = self.budget_const + self.budget @ (y * y)
             grad_b = 2.0 * self.budget * y
-        return c, (jac, grad_b)
+        return f, grad, c, (G, grad_b)
 
     def _jac_t(self, jac, v: np.ndarray) -> np.ndarray:
         """J' v."""
@@ -195,7 +196,8 @@ class ConvexSubproblem:
         out = []
         for g, lg in zip(self.groups, self.split(lam)):
             nb, k, w = g.lin.shape
-            Hb = g.H + np.matmul(lg[:, None, :], g.Q.reshape(nb, k, w * w)).reshape(nb, w, w)
+            Hb = np.matmul(lg[:, None, :], g.quad[:, 1:].reshape(nb, k, w * w)).reshape(nb, w, w)
+            Hb += g.quad[:, 0]
             if self.budget is not None:
                 diag = np.arange(w)
                 Hb[:, diag, diag] += lam[-1] * self.budget[g.cols]
@@ -320,10 +322,13 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     max(multipliers, δ), δ = _WARM_GAP; the primal point need not be
     feasible.  Other lengths raise ValueError.  Without a start the IPM
     begins at y = 0, with slacks max(1, -c(0)) and unit multipliers.  The
-    returned primal is a new array, never the start's.
+    returned primal is a new array, never the start's.  A tol that is not
+    finite and positive, or a max_iter that is not an int >= 1, raises ValueError.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     p = problem
     n, m = p.n_vars, p.m
     cols = [g.cols for g in p.groups]
@@ -337,11 +342,12 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     if m == 0:
         # unconstrained convex QP: one Newton solve
         z = _BlockKKT(cols, [2.0 * g.H for g in p.groups], None).solve(-p.q0)
-        return SolverResult(primal=z, objective_value=p.objective(z)[0],
+        return SolverResult(primal=z, objective_value=p.evaluate(z)[0],
                             status="optimal", kkt_residual=0.0, duality_gap=0.0,
                             iterations=1, multipliers=np.zeros(0))
 
-    cvals, jac = p.constraints(z)
+    # fval, gradf, cvals and jac are always at the current z
+    fval, gradf, cvals, jac = p.evaluate(z)
     if start is None:
         s = np.maximum(1.0, -cvals)
         lam = np.ones(m)
@@ -351,16 +357,11 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     mu0 = float(s @ lam) / m
 
     status = exit_ = "max_iter"
-    it = 0
-    kkt_rel = np.inf
-    gap_rel = np.inf
     best = None      # (score, z, lam, kkt_rel, gap_rel)
     stalled = 0
     no_progress = 0
 
     for it in range(1, max_iter + 1):
-        # cvals and jac are always at the current z: evaluated once per iterate
-        fval, gradf = p.objective(z)
         r_d = gradf + p._jac_t(jac, lam)
         r_p = cvals + s
         mu = float(s @ lam) / m
@@ -443,11 +444,11 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
         z = z + alpha_p * dz
         s = np.maximum(s + alpha_p * ds, 1e-30)
         lam = np.maximum(lam + alpha_d * dlam, 1e-30)
-        cvals, jac = p.constraints(z)
+        fval, gradf, cvals, jac = p.evaluate(z)
 
-    if status != "optimal" and best is not None:
+    if status != "optimal":
         _, z, lam, kkt_rel, gap_rel = best
-        cvals, _ = p.constraints(z)
+        fval, _, cvals, _ = p.evaluate(z)
     bad = np.flatnonzero(cvals > tol * p.feas_scale)
     labels = p.labels() if bad.size else []
     violations = [(int(i), labels[i], float(cvals[i])) for i in bad]
@@ -456,7 +457,7 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
 
     return SolverResult(
         primal=z,
-        objective_value=p.objective(z)[0],
+        objective_value=fval,
         status=status,
         kkt_residual=float(kkt_rel),
         duality_gap=float(gap_rel),
@@ -477,8 +478,11 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
     Evaluates every constraint at the primal point and computes the Lagrangian
     dual value at the returned multipliers by direct minimization; true iff
     the point is feasible, the multipliers are sign-correct, and the gap is
-    within tol (scaled by 1 + |objective|).
+    within tol (scaled by 1 + |objective|).  A tol that is not finite and
+    positive raises ValueError.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if result.status != "optimal":
         return False
     p = problem
@@ -489,14 +493,13 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
         return False
 
     y = np.asarray(result.primal, dtype=np.float64)
-    cvals, _ = p.constraints(y)
+    fval, _, cvals, _ = p.evaluate(y)
     if cvals.size and float(np.max(cvals)) > tol * p.feas_scale:
         return False
 
     # Lagrangian y'Hy + lin'y + const; its affine part is read off at y = 0
     n = p.n_vars
-    f0, lin = p.objective(np.zeros(n))
-    c0, jac0 = p.constraints(np.zeros(n))
+    f0, lin, c0, jac0 = p.evaluate(np.zeros(n))
     lin = lin + p._jac_t(jac0, lam)
     const = f0 + float(lam @ c0)
     H = np.zeros((n, n))
@@ -508,7 +511,6 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
     if resid > 1e-6 * (1.0 + float(np.max(np.abs(lin)))):
         return False  # dual unbounded below in a null direction
     dual_val = float(zbar @ H @ zbar + lin @ zbar + const)
-    fval = p.objective(y)[0]
     gap = fval - dual_val
     return gap <= tol * (1.0 + abs(fval))
 
@@ -517,15 +519,13 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
 # JSON debug format
 
 
-_GROUP_ARRAYS = ("H", "Q", "lin", "const")
-
-
 def problem_to_json(problem: ConvexSubproblem) -> str:
     """Serialize a subproblem so failing instances can be replayed elsewhere;
-    floats are written with repr, so the copy is exact."""
+    floats are written with repr, so the copy is exact.  A group's quad is
+    written as its parts "H" and "Q"."""
     p = problem
     return json.dumps({
-        "groups": [dict({f: getattr(g, f).tolist() for f in ("cols",) + _GROUP_ARRAYS},
+        "groups": [dict({f: getattr(g, f).tolist() for f in ("cols", "H", "Q", "lin", "const")},
                         kinds=list(g.kinds)) for g in p.groups],
         "q0": p.q0.tolist(), "c0": p.c0,
         "budget": p.budget.tolist() if p.budget is not None else None,
@@ -541,9 +541,10 @@ def problem_from_json(text: str) -> ConvexSubproblem:
         cols = np.array(gd["cols"], dtype=np.int64)
         nb, w = cols.shape
         k = len(gd["kinds"])
-        shapes = {"H": (nb, w, w), "Q": (nb, k, w, w), "lin": (nb, k, w), "const": (nb, k)}
-        groups.append(BlockGroup(cols=cols, kinds=gd["kinds"], **{
-            f: np.array(gd[f], dtype=np.float64).reshape(shapes[f]) for f in _GROUP_ARRAYS}))
+        quad = np.concatenate([np.reshape(gd["H"], (nb, 1, w, w)),
+                               np.reshape(gd["Q"], (nb, k, w, w))], axis=1)
+        groups.append(BlockGroup(cols, quad, np.reshape(gd["lin"], (nb, k, w)),
+                                 np.reshape(gd["const"], (nb, k)), gd["kinds"]))
     return ConvexSubproblem(groups=groups, q0=np.array(doc["q0"], dtype=np.float64),
                             c0=doc["c0"], budget=doc["budget"],
                             budget_const=doc["budget_const"])

@@ -72,9 +72,8 @@ def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
         nb, k = len(ms), len(kinds)
         groups.append(BlockGroup(
             cols=np.array([cols for cols, _ in ms]),
-            H=np.array([H[np.ix_(cols, cols)] for cols, _ in ms]),
-            Q=np.array([[Q[np.ix_(cols, cols)] for _, Q, _, _ in rs]
-                        for cols, rs in ms]).reshape(nb, k, w, w),
+            quad=np.array([[H[np.ix_(cols, cols)]] + [Q[np.ix_(cols, cols)] for _, Q, _, _ in rs]
+                           for cols, rs in ms]),
             lin=np.array([[lin[cols] for _, _, lin, _ in rs] for cols, rs in ms]).reshape(nb, k, w),
             const=np.array([[r[3] for r in rs] for _, rs in ms]).reshape(nb, k),
             kinds=kinds))

@@ -237,16 +237,16 @@ def _tiny_instance():
     # z'Qc z <= 2 u_c g_c h'z[0:2] + z6 + 1 - rc, the focused-power floor
     # jam_coef'z[0:6] + jam_const >= J_thr and z6 <= 0; the spanning row is
     # the power budget ||z[0:6]||^2 <= P_t
-    Q = np.zeros((1, 3, 7, 7))
-    Q[0, 0, :6, :6] = Qc
+    # quad stacks the objective quadratic and the three rows' quadratics
+    quad = np.zeros((1, 4, 7, 7))
+    quad[0, 0, :6, :6] = Qp[:6, :6]
+    quad[0, 1, :6, :6] = Qc
     lin = np.zeros((1, 3, 7))
     lin[0, 0, [0, 1, 6]] = -np.array([2 * u_c * g_c * h[0], 2 * u_c * g_c * h[1], 1.0])
     lin[0, 1, :6] = -jam_coef
     lin[0, 2, 6] = 1.0
-    H = np.zeros((1, 7, 7))
-    H[0, :6, :6] = Qp[:6, :6]
     prob = cvx.ConvexSubproblem(
-        groups=[cvx.BlockGroup(cols=np.arange(7)[None], H=H, Q=Q, lin=lin,
+        groups=[cvx.BlockGroup(cols=np.arange(7)[None], quad=quad, lin=lin,
                                const=np.array([[-(1.0 - rc), J_thr - jam_const, 0.0]]),
                                kinds=("q", "a", "sign"))],
         q0=qp, c0=rp, budget=np.r_[np.ones(6), 0.0], budget_const=-P_t)

@@ -144,6 +144,12 @@ class TestAuCovariance:
         R = au_covariance_uniform_phase(0.0, 4)
         assert np.array_equal(R, np.ones((4, 4)))
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.5])
+    def test_negative_or_non_finite_spread_rejected(self, delta):
+        # NaN returned a NaN covariance silently, +-inf one with warnings
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            au_covariance_uniform_phase(delta, 4)
+
     def test_unit_diagonal(self):
         R = au_covariance_uniform_phase(2 * BETA, 5)
         np.testing.assert_allclose(np.diag(R), 1.0, atol=0)

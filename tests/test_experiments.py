@@ -74,6 +74,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [("M", True), ("max_outer", True), ("seed", True),
+                                             ("seed", False), ("n_t", 2.5), ("K", 2.0),
+                                             ("L", True), ("N", 8.0)])
+    def test_boolean_and_fractional_counts_rejected_from_json(self, field, value):
+        # "M": true passed and ended in a TypeError inside the sampler,
+        # "max_outer": true ran one iteration and "seed": true used seed 1; a
+        # fractional n_t, K or N raised a TypeError that named no field
+        doc = json.loads(tiny_config().to_json())
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_au_spread_rejected_from_json(self, spread):
+        # a NaN spread made a NaN covariance, and from_json failed in eigh
+        doc = json.loads(tiny_config().to_json())
+        doc["channel_model"]["au_spread"] = spread
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
     def test_explicit_pilot_lists(self):
         cfg = tiny_config(pilot_sets=[(1, 4, 7)])
         assert cfg.resolve_pilots(cfg.pilot_sets[0]) == (1, 4, 7)
@@ -279,7 +299,8 @@ class TestCli:
         ({"alpha": float("nan")}, "alpha"),
         ({"base_rho": float("nan")}, "base_rho"),
         # both sets hold two pilots: their rows and curve file would merge
-        ({"pilot_sets": [[1, 5], [2, 6]]}, "repeat a pilot count")])
+        ({"pilot_sets": [[1, 5], [2, 6]]}, "repeat a pilot count"),
+        ({"M": True}, "M, max_outer and seed must be integers")])
     def test_bad_cell_inputs_exit_one_before_any_cell(self, tmp_path, capsys, overrides,
                                                       message):
         # each of these once ended in a traceback from inside the first cell

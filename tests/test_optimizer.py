@@ -155,16 +155,16 @@ class TestAugmentedMseQuadratic:
                     target += 1.0 + np.log(mse)
             z = layout.pack(pre, np.zeros(4))
             scale = layout.var_scale(10.0)
-            assert prob.objective(z / scale)[0] == pytest.approx(target, abs=1e-12)
+            assert prob.evaluate(z / scale)[0] == pytest.approx(target, abs=1e-12)
             X = -np.abs(rng.standard_normal(4))
-            wm = prob.objective(layout.pack(pre, X) / scale)[0]
+            wm = prob.evaluate(layout.pack(pre, X) / scale)[0]
             assert wm == pytest.approx(2 * 4 - _wsr_nats(state, X if layout.rsma else np.zeros(4)),
                                        abs=1e-12)
             assert wm == pytest.approx(target + (X.sum() if layout.rsma else 0.0), abs=1e-12)
 
     def test_common_constraint_is_minus_common_information(self, rng):
         layout, samples, pre, prob, _ = self._setup(rng)
-        c = prob.constraints(layout.pack(pre, np.zeros(4)) / layout.var_scale(10.0))[0]
+        c = prob.evaluate(layout.pack(pre, np.zeros(4)) / layout.var_scale(10.0))[2]
         seen = []
         for g, cg in zip(prob.groups, prob.split(c)):
             assert g.kinds[:2] == ("q", "q")
@@ -940,6 +940,37 @@ class TestOptimize:
         assert len(warm) == res.outer_iterations + 1
         # the near-feasible solve of outer iteration 2 is flagged by its exit
         assert res.report.diagnostics["solver_flags"] == ["2:no_progress"]
+
+    def test_infeasible_cold_solve_raises(self, monkeypatch):
+        # an infeasible verdict with no violated row is no near-feasible
+        # point: a cold solve has no retry, so the run stops with the fault
+        def fake(prob, **kw):
+            return cvx.SolverResult(primal=np.zeros(prob.n_vars), objective_value=0.0,
+                                    status="infeasible", kkt_residual=1.0, duality_gap=1.0,
+                                    multipliers=np.ones(prob.m), exit="stalled")
+
+        monkeypatch.setattr(op.cvx, "solve", fake)
+        csit, stats, cfg = desk_instance_0("SDMA")
+        with pytest.raises(op.OptimizerError, match="subproblem infeasible"):
+            optimize(csit, stats, cfg)
+
+    def test_solve_missing_the_true_floors_stops_the_run(self, monkeypatch):
+        # an all-zero solve point carries no jamming power, so it misses the
+        # true floors: the run keeps its running point and stops there
+        def fake(prob, **kw):
+            return cvx.SolverResult(primal=np.zeros(prob.n_vars), objective_value=0.0,
+                                    status="optimal", kkt_residual=0.0, duality_gap=0.0,
+                                    multipliers=np.zeros(prob.m))
+
+        monkeypatch.setattr(op.cvx, "solve", fake)
+        csit, stats, cfg = desk_instance_0("SDMA")
+        res = optimize(csit, stats, cfg)
+        assert res.report.diagnostics["counts"]["stop_floor_shortfall"] == 1
+        assert res.converged
+        floors = op._Floors(stats, cfg.thresholds, cfg.P_t)
+        assert floors.sub.size and not floors.missed(res.precoders, cfg.P_t)
+        assert np.all(jamming_power_avg(floors.R, res.precoders, floors.sub)
+                      >= floors.value - floors.tol)
 
     def test_extrapolation_safeguard(self):
         # desk instance 0 of the acceptance suite: 5 dB, one pilot, active floors

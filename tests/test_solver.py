@@ -8,7 +8,8 @@ from jamcom.channel import (CsitModel, au_statistics_uniform_phase, draw_csit_sa
                             make_deterministic_scenario)
 from jamcom.optimizer import (SolveConfig, VariableLayout, _assemble_subproblem, _Floors,
                               _sampled_info, _surrogate, build_thresholds, initialize)
-from jamcom.solver import SolverError, certify, problem_from_json, problem_to_json, solve
+from jamcom.solver import (ConvexSubproblem, SolverError, certify, problem_from_json,
+                           problem_to_json, solve)
 from stacked import lower_bound, quad_bound, sign_row, stacked_problem
 
 
@@ -77,12 +78,17 @@ class TestBatchedContractions:
         prob = dataclasses.replace(random_block_problem(seed), budget=np.linspace(0.25, 4.0, 10))
         rng = np.random.default_rng(seed + 100)
         y, lam, dy = (rng.standard_normal(n) for n in (10, prob.m, 10))
-        c, jac = prob.constraints(y)
+        f, grad_f, c, jac = prob.evaluate(y)
         rows = [(g, b, i) for g in prob.groups for b in range(g.cols.shape[0])
                 for i in range(len(g.kinds))]
         assert len(rows) == prob.m - 1                 # the budget row is last
         want_c, want_jt, want_jd = np.empty(prob.m), np.zeros(10), np.empty(prob.m)
         want_H = {id(g): g.H.copy() for g in prob.groups}
+        want_f, want_grad = prob.q0 @ y + prob.c0, prob.q0.copy()
+        for g in prob.groups:
+            for b, cols in enumerate(g.cols):
+                want_f += y[cols] @ g.H[b] @ y[cols]
+                want_grad[cols] += 2.0 * g.H[b] @ y[cols]
         for r, (g, b, i) in enumerate(rows):
             yb = y[g.cols[b]]
             want_c[r] = yb @ g.Q[b, i] @ yb + g.lin[b, i] @ yb + g.const[b, i]
@@ -96,11 +102,44 @@ class TestBatchedContractions:
         for g in prob.groups:
             for b, cols in enumerate(g.cols):
                 want_H[id(g)][b] += np.diag(lam[-1] * prob.budget[cols])
-        for got, want in ((c, want_c), (prob._jac_t(jac, lam), want_jt),
+        assert f == pytest.approx(want_f, rel=1e-12, abs=1e-12)
+        for got, want in ((grad_f, want_grad), (c, want_c), (prob._jac_t(jac, lam), want_jt),
                           (prob._jac_dot(jac, dy), want_jd)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         for g, Hb in zip(prob.groups, prob._hessian(lam)):
             np.testing.assert_allclose(Hb, want_H[id(g)], rtol=1e-12, atol=1e-12)
+
+
+class TestEntryChecks:
+    """min z'z + z0 - z1 s.t. z0 <= 0, whose optimum is [-0.5, 0.5]: a NaN
+    tol ran to a no_progress exit, an inf one returned the cold start [0, 0]
+    as optimal and certified it, and a cap below one returned the start."""
+
+    @staticmethod
+    def problem():
+        return stacked_problem(2, np.eye(2), [sign_row(2, 0)], q0=np.array([1.0, -1.0]))
+
+    def test_reference_optimum(self):
+        prob = self.problem()
+        res = solve(prob, 1e-9)
+        assert res.status == "optimal" and certify(prob, res, 1e-6)
+        np.testing.assert_allclose(res.primal, [-0.5, 0.5], atol=1e-7)
+        assert solve(prob, 1e-9, max_iter=np.int64(100)).iterations == res.iterations
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1e-8])
+    def test_bad_tolerance_rejected(self, tol):
+        prob = self.problem()
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve(prob, tol)
+        cold = solve(prob, 1e-9, max_iter=1)    # the cold start [0, 0], not optimal
+        cold.status = "optimal"
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            certify(prob, cold, tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, False, np.float64(3.0), "3"])
+    def test_bad_iteration_cap_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            solve(self.problem(), 1e-9, max_iter=max_iter)
 
 
 class TestKktAndCertification:
@@ -116,8 +155,7 @@ class TestKktAndCertification:
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            lag_p = prob.objective(zp)[0] + lam @ prob.constraints(zp)[0]
-            lag_m = prob.objective(zm)[0] + lam @ prob.constraints(zm)[0]
+            lag_p, lag_m = (e[0] + lam @ e[2] for e in map(prob.evaluate, (zp, zm)))
             grad[i] = (lag_p - lag_m) / (2 * eps)
         assert np.max(np.abs(grad)) < 1e-4
 
@@ -179,11 +217,16 @@ class TestDeterminismAndStructure:
         prob = random_block_problem(5)
         g, other = prob.groups
         nb, k, w = g.lin.shape
-        for bad in (dict(H=g.H[0]), dict(Q=g.Q[:, :, :-1]), dict(lin=g.lin[:, :-1]),
-                    dict(const=g.const[:, :-1]), dict(cols=g.cols[0]),
+        for bad in (dict(quad=g.quad[0]), dict(quad=g.quad[:, 1:]), dict(quad=g.quad[:, :, :-1]),
+                    dict(lin=g.lin[:, :-1]), dict(const=g.const[:, :-1]), dict(cols=g.cols[0]),
                     dict(kinds=g.kinds[:-1] + ("b",))):
             with pytest.raises(ValueError):
                 dataclasses.replace(g, **bad)
+        # H and Q are read-only views of the one quad stack
+        assert np.shares_memory(g.H, g.quad) and np.shares_memory(g.Q, g.quad)
+        for view in (g.H, g.Q):
+            with pytest.raises(ValueError):
+                view[...] = 0.0
         # the blocks must partition the variables: none missing, none twice,
         # none out of range
         moved = dataclasses.replace(other, cols=other.cols + 1)
@@ -235,7 +278,7 @@ class TestWarmStart:
         prob = random_block_problem(4)
         cold = solve(prob, 1e-9)
         start = np.full(prob.n_vars, 3.0)  # ||z||^2 = 90 > 4, and both sign bounds violated
-        assert prob.constraints(start)[0].max() > 1.0
+        assert prob.evaluate(start)[2].max() > 1.0
         res = solve(prob, 1e-9, start=(start, np.zeros(cold.multipliers.size)))
         assert res.status == "optimal"
         assert certify(prob, res, 1e-6)
@@ -244,6 +287,25 @@ class TestWarmStart:
     def test_iteration_cap_is_named(self):
         res = solve(random_block_problem(2), 1e-9, max_iter=2)
         assert res.status == res.exit == "max_iter" and res.iterations == 2
+
+    @pytest.mark.parametrize("tol,max_iter,exit_", [(1e-9, 100, "optimal"), (1e-9, 3, "max_iter"),
+                                                    (1e-16, 100, "no_progress")])
+    def test_each_iterate_evaluated_once(self, monkeypatch, tol, max_iter, exit_):
+        # one evaluation per iterate (the start and the point after each
+        # step), plus one on restoring the best iterate when not optimal
+        points, evaluate = [], ConvexSubproblem.evaluate
+        monkeypatch.setattr(ConvexSubproblem, "evaluate",
+                            lambda p, y: points.append(y.copy()) or evaluate(p, y))
+        res = solve(random_block_problem(2), tol, max_iter=max_iter)
+        assert res.exit == exit_
+        restored = int(res.status != "optimal")
+        iterates = points[:len(points) - restored]
+        assert len(iterates) <= res.iterations + 1
+        assert len({y.tobytes() for y in iterates}) == len(iterates)
+        if restored:
+            assert np.array_equal(points[-1], res.primal)
+        else:
+            assert len(iterates) == res.iterations
 
     def test_unreachable_tolerance_ends_without_progress(self):
         # below the floating-point floor the iterates stop improving: the IPM
@@ -310,7 +372,7 @@ class TestSerialization:
         b = solve(problem_from_json(problem_to_json(prob)), 1e-7)
         assert a.status == "optimal"
         assert np.array_equal(a.primal, b.primal)
-        floors = prob.constraints(a.primal)[0][prob.a_constraints]
+        floors = prob.evaluate(a.primal)[2][prob.a_constraints]
         assert np.all(np.abs(floors) < 1e-4)
 
     def test_infeasible_reports_violating_constraints(self):
@@ -339,7 +401,7 @@ class TestSerialization:
         assert res.status in ("infeasible", "max_iter")
         assert res.exit == "stalled" and res.iterations < 60
         assert [(i, kind) for i, kind, _ in res.violations] == [(2, "a[0]"), (3, "sign[1]")]
-        c = prob.constraints(res.primal)[0]
+        c = prob.evaluate(res.primal)[2]
         for i, _, value in res.violations:
             assert value == pytest.approx(c[i], abs=1e-12)
         lam = res.multipliers
