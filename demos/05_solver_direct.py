@@ -40,7 +40,7 @@ prob = ConvexSubproblem(groups=[halfspace, sign], q0=rng.standard_normal(6) * 0.
                         budget=np.ones(6), budget_const=-4.0)
 
 res = solve(prob, tol=1e-9)
-print("status        :", res.status, f"({res.exit})")
+print("status        :", res.status)
 print("objective     :", res.objective_value)
 print("iterations    :", res.iterations)
 print("kkt residual  :", f"{res.kkt_residual:.2e}")

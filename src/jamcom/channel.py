@@ -177,6 +177,8 @@ class AuStatistics:
             raise ValueError("pilot_set must be nonempty when adversaries are present")
         if any(p < 1 or p > N for p in self.pilot_set):
             raise ValueError("pilot_set entries must lie in {1..N}")
+        if len(set(self.pilot_set)) < len(self.pilot_set):
+            raise ValueError(f"pilot_set {self.pilot_set} repeats a subcarrier")
         scale = max(1.0, float(np.max(np.abs(R)))) if R.size else 1.0
         herm_err = float(np.max(np.abs(R - np.conj(np.swapaxes(R, 2, 3))))) if R.size else 0.0
         if herm_err > _HERM_TOL * scale:

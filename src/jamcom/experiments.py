@@ -38,6 +38,10 @@ __all__ = [
 _CHANNEL_TYPES = ("deterministic", "selective")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_t: int
@@ -58,9 +62,9 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("n_t", "K", "L", "N"):
+        for name in ("n_t", "K", "L", "N", "strategy"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not _is_int(v):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if min(self.n_t, self.K, self.N) < 1 or self.L < 0:
             raise ValueError("n_t, K, N must be >= 1 and L >= 0")
@@ -89,13 +93,22 @@ class ExperimentConfig:
         model = dict(self.channel_model)
         if model.get("type") not in _CHANNEL_TYPES:
             raise ValueError(f"channel_model.type must be one of {_CHANNEL_TYPES}")
+        # a count is an int and a placement a list of int indices: a bool or a
+        # float would run as some other pilot set than the one the CSV names
+        for spec in self.pilot_sets:
+            if not (_is_int(spec) or isinstance(spec, (list, tuple))
+                    and all(_is_int(i) for i in spec)):
+                raise ValueError(f"pilot_sets entries must be an integer count or a list "
+                                 f"of integer subcarrier indices, got {spec!r}")
         object.__setattr__(self, "pilot_sets", tuple(
-            p if isinstance(p, int) else tuple(p) for p in self.pilot_sets))
+            int(p) if _is_int(p) else tuple(int(i) for i in p) for p in self.pilot_sets))
         object.__setattr__(self, "scheme_list", tuple(self.scheme_list))
         for spec in self.pilot_sets:
             idx = self.resolve_pilots(spec)
             if any(i < 1 or i > self.N for i in idx):
                 raise ValueError(f"pilot placement {spec!r} outside 1..{self.N}")
+            if len(set(idx)) < len(idx):
+                raise ValueError(f"pilot placement {spec!r} repeats a subcarrier")
         # result rows and curve files tell cells apart by their pilot count
         counts = [len(self.resolve_pilots(spec)) for spec in self.pilot_sets]
         if len(set(counts)) < len(counts):

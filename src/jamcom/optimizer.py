@@ -95,8 +95,8 @@ _SOLVER_TOL = 1e-7    # scaled KKT tolerance of every subproblem solve
 # repairs, the exits of every IPM solve and the ascent's early stops
 _COUNTERS = ("extrapolation_accepted", "extrapolation_rate_rejected",
             "extrapolation_floor_rejected", "extrapolation_free_projected",
-            "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_stalled",
-            "ipm_no_progress", "ipm_non_finite", "ipm_max_iter",
+            "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_infeasible",
+            "ipm_non_finite", "ipm_max_iter",
             "stop_floor_shortfall", "stop_wsr_decrease")
 
 
@@ -601,9 +601,9 @@ def _clamp_split(state: WmmseState, X: np.ndarray) -> np.ndarray:
 
 def _solve_fault(res: cvx.SolverResult, config: SolveConfig,
                  floors: _Floors) -> Optional[str]:
-    """Why a solve is unusable, or None.  Near-feasible stalled solves are
-    usable: the extraction step repairs the power budget, sign, and split
-    constraints, and the threshold tightening absorbs a shortfall on the
+    """Why a solve is unusable, or None.  A near-feasible solve that is not
+    optimal is usable: the extraction step repairs the power budget, sign, and
+    split constraints, and the threshold tightening absorbs a shortfall on the
     focused-power floors up to ``floors.margin``."""
     if res.status == "optimal":
         return None
@@ -710,24 +710,24 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             prob = _assemble_subproblem(layout, _surrogate(samples, prec, state), prec, floors,
                                         config.P_t)
             res = cvx.solve(prob, tol=_SOLVER_TOL, start=warm)
-            counts["ipm_" + res.exit] += 1
+            counts["ipm_" + res.status] += 1
             fault = _solve_fault(res, config, floors)
             if warm is not None and fault:
                 # the warm start comes from the last solve, not from the running
                 # point an extrapolation step may have moved to; from there the
-                # IPM can stall where a cold start does not
+                # IPM can fail where a cold start does not
                 res = cvx.solve(prob, tol=_SOLVER_TOL)
                 counts["solve_cold_retry"] += 1
-                counts["ipm_" + res.exit] += 1
+                counts["ipm_" + res.status] += 1
                 fault = _solve_fault(res, config, floors)
-            # only an optimal solve seeds the next one: a stalled or capped solve's
-            # multipliers may be huge and would trip the next solve's infeasible rule
+            # only an optimal solve seeds the next one: a capped solve's multipliers
+            # may be huge and would trip the next solve's infeasible rule
             warm = (res.primal, res.multipliers) if res.status == "optimal" else None
             outer = i + 1
             if fault:
                 raise OptimizerError(fault)
             if res.status != "optimal":
-                solver_flags.append(f"{i}:{res.exit}")
+                solver_flags.append(f"{i}:{res.status}")
                 counts["solve_near_feasible"] += 1
             new_prec, new_X = layout.unpack(res.primal * scale)
             new_prec = _project_power(new_prec, config.P_t)
@@ -802,9 +802,9 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     rate was tested on the floor-free projection under ``counts``, next to
     the solve repairs: ``solve_cold_retry``, a cold re-solve after a
     warm-started solve failed, and ``solve_near_feasible``, a solve that was
-    not optimal but close enough to use.  ``ipm_<exit>`` counts every solve,
-    cold retries included, by its ``SolverResult.exit`` (``optimal``,
-    ``stalled``, ``no_progress``, ``non_finite`` or ``max_iter``).
+    not optimal but close enough to use.  ``ipm_<status>`` counts every solve,
+    cold retries included, by its ``SolverResult.status`` (``optimal``,
+    ``infeasible``, ``non_finite`` or ``max_iter``).
 
     With M >= 4,096 draws the iterations run in stages on the first M/4^j
     draws (each stage at least 1,024), each from the point the last one

@@ -26,6 +26,11 @@ stack evaluates the objective and every row at a point, once per IPM iterate.
 The iteration schedule is fixed and free of randomness, so identical inputs
 produce bitwise-identical results.
 
+The Newton step is dual-regularized (Friedlander & Orban, Math. Program.
+Comput. 2012): its rows read J dz + ds - δ dlam = -r_p, δ = _DELTA = 1e-8, so
+each row scaling lam / (s + δ lam) stays below 1/δ, and a multiplier past 1/δ
+on a violated row is the verdict "infeasible".
+
 A solve starts cold, at y = 0 with unit multipliers, or warm from a caller's
 (primal, multipliers), typically the solution of a neighbouring problem.  A
 warm start keeps the primal point and lifts every multiplier to at least
@@ -209,13 +214,12 @@ class ConvexSubproblem:
 class SolverResult:
     primal: np.ndarray
     objective_value: float
-    status: str                      # optimal | infeasible | max_iter
+    status: str                      # optimal | infeasible | non_finite | max_iter
     kkt_residual: float              # scaled dual-infeasibility at the final iterate
     duality_gap: float               # scaled complementarity gap at the final iterate
     iterations: int = 0
     multipliers: Optional[np.ndarray] = None
     violations: List[tuple] = field(default_factory=list)
-    exit: str = "optimal"            # optimal | stalled | no_progress | non_finite | max_iter
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +227,14 @@ class SolverResult:
 
 
 _FTB_MIN = 0.99
-_CENTER_FLOOR = 1e-2
+_DELTA = 1e-8       # dual regularization of the Newton step
 _REG_BASE = 1e-11
 _WARM_GAP = 1e-2    # least slack (relative) and multiplier of a warm start
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     mask = dv < 0.0
-    if not np.any(mask):
-        return 1.0
-    return float(min(1.0, np.min(-v[mask] / dv[mask])))
+    return float(np.min(-v[mask] / dv[mask], initial=1.0))
 
 
 class _BlockKKT:
@@ -300,21 +302,17 @@ class _BlockKKT:
         return x
 
 
-def _finite(arrays) -> bool:
-    return all(bool(np.all(np.isfinite(a))) for a in arrays)
-
-
 def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
           start: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> SolverResult:
     """Solve the subproblem to the given scaled KKT tolerance.
 
-    The returned kkt_residual and duality_gap are the scaled dual
-    infeasibility and complementarity gap at the final iterate; an "optimal"
-    status means both, and the scaled constraint violation, are below tol.
-    ``exit`` names how the iteration ended: "optimal"; "stalled" (two steps
-    in a row shorter than 1e-10) or "no_progress" (eight iterations without
-    improving the best near-optimal iterate), both returning the best
-    iterate; "non_finite" (no finite step); or "max_iter".
+    The result holds the last iterate, its scaled dual infeasibility
+    kkt_residual and complementarity gap duality_gap = max(s'lam, -lam'c) /
+    m / (1 + |f|), and in ``iterations`` the count of iterates tested, the
+    start included.  ``status`` names the exit: "optimal" (scaled violation
+    and gap below tol, dual residual below 100 tol); "infeasible" (a row
+    violated beyond tol * feas_scale while a multiplier exceeds 1/_DELTA);
+    "non_finite" (no finite step); or "max_iter".
 
     ``start`` = (primal, multipliers), of lengths n_vars and the canonical
     constraint count (as in a SolverResult), warm-starts the IPM at that
@@ -354,118 +352,70 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     else:
         s = np.maximum(-cvals, _WARM_GAP * p.feas_scale)
         lam = np.maximum(lam0, _WARM_GAP)
-    mu0 = float(s @ lam) / m
 
-    status = exit_ = "max_iter"
-    best = None      # (score, z, lam, kkt_rel, gap_rel)
-    stalled = 0
-    no_progress = 0
-
+    status = "max_iter"
     for it in range(1, max_iter + 1):
         r_d = gradf + p._jac_t(jac, lam)
         r_p = cvals + s
         mu = float(s @ lam) / m
 
-        pinf = float(np.max(cvals, initial=0.0))
+        violated = float(np.max(cvals, initial=0.0)) > tol * p.feas_scale
         kkt_rel = float(np.max(np.abs(r_d))) / (1.0 + float(np.max(np.abs(gradf))))
-        gap_rel = mu / (1.0 + abs(fval))
-        score = max(pinf / p.feas_scale, kkt_rel, gap_rel)
-        if best is None or score < 0.98 * best[0]:
-            best = (score, z.copy(), lam.copy(), kkt_rel, gap_rel)
-            no_progress = 0
-        else:
-            no_progress += 1
+        # a slack that reads 0 on a row that is slack in truth hides a large
+        # multiplier's gap, so the true rows' complementarity -lam'c counts too
+        gap_rel = max(mu, -float(lam @ cvals) / m) / (1.0 + abs(fval))
         # degenerate multipliers can floor the stationarity residual well above
         # the gap/feasibility level; weak duality keeps the certificate sound,
         # so optimality asks a factor-100 looser dual residual
-        if (pinf <= tol * p.feas_scale and kkt_rel <= 100.0 * tol and gap_rel <= tol):
-            status = exit_ = "optimal"
+        if not violated and kkt_rel <= 100.0 * tol and gap_rel <= tol:
+            status = "optimal"
             break
-        # endgame thrash: settle for the best near-optimal iterate
-        if stalled >= 2:
-            exit_ = "stalled"
+        # only a row that stays violated drives a multiplier past the bound
+        # 1/_DELTA of the row scaling
+        if violated and float(np.max(lam)) > 1.0 / _DELTA:
+            status = "infeasible"
             break
-        if no_progress >= 8 and best[0] <= 1e-4:
-            exit_ = "no_progress"
+        if it == max_iter:
             break
 
         # Newton matrix: Lagrangian Hessian plus G' diag(d) G per block over
-        # its row gradients G, plus the budget row's rank-one term
-        sinv = 1.0 / np.maximum(s, 1e-30)
-        d = np.minimum(lam, 1e14 * s) * sinv
+        # its row gradients G, plus the budget row's rank-one term; the dual
+        # regularization bounds the row scaling d by 1/_DELTA
+        d = lam / (s + _DELTA * lam)
         Ms = [2.0 * Hb + np.matmul(G.swapaxes(1, 2) * dg[:, None, :], G)
               for Hb, G, dg in zip(p._hessian(lam), jac[0], p.split(d))]
         kkt = _BlockKKT(cols, Ms, None if jac[1] is None else jac[1] * np.sqrt(d[-1]))
 
         def solve_direction(r_c):
-            w = (-r_c + lam * r_p) * sinv
-            dz = kkt.solve(-r_d - p._jac_t(jac, w))
-            ds = -r_p - p._jac_dot(jac, dz)
-            dlam = (-r_c - lam * ds) * sinv
+            v = r_p - r_c / lam
+            dz = kkt.solve(-r_d - p._jac_t(jac, d * v))
+            dlam = d * (p._jac_dot(jac, dz) + v)
+            ds = -(r_c + s * dlam) / lam
             return dz, ds, dlam
 
         # Mehrotra predictor-corrector
         with np.errstate(over="ignore", invalid="ignore"):
             dz_a, ds_a, dlam_a = solve_direction(s * lam)
-            alpha_p = _max_step(s, ds_a)
-            alpha_d = _max_step(lam, dlam_a)
-            mu_aff = float((s + alpha_p * ds_a) @ (lam + alpha_d * dlam_a)) / m
-            # keep complementarity from outrunning the primal residual: once the
-            # multipliers vanish ahead of feasibility, nothing in the Newton
-            # system pulls the iterate back (Kojima-Megiddo-Mizuno neighbourhood)
-            mu_floor = _CENTER_FLOOR * mu0 * float(np.max(np.abs(r_p))) / p.feas_scale
-            sigma = (min(0.999, max((mu_aff / mu) ** 3, 1e-10, mu_floor / mu))
-                     if mu > 0 else 0.1)
-
-            r_c = s * lam - sigma * mu + ds_a * dlam_a
-            step = solve_direction(r_c)
+            mu_aff = float((s + _max_step(s, ds_a) * ds_a)
+                           @ (lam + _max_step(lam, dlam_a) * dlam_a)) / m
+            sigma = min(0.999, max((mu_aff / mu) ** 3, 1e-10))
+            dz, ds, dlam = solve_direction(s * lam - sigma * mu + ds_a * dlam_a)
+        if not all(np.isfinite(a).all() for a in (dz, ds, dlam)):
+            status = "non_finite"
+            break
 
         ftb = min(0.9999, max(_FTB_MIN, 1.0 - mu))
-
-        def step_lengths(d):
-            return min(1.0, ftb * _max_step(s, d[1])), min(1.0, ftb * _max_step(lam, d[2]))
-
-        finite = _finite(step)
-        alpha_p, alpha_d = step_lengths(step) if finite else (0.0, 0.0)
-        if not finite or min(alpha_p, alpha_d) < 1e-8:
-            # corrector unusable or blocked: fall back to a plain centering step
-            # if it is finite and the corrector was not, or if it steps further
-            with np.errstate(over="ignore", invalid="ignore"):
-                center = solve_direction(s * lam - 0.5 * mu)
-            if _finite(center):
-                ap2, ad2 = step_lengths(center)
-                if not finite or min(ap2, ad2) > min(alpha_p, alpha_d):
-                    step, finite, alpha_p, alpha_d = center, True, ap2, ad2
-            if not finite:
-                exit_ = "non_finite"
-                break
-        dz, ds, dlam = step
-        stalled = stalled + 1 if max(alpha_p, alpha_d) < 1e-10 else 0
+        alpha_p, alpha_d = ftb * _max_step(s, ds), ftb * _max_step(lam, dlam)
         z = z + alpha_p * dz
         s = np.maximum(s + alpha_p * ds, 1e-30)
         lam = np.maximum(lam + alpha_d * dlam, 1e-30)
         fval, gradf, cvals, jac = p.evaluate(z)
 
-    if status != "optimal":
-        _, z, lam, kkt_rel, gap_rel = best
-        fval, _, cvals, _ = p.evaluate(z)
     bad = np.flatnonzero(cvals > tol * p.feas_scale)
     labels = p.labels() if bad.size else []
-    violations = [(int(i), labels[i], float(cvals[i])) for i in bad]
-    if status != "optimal" and violations and float(np.max(lam)) > 1e8:
-        status = "infeasible"
-
-    return SolverResult(
-        primal=z,
-        objective_value=fval,
-        status=status,
-        kkt_residual=float(kkt_rel),
-        duality_gap=float(gap_rel),
-        iterations=it,
-        multipliers=lam.copy(),
-        violations=violations,
-        exit=exit_,
-    )
+    return SolverResult(primal=z, objective_value=fval, status=status, kkt_residual=kkt_rel,
+                        duality_gap=gap_rel, iterations=it, multipliers=lam,
+                        violations=[(int(i), labels[i], float(cvals[i])) for i in bad])
 
 
 # ---------------------------------------------------------------------------

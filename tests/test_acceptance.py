@@ -308,6 +308,15 @@ def test_criterion_7_scheme_dominance(paper_grid):
     _report(7, "common stream never hurts", elapsed, f"min gap {worst:+.2e}")
 
 
+def test_paper_grid_solves_need_no_repair(paper_grid):
+    # the (25 dB, strategy 2, 4 pilots, RSMA) cell once accepted a
+    # near-feasible solve, flagged "34:no_progress"
+    results, _ = paper_grid
+    for cell, res in results.items():
+        diag = res.report.diagnostics
+        assert not diag["solver_flags"] and not diag["counts"]["solve_near_feasible"], cell
+
+
 def test_criterion_8_threshold_strategy_trends(paper_grid):
     results, elapsed = paper_grid
     for snr in (5.0, 15.0, 25.0):

@@ -298,6 +298,12 @@ class TestContainers:
         with pytest.raises(ValueError):
             AuStatistics(R=stats.R, pilot_set=())
 
+    def test_repeated_pilot_subcarrier_rejected(self):
+        # (2, 2) was one pilot counted twice: it halved every floor
+        R = au_statistics_isotropic(4, 8, 1, (2,)).R
+        with pytest.raises(ValueError, match="repeats a subcarrier"):
+            AuStatistics(R=R, pilot_set=(2, 2))
+
     def test_isotropic_statistics(self):
         stats = au_statistics_isotropic(4, 8, 2, (1, 3, 5))
         assert np.array_equal(stats.tau, np.ones((2, 8)))

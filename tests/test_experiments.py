@@ -76,11 +76,15 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [("M", True), ("max_outer", True), ("seed", True),
                                              ("seed", False), ("n_t", 2.5), ("K", 2.0),
-                                             ("L", True), ("N", 8.0)])
+                                             ("L", True), ("N", 8.0), ("strategy", True),
+                                             ("strategy", 2.0), ("pilot_sets", [True]),
+                                             ("pilot_sets", [2.0]), ("pilot_sets", [[True, 5]])])
     def test_boolean_and_fractional_counts_rejected_from_json(self, field, value):
         # "M": true passed and ended in a TypeError inside the sampler,
         # "max_outer": true ran one iteration and "seed": true used seed 1; a
-        # fractional n_t, K or N raised a TypeError that named no field
+        # fractional n_t, K or N raised a TypeError that named no field, as did
+        # a pilot count 2.0; "strategy": true and a pilot count true ran as 1,
+        # and the CSV's "True" then failed parse_csv
         doc = json.loads(tiny_config().to_json())
         doc[field] = value
         with pytest.raises(ValueError, match=field):
@@ -92,6 +96,14 @@ class TestConfig:
         doc = json.loads(tiny_config().to_json())
         doc["channel_model"]["au_spread"] = spread
         with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_repeated_pilot_subcarrier_rejected_from_json(self):
+        # [2, 2] ran as one pilot counted twice: the CSV read pilot_count 2
+        # and each floor was half the single-pilot floor
+        doc = json.loads(tiny_config().to_json())
+        doc["pilot_sets"] = [[2, 2]]
+        with pytest.raises(ValueError, match="repeats a subcarrier"):
             ExperimentConfig.from_json(json.dumps(doc))
 
     def test_explicit_pilot_lists(self):
@@ -300,7 +312,10 @@ class TestCli:
         ({"base_rho": float("nan")}, "base_rho"),
         # both sets hold two pilots: their rows and curve file would merge
         ({"pilot_sets": [[1, 5], [2, 6]]}, "repeat a pilot count"),
-        ({"M": True}, "M, max_outer and seed must be integers")])
+        ({"M": True}, "M, max_outer and seed must be integers"),
+        ({"pilot_sets": [[2, 2]]}, "repeats a subcarrier"),
+        ({"strategy": True}, "strategy must be an integer"),
+        ({"pilot_sets": [2.0]}, "pilot_sets entries must be")])
     def test_bad_cell_inputs_exit_one_before_any_cell(self, tmp_path, capsys, overrides,
                                                       message):
         # each of these once ended in a traceback from inside the first cell
@@ -330,8 +345,8 @@ class TestCli:
             assert set(detail["diagnostics"]["counts"]) == {
                 "extrapolation_accepted", "extrapolation_rate_rejected",
                 "extrapolation_floor_rejected", "extrapolation_free_projected",
-                "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_stalled",
-                "ipm_no_progress", "ipm_non_finite", "ipm_max_iter",
+                "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_infeasible",
+                "ipm_non_finite", "ipm_max_iter",
                 "stop_floor_shortfall", "stop_wsr_decrease"}
             diag = detail["diagnostics"]
             assert diag["sample_stages"] == [[2, diag["outer_iterations"]]]   # M=2: one stage

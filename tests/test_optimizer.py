@@ -274,7 +274,7 @@ class TestStackedEmission:
                                   "desk0_first_subproblem.npz")) as data:
             ref = dict(data)
         p = scheme.lower() + "_"
-        csit, stats, config = desk_instance_0(scheme)
+        csit, stats, config = desk_instance(0, scheme)
         prob = first_subproblem(csit, stats, config)
 
         def bits(a):
@@ -317,14 +317,17 @@ def saa_shape_setup():
     return csit, stats, SolveConfig(P_t=10 ** 1.5, M=M)
 
 
-def desk_instance_0(scheme):
-    """Desk instance 0 of the acceptance suite: 5 dB, one pilot, active floors."""
-    P_t = 10.0 ** 0.5
-    chan = synth_selective_channel(exponential_delay_profile(1.2e-6, 12), 4, 8, 2, 1, seed=0)
+def desk_instance(idx, scheme=None):
+    """Desk instance idx of the acceptance suite, run with its own scheme
+    unless one is given; instance 0 is 5 dB with one pilot and active floors."""
+    P_t = 10.0 ** ((5.0, 15.0, 25.0)[idx % 3] / 10.0)
+    pilots = (1, 2, 4)[idx % 3]
+    chan = synth_selective_channel(exponential_delay_profile(1.2e-6, 12), 4, 8, 2, 1, seed=idx)
     csit = CsitModel(h_hat=chan.h, sigma_ie2=csit_error_variance(P_t, 8, 0.6), alpha=0.6)
-    stats = au_statistics_isotropic(4, 8, 1, evenly_spaced_pilots(1, 8))
-    thr = build_thresholds(stats, threshold_strategy(1, 1, 8), P_t)
-    return csit, stats, SolveConfig(P_t=P_t, scheme=scheme, M=4, seed=100, thresholds=thr)
+    stats = au_statistics_isotropic(4, 8, 1, evenly_spaced_pilots(pilots, 8))
+    thr = build_thresholds(stats, threshold_strategy(1 + idx % 2, pilots, 8), P_t)
+    scheme = scheme or ("RSMA" if idx % 2 == 0 else "SDMA")
+    return csit, stats, SolveConfig(P_t=P_t, scheme=scheme, M=4, seed=100 + idx, thresholds=thr)
 
 
 def spy_steps(monkeypatch):
@@ -474,13 +477,13 @@ class TestSampleStages:
         self._check_stage_iterations(16384, max_outer, sizes)
 
     def test_single_stage_below_4096_draws(self):
-        csit, stats, config = desk_instance_0("SDMA")
+        csit, stats, config = desk_instance(0, "SDMA")
         res = single(csit, stats, config, None)
         assert res.report.diagnostics["sample_stages"] == [[config.M, res.outer_iterations]]
 
     @pytest.mark.parametrize("scheme", ["SDMA", "RSMA"])
     def test_floored_run_meets_true_constraints(self, scheme):
-        csit, stats, config = desk_instance_0(scheme)
+        csit, stats, config = desk_instance(0, scheme)
         config = dataclasses.replace(config, M=4096)
         res = optimize(csit, stats, config)
         prec, rep = res.precoders, res.report
@@ -729,7 +732,7 @@ class TestOptimize:
                 calls[_name] += 1
                 return _fn(*a, **kw)
             monkeypatch.setattr(module, name, counted)
-        optimize(*desk_instance_0("RSMA"), restricted=None)
+        optimize(*desk_instance(0, "RSMA"), restricted=None)
         assert all(calls.values()), calls
         # a saa-shaped run walks its 4,096 draws in several chunks, and every
         # chunk loop still goes through the optimizer module's names
@@ -745,7 +748,7 @@ class TestOptimize:
         calls, draw = [], op.draw_csit_samples
         monkeypatch.setattr(op, "draw_csit_samples", lambda *a: calls.append(a) or draw(*a))
         runs = spy_runs(monkeypatch)
-        optimize(*desk_instance_0("RSMA"), restricted=None)
+        optimize(*desk_instance(0, "RSMA"), restricted=None)
         assert len(calls) == 1 and len(runs) == 2
 
     def test_sdma_restrict_flips_scheme_only(self):
@@ -833,7 +836,7 @@ class TestOptimize:
     def test_restriction_starts_from_the_endpoint(self, monkeypatch):
         # without restricted, the restriction starts where the RSMA run ended,
         # its common power moved onto the private streams of each subcarrier
-        csit, stats, cfg = desk_instance_0("RSMA")
+        csit, stats, cfg = desk_instance(0, "RSMA")
         runs = spy_runs(monkeypatch)
         res = optimize(csit, stats, cfg, restricted=None)
         (rsma_cfg, rsma_start, rsma), (sdma_cfg, start, _) = runs
@@ -847,8 +850,8 @@ class TestOptimize:
         assert res.report.diagnostics["restriction_start"] == "endpoint"
 
     def test_endpoint_restriction_takes_fewer_outer_iterations(self, monkeypatch):
-        csit, stats, cfg = desk_instance_0("RSMA")
-        cold = optimize(*desk_instance_0("SDMA"))     # the restriction from initialize
+        csit, stats, cfg = desk_instance(0, "RSMA")
+        cold = optimize(*desk_instance(0, "SDMA"))     # the restriction from initialize
         runs = spy_runs(monkeypatch)
         optimize(csit, stats, cfg, restricted=None)
         (_, _, rsma), (_, _, sdma) = runs
@@ -928,8 +931,7 @@ class TestOptimize:
             if len(warm) == 2:    # a warm-started solve fails far from feasible
                 res = dataclasses.replace(res, status="max_iter", violations=[(0, "q[0]", 1.0)])
             elif len(warm) == 4:  # a later one stops short, near-feasible
-                res = dataclasses.replace(res, status="max_iter", exit="no_progress",
-                                          violations=[])
+                res = dataclasses.replace(res, status="max_iter", violations=[])
             return res
 
         monkeypatch.setattr(cvx, "solve", spy)
@@ -938,8 +940,24 @@ class TestOptimize:
         counts = res.report.diagnostics["counts"]
         assert counts["solve_cold_retry"] == 1 and counts["solve_near_feasible"] == 1
         assert len(warm) == res.outer_iterations + 1
-        # the near-feasible solve of outer iteration 2 is flagged by its exit
-        assert res.report.diagnostics["solver_flags"] == ["2:no_progress"]
+        # the near-feasible solve of outer iteration 2 is flagged by its status
+        assert res.report.diagnostics["solver_flags"] == ["2:max_iter"]
+
+    def test_every_optimal_solve_certifies(self, monkeypatch):
+        # desk instance 4 (15 dB, two pilots, strategy 1, RSMA): its first
+        # solve once read optimal from the slacks' complementarity alone, and
+        # its true duality gap failed certify at 10 tol
+        solve, solves = cvx.solve, []
+
+        def spy(prob, **kw):
+            solves.append((prob, solve(prob, **kw)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(cvx, "solve", spy)
+        optimize(*desk_instance(4))
+        optimal = [(prob, res) for prob, res in solves if res.status == "optimal"]
+        assert len(optimal) >= 30
+        assert all(cvx.certify(prob, res, 10 * op._SOLVER_TOL) for prob, res in optimal)
 
     def test_infeasible_cold_solve_raises(self, monkeypatch):
         # an infeasible verdict with no violated row is no near-feasible
@@ -947,10 +965,10 @@ class TestOptimize:
         def fake(prob, **kw):
             return cvx.SolverResult(primal=np.zeros(prob.n_vars), objective_value=0.0,
                                     status="infeasible", kkt_residual=1.0, duality_gap=1.0,
-                                    multipliers=np.ones(prob.m), exit="stalled")
+                                    multipliers=np.ones(prob.m))
 
         monkeypatch.setattr(op.cvx, "solve", fake)
-        csit, stats, cfg = desk_instance_0("SDMA")
+        csit, stats, cfg = desk_instance(0, "SDMA")
         with pytest.raises(op.OptimizerError, match="subproblem infeasible"):
             optimize(csit, stats, cfg)
 
@@ -963,7 +981,7 @@ class TestOptimize:
                                     multipliers=np.zeros(prob.m))
 
         monkeypatch.setattr(op.cvx, "solve", fake)
-        csit, stats, cfg = desk_instance_0("SDMA")
+        csit, stats, cfg = desk_instance(0, "SDMA")
         res = optimize(csit, stats, cfg)
         assert res.report.diagnostics["counts"]["stop_floor_shortfall"] == 1
         assert res.converged
@@ -997,7 +1015,7 @@ class TestOptimize:
             assert all(t["max_violation"] <= 1e-9 * (1.0 + float(thr.max())) for t in traced)
 
     def test_rsma_step_takes_full_capacity_split(self, monkeypatch):
-        csit, stats, cfg = desk_instance_0("RSMA")
+        csit, stats, cfg = desk_instance(0, "RSMA")
         steps = spy_steps(monkeypatch)
         res = single(csit, stats, cfg, None)
         accepted = [s for s in steps if s[4] == "extrapolation_accepted"]
@@ -1009,7 +1027,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("scheme", ["SDMA", "RSMA"])
     def test_floor_free_candidate_taken_on_floored_run(self, monkeypatch, scheme):
-        csit, stats, cfg = desk_instance_0(scheme)
+        csit, stats, cfg = desk_instance(0, scheme)
         steps = spy_steps(monkeypatch)
         res = single(csit, stats, cfg, None)
         used = [s for s in steps if s[5]]
@@ -1022,7 +1040,7 @@ class TestOptimize:
             assert floors.shortfall(y, cfg.P_t) <= 1e-9 * (1.0 + float(cfg.thresholds.max()))
 
     def test_sdma_step_keeps_zero_split(self, monkeypatch):
-        csit, stats, cfg = desk_instance_0("SDMA")
+        csit, stats, cfg = desk_instance(0, "SDMA")
         steps = spy_steps(monkeypatch)
         res = optimize(csit, stats, cfg)
         assert steps
