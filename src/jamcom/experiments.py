@@ -42,6 +42,10 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_t: int
@@ -68,8 +72,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if min(self.n_t, self.K, self.N) < 1 or self.L < 0:
             raise ValueError("n_t, K, N must be >= 1 and L >= 0")
-        if not self.snr_db_list:
-            raise ValueError("snr_db_list must be nonempty")
+        # a string would sweep its characters and a bool would run at 1 dB
+        if not (isinstance(self.snr_db_list, (list, tuple)) and self.snr_db_list
+                and all(_is_real(s) for s in self.snr_db_list)):
+            raise ValueError(f"snr_db_list must be a nonempty list of numbers, "
+                             f"got {self.snr_db_list!r}")
         if not self.scheme_list:
             raise ValueError("scheme_list must be nonempty")
         if any(s not in ("RSMA", "SDMA") for s in self.scheme_list):
@@ -78,6 +85,9 @@ class ExperimentConfig:
             raise ValueError("strategy must be 1 or 2")
         if not self.pilot_sets:
             raise ValueError("pilot_sets must be nonempty")
+        for name in ("alpha", "base_rho", "eps_r"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
         if not -np.inf < self.base_rho < np.inf:
@@ -93,6 +103,12 @@ class ExperimentConfig:
         model = dict(self.channel_model)
         if model.get("type") not in _CHANNEL_TYPES:
             raise ValueError(f"channel_model.type must be one of {_CHANNEL_TYPES}")
+        for key, ok in (("n_taps", _is_int), ("channel_seed", _is_int), ("theta", _is_real),
+                        ("beta", _is_real), ("au_spread", _is_real),
+                        ("delay_spread", _is_real), ("spacing", _is_real)):
+            if key in model and not ok(model[key]):
+                kind = "an integer" if ok is _is_int else "a number"
+                raise ValueError(f"channel_model.{key} must be {kind}, got {model[key]!r}")
         # a count is an int and a placement a list of int indices: a bool or a
         # float would run as some other pilot set than the one the CSV names
         for spec in self.pilot_sets:
@@ -313,7 +329,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     run the (snr, pilot_set) points, never more than there are points, and
     a sweep with one point or ``workers=1`` runs in this process.
     """
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     chan = _build_channels(config)
     jobs = [(config, chan, pair, timing, with_trace) for pair in _pairs(config)]

@@ -7,7 +7,7 @@ tight there), linearizes the focused-power constraint at the same point (an
 inner approximation of the true floors that contains it), and solves the
 resulting convex subproblem once, so the sampled sum rate never decreases.
 Successive subproblems differ only in these refreshed terms, so each solve
-after an optimal one is warm-started from that solve's primal and multipliers.
+after a stage's first is warm-started from the last (optimal) solve.
 After each solve that still makes progress, a safeguarded extrapolation step
 y = z_k + beta (z_k - z_{k-1}) from the last two solves' precoders, projected
 onto the power budget, replaces the running point only if it meets the true
@@ -91,13 +91,12 @@ __all__ = [
 
 _SOLVER_TOL = 1e-7    # scaled KKT tolerance of every subproblem solve
 
-# the names of report.diagnostics["counts"]: extrapolation outcomes, solve
-# repairs, the exits of every IPM solve and the ascent's early stops
+# the names of report.diagnostics["counts"]: extrapolation outcomes, cold
+# retries, the exits of every IPM solve and the ascent's early stops
 _COUNTERS = ("extrapolation_accepted", "extrapolation_rate_rejected",
             "extrapolation_floor_rejected", "extrapolation_free_projected",
-            "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_infeasible",
-            "ipm_non_finite", "ipm_max_iter",
-            "stop_floor_shortfall", "stop_wsr_decrease")
+            "solve_cold_retry", "ipm_optimal", "ipm_infeasible", "ipm_non_finite",
+            "ipm_max_iter", "stop_solve_failed", "stop_floor_shortfall", "stop_wsr_decrease")
 
 
 class OptimizerError(RuntimeError):
@@ -122,8 +121,10 @@ class SolveConfig:
     thresholds: Optional[np.ndarray] = None    # (L, |pilot_set|) focused-power floors
 
     def __post_init__(self):
-        if not 0.0 < self.P_t < np.inf:
-            raise ValueError(f"P_t must be positive and finite, got {self.P_t!r}")
+        for name in ("P_t", "eps_r"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not 0.0 < v < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if self.scheme not in ("RSMA", "SDMA"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -131,8 +132,6 @@ class SolveConfig:
             raise ValueError("M, max_outer and seed must be integers")
         if self.M < 1 or self.max_outer < 1:
             raise ValueError("M and the iteration cap must be >= 1")
-        if not 0.0 < self.eps_r < np.inf:
-            raise ValueError(f"eps_r must be positive and finite, got {self.eps_r!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.thresholds is not None:
@@ -599,25 +598,6 @@ def _clamp_split(state: WmmseState, X: np.ndarray) -> np.ndarray:
     return np.maximum(X, -_split_capacity(state))
 
 
-def _solve_fault(res: cvx.SolverResult, config: SolveConfig,
-                 floors: _Floors) -> Optional[str]:
-    """Why a solve is unusable, or None.  A near-feasible solve that is not
-    optimal is usable: the extraction step repairs the power budget, sign, and
-    split constraints, and the threshold tightening absorbs a shortfall on the
-    focused-power floors up to ``floors.margin``."""
-    if res.status == "optimal":
-        return None
-    for _, kind, value in res.violations:
-        if kind.startswith("a["):
-            if value > 0.9 * floors.margin:
-                return f"focused-power floor missed beyond repair: {kind} by {value:.3e}"
-        elif value > 1e-3 * (1.0 + config.P_t):
-            return f"subproblem solve failed: {kind} violated by {value:.3e}"
-    if res.status == "infeasible":
-        return f"subproblem infeasible: {res.violations[:4]}"
-    return None
-
-
 # extrapolation weight: first value, growth after an accepted step up to a
 # cap, shrink after a rejected step down to a floor
 _BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 1.0, 1.5, 4.0, 0.5, 0.25
@@ -711,30 +691,27 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                                         config.P_t)
             res = cvx.solve(prob, tol=_SOLVER_TOL, start=warm)
             counts["ipm_" + res.status] += 1
-            fault = _solve_fault(res, config, floors)
-            if warm is not None and fault:
+            if warm is not None and res.status != "optimal":
                 # the warm start comes from the last solve, not from the running
                 # point an extrapolation step may have moved to; from there the
                 # IPM can fail where a cold start does not
                 res = cvx.solve(prob, tol=_SOLVER_TOL)
                 counts["solve_cold_retry"] += 1
                 counts["ipm_" + res.status] += 1
-                fault = _solve_fault(res, config, floors)
-            # only an optimal solve seeds the next one: a capped solve's multipliers
-            # may be huge and would trip the next solve's infeasible rule
-            warm = (res.primal, res.multipliers) if res.status == "optimal" else None
             outer = i + 1
-            if fault:
-                raise OptimizerError(fault)
             if res.status != "optimal":
+                # only an optimal solve moves the run: the stage ends, unconverged,
+                # at the running point, which meets the true floors and budget
                 solver_flags.append(f"{i}:{res.status}")
-                counts["solve_near_feasible"] += 1
+                counts["stop_solve_failed"] += 1
+                break
+            warm = (res.primal, res.multipliers)
             new_prec, new_X = layout.unpack(res.primal * scale)
             new_prec = _project_power(new_prec, config.P_t)
             new_X = np.minimum(new_X, 0.0)
             # a candidate is accepted only if it passes both checks below; each
-            # failure is reachable only through solver slop or the repairs above,
-            # so progress is exhausted and the running point is kept
+            # failure is reachable only through solver slop, so progress is
+            # exhausted and the running point is kept
             if floors.missed(new_prec, config.P_t):
                 counts["stop_floor_shortfall"] += 1
                 converged = True
@@ -800,11 +777,13 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     so the sampled sum rate never decreases.  The diagnostics count the kept
     steps, the steps refused on rate and on the floors, and the steps whose
     rate was tested on the floor-free projection under ``counts``, next to
-    the solve repairs: ``solve_cold_retry``, a cold re-solve after a
-    warm-started solve failed, and ``solve_near_feasible``, a solve that was
-    not optimal but close enough to use.  ``ipm_<status>`` counts every solve,
-    cold retries included, by its ``SolverResult.status`` (``optimal``,
-    ``infeasible``, ``non_finite`` or ``max_iter``).
+    ``solve_cold_retry``, a cold re-solve of a warm solve that was not
+    optimal, and ``ipm_<status>`` every solve by its ``SolverResult.status``.
+    Only an optimal solve moves the run; a failed one never raises: the stage
+    ends at its running point, which meets the true floors and budget, with
+    ``converged`` False, ``stop_solve_failed`` counted and "iteration:status"
+    in ``solver_flags``.  So ``ipm_optimal`` + ``stop_solve_failed`` =
+    ``outer_iterations``.
 
     With M >= 4,096 draws the iterations run in stages on the first M/4^j
     draws (each stage at least 1,024), each from the point the last one
@@ -826,9 +805,8 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     records which (``"endpoint"`` or ``"initialize"``).  From the endpoint
     the restriction polishes the RSMA point, so it is returned more often.
 
-    Raises InfeasibleError when no feasible starting point exists and
-    OptimizerError when a subproblem solve fails beyond repair; hitting the
-    iteration caps returns the best iterate with ``converged=False``.
+    Raises InfeasibleError when no feasible starting point exists; hitting
+    the iteration cap returns the running point with ``converged=False``.
     """
     draws = draw_csit_samples(csit, config.M, config.seed)
     floors = _Floors(stats, config.thresholds, config.P_t)

@@ -212,11 +212,14 @@ class ConvexSubproblem:
 
 @dataclass
 class SolverResult:
+    """The last iterate of a solve; duality_gap is its total complementarity
+    max(s'lam, -lam'c) / (1 + |f|), the gap ``certify`` re-derives."""
+
     primal: np.ndarray
     objective_value: float
     status: str                      # optimal | infeasible | non_finite | max_iter
     kkt_residual: float              # scaled dual-infeasibility at the final iterate
-    duality_gap: float               # scaled complementarity gap at the final iterate
+    duality_gap: float               # scaled total complementarity at the final iterate
     iterations: int = 0
     multipliers: Optional[np.ndarray] = None
     violations: List[tuple] = field(default_factory=list)
@@ -240,10 +243,12 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 class _BlockKKT:
     """Factorization of blockdiag(M_b) + u u' for one IPM iteration.
 
-    Same-width blocks arrive stacked and are factorized with batched kernels;
-    solves use the Sherman-Morrison identity for the rank-one coupling plus
-    one step of iterative refinement, which recovers the accuracy lost when
-    the complementarity scaling becomes extreme near the solution.
+    Same-width blocks arrive stacked and are factorized with batched kernels,
+    one Cholesky attempt per group (a block that is not positive definite, for
+    an H outside the PSD contract, raises SolverError); solves use the
+    Sherman-Morrison identity for the rank-one coupling plus one step of
+    iterative refinement, which recovers the accuracy lost when the
+    complementarity scaling becomes extreme near the solution.
     """
 
     def __init__(self, cols: List[np.ndarray], Mg: List[np.ndarray],
@@ -253,17 +258,11 @@ class _BlockKKT:
         self.Minv = []
         for M in Mg:
             w = M.shape[-1]
-            tr = np.einsum("bii->b", M)
-            reg = _REG_BASE * (1.0 + tr / max(1, w))
-            eye = np.eye(w)
-            for _ in range(4):
-                try:
-                    L = np.linalg.cholesky(M + reg[:, None, None] * eye)
-                    break
-                except np.linalg.LinAlgError:
-                    reg = reg * 1e3
-            else:
-                raise SolverError("Newton system could not be factorized")
+            reg = _REG_BASE * (1.0 + np.einsum("bii->b", M) / max(1, w))
+            try:
+                L = np.linalg.cholesky(M + reg[:, None, None] * np.eye(w))
+            except np.linalg.LinAlgError:
+                raise SolverError("Newton system could not be factorized") from None
             Li = np.linalg.inv(L)
             self.Minv.append(np.matmul(Li.swapaxes(-1, -2), Li))
         self.u = u  # (n,) already scaled by sqrt(weight); may be None
@@ -307,12 +306,14 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     """Solve the subproblem to the given scaled KKT tolerance.
 
     The result holds the last iterate, its scaled dual infeasibility
-    kkt_residual and complementarity gap duality_gap = max(s'lam, -lam'c) /
-    m / (1 + |f|), and in ``iterations`` the count of iterates tested, the
-    start included.  ``status`` names the exit: "optimal" (scaled violation
-    and gap below tol, dual residual below 100 tol); "infeasible" (a row
-    violated beyond tol * feas_scale while a multiplier exceeds 1/_DELTA);
-    "non_finite" (no finite step); or "max_iter".
+    kkt_residual and total complementarity gap duality_gap = max(s'lam,
+    -lam'c) / (1 + |f|), and in ``iterations`` the count of iterates tested,
+    the start included.  ``status`` names the exit: "optimal" (scaled
+    violation and gap below tol, dual residual below 100 tol); "infeasible"
+    (a row violated beyond tol * feas_scale while a multiplier exceeds
+    1/_DELTA); "non_finite" (no finite step); or "max_iter".  Each Newton
+    matrix is factorized once; one that is not positive definite raises
+    SolverError.
 
     ``start`` = (primal, multipliers), of lengths n_vars and the canonical
     constraint count (as in a SolverResult), warm-starts the IPM at that
@@ -357,13 +358,14 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     for it in range(1, max_iter + 1):
         r_d = gradf + p._jac_t(jac, lam)
         r_p = cvals + s
-        mu = float(s @ lam) / m
+        sl = float(s @ lam)
+        mu = sl / m
 
         violated = float(np.max(cvals, initial=0.0)) > tol * p.feas_scale
         kkt_rel = float(np.max(np.abs(r_d))) / (1.0 + float(np.max(np.abs(gradf))))
         # a slack that reads 0 on a row that is slack in truth hides a large
         # multiplier's gap, so the true rows' complementarity -lam'c counts too
-        gap_rel = max(mu, -float(lam @ cvals) / m) / (1.0 + abs(fval))
+        gap_rel = max(sl, -float(lam @ cvals)) / (1.0 + abs(fval))
         # degenerate multipliers can floor the stationarity residual well above
         # the gap/feasibility level; weak duality keeps the certificate sound,
         # so optimality asks a factor-100 looser dual residual

@@ -310,11 +310,14 @@ def test_criterion_7_scheme_dominance(paper_grid):
 
 def test_paper_grid_solves_need_no_repair(paper_grid):
     # the (25 dB, strategy 2, 4 pilots, RSMA) cell once accepted a
-    # near-feasible solve, flagged "34:no_progress"
+    # near-feasible solve, flagged "34:no_progress"; now every iteration of
+    # every cell ends in an optimal solve, none stops on a failed one
     results, _ = paper_grid
     for cell, res in results.items():
         diag = res.report.diagnostics
-        assert not diag["solver_flags"] and not diag["counts"]["solve_near_feasible"], cell
+        counts = diag["counts"]
+        assert not diag["solver_flags"] and not counts["stop_solve_failed"], cell
+        assert counts["ipm_optimal"] == res.outer_iterations, cell
 
 
 def test_criterion_8_threshold_strategy_trends(paper_grid):

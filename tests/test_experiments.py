@@ -90,6 +90,37 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field,value", [("snr_db_list", "15"), ("snr_db_list", [True]),
+                                             ("snr_db_list", 15.0), ("snr_db_list", [10.0, "20"]),
+                                             ("alpha", True), ("base_rho", True), ("eps_r", True),
+                                             ("alpha", "0.6")])
+    def test_strings_and_booleans_rejected_as_numbers_from_json(self, field, value):
+        # "snr_db_list": "15" swept 1 dB and 5 dB, one point per character,
+        # [true] ran at 1 dB, and true ran as 1.0 for alpha, base_rho and eps_r
+        doc = json.loads(tiny_config().to_json())
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("model,key", [
+        ({"type": "selective", "channel_seed": 1.7}, "channel_seed"),
+        ({"type": "selective", "channel_seed": True}, "channel_seed"),
+        ({"type": "selective", "n_taps": 2.5}, "n_taps"),
+        ({"type": "selective", "n_taps": True}, "n_taps"),
+        ({"type": "selective", "delay_spread": True}, "delay_spread"),
+        ({"type": "selective", "spacing": True}, "spacing"),
+        ({"type": "deterministic", "theta": True, "beta": BETA}, "theta"),
+        ({"type": "deterministic", "theta": THETA, "beta": True}, "beta"),
+        ({"type": "deterministic", "theta": THETA, "beta": BETA, "au_spread": True},
+         "au_spread")])
+    def test_channel_model_counts_and_numbers_checked_from_json(self, model, key):
+        # "channel_seed": 1.7 ran channel seed 1 and "n_taps": 2.5 two taps;
+        # true was taken as 1 for every one of these fields
+        doc = json.loads(tiny_config().to_json())
+        doc["channel_model"] = model
+        with pytest.raises(ValueError, match=f"channel_model.{key} must be"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("spread", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_au_spread_rejected_from_json(self, spread):
         # a NaN spread made a NaN covariance, and from_json failed in eigh
@@ -204,7 +235,7 @@ class TestRunExperiment:
         assert asked == [2]
         run_experiment(tiny_config(scheme_list=["SDMA"]), workers=8)   # one point: no pool
         assert asked == [2]
-        for workers in (0, -3, 2.0):
+        for workers in (0, -3, 2.0, True):    # True ran serially
             with pytest.raises(ValueError, match="workers"):
                 run_experiment(tiny_config(), workers=workers)
 
@@ -315,7 +346,16 @@ class TestCli:
         ({"M": True}, "M, max_outer and seed must be integers"),
         ({"pilot_sets": [[2, 2]]}, "repeats a subcarrier"),
         ({"strategy": True}, "strategy must be an integer"),
-        ({"pilot_sets": [2.0]}, "pilot_sets entries must be")])
+        ({"pilot_sets": [2.0]}, "pilot_sets entries must be"),
+        ({"snr_db_list": "15"}, "snr_db_list"),
+        ({"snr_db_list": [True]}, "snr_db_list"),
+        ({"snr_db_list": 15.0}, "snr_db_list"),
+        ({"alpha": True}, "alpha must be a number"),
+        ({"base_rho": True}, "base_rho must be a number"),
+        ({"eps_r": True}, "eps_r must be a number"),
+        ({"channel_model": {"type": "selective", "channel_seed": 1.7}}, "channel_seed"),
+        ({"channel_model": {"type": "selective", "n_taps": 2.5}}, "n_taps"),
+        ({"channel_model": {"type": "deterministic", "theta": True, "beta": BETA}}, "theta")])
     def test_bad_cell_inputs_exit_one_before_any_cell(self, tmp_path, capsys, overrides,
                                                       message):
         # each of these once ended in a traceback from inside the first cell
@@ -339,15 +379,15 @@ class TestCli:
         assert (out / "results.csv").exists()
         assert (out / "details.json").exists()
         assert (out / "curve_sdma_p2.dat").exists()
-        # the extrapolation, solve-repair, IPM-exit and early-stop counters and
+        # the extrapolation, cold-retry, IPM-exit and early-stop counters and
         # the sample stages reach details.json
         for detail in json.loads((out / "details.json").read_text()):
             assert set(detail["diagnostics"]["counts"]) == {
                 "extrapolation_accepted", "extrapolation_rate_rejected",
                 "extrapolation_floor_rejected", "extrapolation_free_projected",
-                "solve_cold_retry", "solve_near_feasible", "ipm_optimal", "ipm_infeasible",
-                "ipm_non_finite", "ipm_max_iter",
-                "stop_floor_shortfall", "stop_wsr_decrease"}
+                "solve_cold_retry", "ipm_optimal", "ipm_infeasible", "ipm_non_finite",
+                "ipm_max_iter", "stop_solve_failed", "stop_floor_shortfall",
+                "stop_wsr_decrease"}
             diag = detail["diagnostics"]
             assert diag["sample_stages"] == [[2, diag["outer_iterations"]]]   # M=2: one stage
 
@@ -389,6 +429,12 @@ class TestCli:
         assert rc == 0
         table = parse_csv(str(out / "results.csv"))
         assert table.rows[0].pilot_count == 8  # pilot counts clamped to quick N
+        # its one solve is not optimal (the floors and margin take the whole
+        # budget), so the run stops at its start with the solve counted
+        for detail in json.loads((out / "details.json").read_text()):
+            diag = detail["diagnostics"]
+            assert (diag["counts"]["ipm_optimal"] + diag["counts"]["stop_solve_failed"]
+                    == diag["outer_iterations"])
 
     def test_quick_mode_keeps_each_clamped_pilot_count_once(self):
         cfg = tiny_config(N=32, pilot_sets=[8, 16, [1, 2, 3], 4, 12])

@@ -245,8 +245,8 @@ class TestDeterminismAndStructure:
     @pytest.mark.parametrize("rows", [[lower_bound(2, [0], [1.0], -1.0)], []],
                              ids=["one_row", "no_rows"])
     def test_indefinite_newton_system_raises(self, rows):
-        # with H = -I no regularization the retry loop tries makes the Newton
-        # matrix positive definite, with a row or without (the m == 0 path)
+        # with H = -I the Newton matrix is not positive definite, with a row or
+        # without (the m == 0 path): its one Cholesky attempt fails and raises
         prob = stacked_problem(2, -np.eye(2), rows)
         assert prob.m == len(rows)
         with pytest.raises(SolverError, match="could not be factorized"):
