@@ -132,6 +132,8 @@ class CsitModel:
         object.__setattr__(self, "h_hat", np.asarray(self.h_hat, dtype=np.complex128))
         if self.h_hat.ndim != 3:
             raise ValueError("h_hat must have shape (K, N, n_t)")
+        if not np.all(np.isfinite(self.h_hat)):
+            raise ValueError("non-finite entries in h_hat")
         if not 0.0 <= self.sigma_ie2 <= 1.0:
             raise ValueError("sigma_ie2 must lie in [0, 1]")
         if not 0.0 <= self.alpha < np.inf:
@@ -172,6 +174,8 @@ class AuStatistics:
         object.__setattr__(self, "pilot_set", tuple(sorted(int(p) for p in self.pilot_set)))
         if R.ndim != 4 or R.shape[2] != R.shape[3]:
             raise ValueError("R must have shape (L, N, n_t, n_t)")
+        if not np.all(np.isfinite(R)):
+            raise ValueError("non-finite entries in R")
         L, N = R.shape[:2]
         if L >= 1 and not self.pilot_set:
             raise ValueError("pilot_set must be nonempty when adversaries are present")

@@ -31,6 +31,7 @@ __all__ = [
 NOISE_VAR = 1.0
 
 _LN2 = float(np.log(2.0))
+_SPLIT_TOL = 1e-9    # nats: the most a common-rate split may fall below zero
 
 
 @dataclass(frozen=True, init=False)
@@ -170,7 +171,8 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     sample averages, summed chunk by chunk (``channel._chunk_sums``) so that
     no per-sample array outlives its chunk.  ``C`` is the common-rate split
     in bits, validated against per-subcarrier decodability; omitted means an
-    all-private scheme.
+    all-private scheme.  A C that is not finite, or below the -1e-9 nats a
+    ``CommonSplitVars`` allows, raises ValueError.
     ``stats`` adds the statistically averaged focused power on the pilot set;
     :func:`attach_realized_jamming` adds the realized one afterwards.
     """
@@ -184,6 +186,8 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     C = np.asarray(C, dtype=np.float64)
     if C.shape != (K, N):
         raise ValueError(f"C has shape {C.shape}, expected {(K, N)}")
+    if not np.all((C >= -_SPLIT_TOL / _LN2) & (C < np.inf)):
+        raise ValueError("C must be finite and nonnegative")
 
     def part(chunk):
         eps_c, eps_p, *_ = stream_mses(chunk, precoders)

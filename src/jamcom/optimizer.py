@@ -68,7 +68,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .channel import AuStatistics, CsitModel, _chunk_sums, draw_csit_samples
-from .metrics import (_LN2, NOISE_VAR, PrecoderSet, RateReport, jamming_power_avg,
+from .metrics import (_LN2, _SPLIT_TOL, NOISE_VAR, PrecoderSet, RateReport, jamming_power_avg,
                       rate_report, stream_mses)
 from . import solver as cvx
 
@@ -165,8 +165,8 @@ class CommonSplitVars:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        if np.any(self.X > 1e-9):
-            raise ValueError("X must be <= 0")
+        if not np.all((self.X <= _SPLIT_TOL) & (self.X > -np.inf)):
+            raise ValueError("X must be finite and <= 0")
 
     @property
     def C_bits(self) -> np.ndarray:

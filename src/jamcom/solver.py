@@ -4,9 +4,10 @@ A subproblem arrives in the stacked block form the IPM works on:
 
     minimize    sum_b y_b' H_b y_b + q0' y + c0
     subject to  y_b' Q_bi y_b + lin_bi' y_b + const_bi <= 0   (block b, row i)
-                budget' (y * y) + budget_const <= 0            (optional)
+                budget' (y * y) + budget_const <= 0            (the budget row)
 
-with every H_b and Q_bi PSD and budget >= 0.  The blocks y_b = y[cols_b]
+with every H_b and Q_bi PSD and budget >= 0.  Every subproblem carries the
+budget row, so it has at least one row.  The blocks y_b = y[cols_b]
 partition the variables.  Blocks of one width that carry the same rows form a
 group (BlockGroup) of stacked arrays: cols (nb, w), quad (nb, 1 + k, w, w),
 lin (nb, k, w) and const (nb, k), where quad[:, 0] = H_b and quad[:, i] = Q_bi.
@@ -49,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "BlockGroup",
@@ -95,24 +95,21 @@ class BlockGroup:
                 raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
             setattr(self, name, a)
 
-    # read-only views of quad: the objective quadratics (nb, w, w) and the
-    # row quadratics (nb, k, w, w)
-    H = property(lambda self: as_strided(self.quad[:, 0], writeable=False))
-    Q = property(lambda self: as_strided(self.quad[:, 1:], writeable=False))
-
 
 @dataclass
 class ConvexSubproblem:
-    """The stacked form of the module docstring.  After construction,
-    ``n_vars`` is q0.size, ``m`` the canonical row count, and
-    ``q_constraints``, ``a_constraints`` and ``sign_constraints`` the
-    canonical numbers of the rows of each kind."""
+    """The stacked form of the module docstring.  ``budget`` and
+    ``budget_const`` are required: a budget that is not a finite, nonnegative
+    (n_vars,) array, or a non-finite budget_const, raises ValueError.  After
+    construction, ``n_vars`` is q0.size, ``m`` the canonical row count (at
+    least 1, the budget row), and ``q_constraints``, ``a_constraints`` and
+    ``sign_constraints`` the canonical numbers of the rows of each kind."""
 
     groups: List[BlockGroup]
     q0: np.ndarray
+    budget: np.ndarray          # (n,) diagonal of the spanning row
+    budget_const: float
     c0: float = 0.0
-    budget: Optional[np.ndarray] = None      # (n,) diagonal of the spanning row
-    budget_const: float = 0.0
 
     def __post_init__(self):
         self.groups = list(self.groups)
@@ -123,16 +120,16 @@ class ConvexSubproblem:
                             minlength=n)
         if count.size > n or np.any(count != 1):
             raise ValueError("the blocks must partition the n_vars = q0.size variables")
-        if self.budget is not None:
-            self.budget = np.asarray(self.budget, dtype=np.float64).reshape(-1)
-            if self.budget.size != n:
-                raise ValueError("budget length must equal n_vars")
+        b = self.budget = np.asarray(self.budget, dtype=np.float64).reshape(-1)
+        if b.size != n or not np.all((b >= 0.0) & (b < np.inf)):
+            raise ValueError("budget must be a finite, nonnegative array of length n_vars")
         self.c0, self.budget_const = float(self.c0), float(self.budget_const)
+        if not np.isfinite(self.budget_const):
+            raise ValueError(f"budget_const must be finite, got {self.budget_const!r}")
         self._kind = np.concatenate(
-            [np.zeros(0, dtype=np.int64)]
-            + [np.tile(np.array([_KINDS.index(k) for k in g.kinds], dtype=np.int64),
-                       g.cols.shape[0]) for g in self.groups]
-            + [np.zeros(int(self.budget is not None), dtype=np.int64)])
+            [np.tile(np.array([_KINDS.index(k) for k in g.kinds], dtype=np.int64),
+                     g.cols.shape[0]) for g in self.groups]
+            + [np.zeros(1, dtype=np.int64)])
         self.m = self._kind.size
         self.q_constraints, self.a_constraints, self.sign_constraints = (
             np.flatnonzero(self._kind == c) for c in range(len(_KINDS)))
@@ -158,7 +155,7 @@ class ConvexSubproblem:
         """(f, grad, c, jac) at the point y: the objective value and gradient,
         the canonical row values (feasible means <= 0) and the Jacobian, i.e.
         the (nb, k, w) row gradients of each group and the budget row's (n,)
-        gradient (None without a budget)."""
+        gradient."""
         f = float(self.q0 @ y) + self.c0
         grad = self.q0.copy()
         c = np.empty(self.m)
@@ -172,16 +169,13 @@ class ConvexSubproblem:
             grad[g.cols] += 2.0 * Hy
             c[rows] = (g.const + np.sum(yb[:, None, :] * (Qy + g.lin), axis=2)).ravel()
             G.append(2.0 * Qy + g.lin)
-        grad_b = None
-        if self.budget is not None:
-            c[-1] = self.budget_const + self.budget @ (y * y)
-            grad_b = 2.0 * self.budget * y
-        return f, grad, c, (G, grad_b)
+        c[-1] = self.budget_const + self.budget @ (y * y)
+        return f, grad, c, (G, 2.0 * self.budget * y)
 
     def _jac_t(self, jac, v: np.ndarray) -> np.ndarray:
         """J' v."""
         G, grad_b = jac
-        out = v[-1] * grad_b if grad_b is not None else np.zeros(self.n_vars)
+        out = v[-1] * grad_b
         for g, Gg, vg in zip(self.groups, G, self.split(v)):
             out[g.cols] += np.matmul(vg[:, None, :], Gg)[:, 0]
         return out
@@ -192,8 +186,7 @@ class ConvexSubproblem:
         out = np.empty(self.m)
         for g, Gg, rows in zip(self.groups, G, self._rows):
             out[rows] = np.matmul(Gg, dy[g.cols][..., None]).ravel()
-        if grad_b is not None:
-            out[-1] = grad_b @ dy
+        out[-1] = grad_b @ dy
         return out
 
     def _hessian(self, lam: np.ndarray) -> List[np.ndarray]:
@@ -203,9 +196,8 @@ class ConvexSubproblem:
             nb, k, w = g.lin.shape
             Hb = np.matmul(lg[:, None, :], g.quad[:, 1:].reshape(nb, k, w * w)).reshape(nb, w, w)
             Hb += g.quad[:, 0]
-            if self.budget is not None:
-                diag = np.arange(w)
-                Hb[:, diag, diag] += lam[-1] * self.budget[g.cols]
+            diag = np.arange(w)
+            Hb[:, diag, diag] += lam[-1] * self.budget[g.cols]
             out.append(Hb)
         return out
 
@@ -251,8 +243,7 @@ class _BlockKKT:
     complementarity scaling becomes extreme near the solution.
     """
 
-    def __init__(self, cols: List[np.ndarray], Mg: List[np.ndarray],
-                 u: Optional[np.ndarray]):
+    def __init__(self, cols: List[np.ndarray], Mg: List[np.ndarray], u: np.ndarray):
         self.cols = cols  # per group: (nb, w) columns
         self.Mg = Mg      # per group: stacked (nb, w, w)
         self.Minv = []
@@ -265,10 +256,9 @@ class _BlockKKT:
                 raise SolverError("Newton system could not be factorized") from None
             Li = np.linalg.inv(L)
             self.Minv.append(np.matmul(Li.swapaxes(-1, -2), Li))
-        self.u = u  # (n,) already scaled by sqrt(weight); may be None
-        if u is not None:
-            self.w = self._block_solve(u[:, None])[:, 0]
-            self.cap = 1.0 + float(u @ self.w)
+        self.u = u  # (n,) already scaled by sqrt(weight)
+        self.w = self._block_solve(u[:, None])[:, 0]
+        self.cap = 1.0 + float(u @ self.w)
 
     def _block_solve(self, R: np.ndarray) -> np.ndarray:
         out = np.empty_like(R)
@@ -281,14 +271,11 @@ class _BlockKKT:
         xc = x.reshape(-1, 1)
         for cols, M in zip(self.cols, self.Mg):
             out[cols.reshape(-1)] = np.matmul(M, xc[cols]).reshape(-1)
-        if self.u is not None:
-            out += self.u * (self.u @ x)
+        out += self.u * (self.u @ x)
         return out
 
     def _solve_once(self, r: np.ndarray) -> np.ndarray:
         y = self._block_solve(r.reshape(-1, 1))[:, 0]
-        if self.u is None:
-            return y
         return y - self.w * (float(self.u @ y) / self.cap)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -338,13 +325,6 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
             raise ValueError(f"start has lengths ({z.size}, {lam0.size}), "
                              f"expected ({n}, {m})")
 
-    if m == 0:
-        # unconstrained convex QP: one Newton solve
-        z = _BlockKKT(cols, [2.0 * g.H for g in p.groups], None).solve(-p.q0)
-        return SolverResult(primal=z, objective_value=p.evaluate(z)[0],
-                            status="optimal", kkt_residual=0.0, duality_gap=0.0,
-                            iterations=1, multipliers=np.zeros(0))
-
     # fval, gradf, cvals and jac are always at the current z
     fval, gradf, cvals, jac = p.evaluate(z)
     if start is None:
@@ -386,7 +366,7 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
         d = lam / (s + _DELTA * lam)
         Ms = [2.0 * Hb + np.matmul(G.swapaxes(1, 2) * dg[:, None, :], G)
               for Hb, G, dg in zip(p._hessian(lam), jac[0], p.split(d))]
-        kkt = _BlockKKT(cols, Ms, None if jac[1] is None else jac[1] * np.sqrt(d[-1]))
+        kkt = _BlockKKT(cols, Ms, jac[1] * np.sqrt(d[-1]))
 
         def solve_direction(r_c):
             v = r_p - r_c / lam
@@ -446,7 +426,7 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
 
     y = np.asarray(result.primal, dtype=np.float64)
     fval, _, cvals, _ = p.evaluate(y)
-    if cvals.size and float(np.max(cvals)) > tol * p.feas_scale:
+    if float(np.max(cvals)) > tol * p.feas_scale:
         return False
 
     # Lagrangian y'Hy + lin'y + const; its affine part is read off at y = 0
@@ -473,30 +453,30 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
 
 def problem_to_json(problem: ConvexSubproblem) -> str:
     """Serialize a subproblem so failing instances can be replayed elsewhere;
-    floats are written with repr, so the copy is exact.  A group's quad is
-    written as its parts "H" and "Q"."""
+    floats are written with repr, so the copy is exact.  Each group is written
+    as its fields "cols", "quad", "lin", "const" and "kinds"."""
     p = problem
     return json.dumps({
-        "groups": [dict({f: getattr(g, f).tolist() for f in ("cols", "H", "Q", "lin", "const")},
+        "groups": [dict({f: getattr(g, f).tolist() for f in ("cols", "quad", "lin", "const")},
                         kinds=list(g.kinds)) for g in p.groups],
-        "q0": p.q0.tolist(), "c0": p.c0,
-        "budget": p.budget.tolist() if p.budget is not None else None,
+        "q0": p.q0.tolist(), "c0": p.c0, "budget": p.budget.tolist(),
         "budget_const": p.budget_const,
     })
 
 
 def problem_from_json(text: str) -> ConvexSubproblem:
-    """Inverse of problem_to_json; an older text's "var_scale" key is ignored."""
+    """Inverse of problem_to_json; unknown keys (such as an older text's
+    "var_scale") are ignored.  The arrays are reshaped from the "cols" shape
+    (nb, w) and the row count k, so a group with k = 0 keeps its shape."""
     doc = json.loads(text)
     groups = []
     for gd in doc["groups"]:
         cols = np.array(gd["cols"], dtype=np.int64)
         nb, w = cols.shape
         k = len(gd["kinds"])
-        quad = np.concatenate([np.reshape(gd["H"], (nb, 1, w, w)),
-                               np.reshape(gd["Q"], (nb, k, w, w))], axis=1)
-        groups.append(BlockGroup(cols, quad, np.reshape(gd["lin"], (nb, k, w)),
+        groups.append(BlockGroup(cols, np.reshape(gd["quad"], (nb, 1 + k, w, w)),
+                                 np.reshape(gd["lin"], (nb, k, w)),
                                  np.reshape(gd["const"], (nb, k)), gd["kinds"]))
     return ConvexSubproblem(groups=groups, q0=np.array(doc["q0"], dtype=np.float64),
-                            c0=doc["c0"], budget=doc["budget"],
-                            budget_const=doc["budget_const"])
+                            budget=doc["budget"], budget_const=doc["budget_const"],
+                            c0=doc["c0"])

@@ -4,6 +4,11 @@ Tests state a problem over the whole variable vector, as dense arrays, and
 ``stacked_problem`` cuts it into blocks and groups the way the optimizer emits
 its subproblems.  The row helpers write the usual constraint shapes as
 canonical rows (kind, Q, lin, const), meaning z'Qz + lin'z + const <= 0.
+
+Every solver problem carries a budget row.  A problem stated without one gets
+the vacuous row 0'(z * z) - 1 <= 0: always slack, with a zero gradient, so the
+problem keeps its solution, and as the last canonical row it leaves every
+other row's number and label as they were.
 """
 
 import numpy as np
@@ -43,6 +48,7 @@ def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
                     budget'(z * z) + budget_const <= 0
 
     with H (n, n) and each row (kind, Q (n, n) or None, lin (n,), const).
+    Without a ``budget`` the budget row is the vacuous 0'(z * z) - 1 <= 0.
     ``blocks`` (default: one block) partitions the variables; H and every row
     must lie inside one block.  Blocks of equal width and row kinds form a
     group, in order of first appearance, and each block keeps its rows in the
@@ -77,6 +83,8 @@ def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
             lin=np.array([[lin[cols] for _, _, lin, _ in rs] for cols, rs in ms]).reshape(nb, k, w),
             const=np.array([[r[3] for r in rs] for _, rs in ms]).reshape(nb, k),
             kinds=kinds))
+    if budget is None:
+        budget, budget_const = np.zeros(n), -1.0
     return ConvexSubproblem(
-        groups=groups, q0=np.zeros(n) if q0 is None else q0, c0=c0, budget=budget,
-        budget_const=budget_const)
+        groups=groups, q0=np.zeros(n) if q0 is None else q0, budget=budget,
+        budget_const=budget_const, c0=c0)

@@ -287,6 +287,23 @@ class TestContainers:
         with pytest.raises(ValueError):
             ChannelSet(n_t=2, N=2, K=1, L=0, h=h)
 
+    def test_csit_model_rejects_non_finite_estimate(self):
+        # a NaN h_hat was accepted and an RSMA optimize on it failed in the
+        # SVD of its initial point
+        h_hat = make_deterministic_scenario(THETA, BETA, 4, 4).h.copy()
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            h_hat[1, 2, 3] = bad
+            with pytest.raises(ValueError, match="non-finite entries in h_hat"):
+                CsitModel(h_hat=h_hat, sigma_ie2=0.1)
+
+    def test_au_statistics_reject_non_finite_covariance(self):
+        # NaN compares False, so an all-NaN R passed the Hermitian and PSD
+        # checks with tau NaN, and optimize returned a NaN sum rate
+        R = au_statistics_isotropic(4, 8, 1, (2,)).R
+        for bad in (np.full_like(R, np.nan), np.where(np.eye(4, dtype=bool), np.inf, R)):
+            with pytest.raises(ValueError, match="non-finite entries in R"):
+                AuStatistics(R=bad, pilot_set=(2,))
+
     def test_channelset_rejects_missing_adversaries(self):
         with pytest.raises(ValueError):
             ChannelSet(n_t=2, N=2, K=1, L=1, h=np.ones((1, 2, 2)))

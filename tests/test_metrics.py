@@ -13,6 +13,7 @@ from jamcom.metrics import (
     rate_report,
     stream_mses,
 )
+from jamcom.optimizer import CommonSplitVars
 from oracles import (
     focused_power_terms,
     interference_sums,
@@ -343,6 +344,22 @@ class TestRateReport:
         C = np.full((2, 4), 50.0)
         with pytest.raises(ValueError, match="infeasible common-rate split"):
             rate_report(cs, pre, C)
+
+    def test_negative_or_non_finite_split_rejected(self, rng):
+        # a split of -1 bit read as R_sum -1.0, and a NaN one as R_sum nan
+        h, pre = one_subcarrier(SCALAR_H, SCALAR_P)
+        for C in ([[-1.0]], [[np.nan]], [[np.inf]], [[-2e-9 / np.log(2.0)]]):
+            with pytest.raises(ValueError, match="C must be finite and nonnegative"):
+                rate_report(h, pre, C)
+        # the least split CommonSplitVars allows, X = 1e-9 nats, still reads
+        edge = rate_report(h, pre, CommonSplitVars(X=[[1e-9]]).C_bits)
+        assert edge.R_sum == pytest.approx(2.0, abs=1e-8)
+
+    def test_non_finite_common_split_vars_rejected(self):
+        for X in ([[np.nan]], [[-np.inf]], [[0.0, np.nan]]):
+            with pytest.raises(ValueError, match="X must be finite and <= 0"):
+                CommonSplitVars(X=X)
+        assert CommonSplitVars(X=[[0.0, -1.0, 1e-9]]).C_bits[0, 0] == 0.0
 
     def test_realized_jamming_attached(self, rng):
         cs = make_deterministic_scenario(THETA, BETA, 4, 4)

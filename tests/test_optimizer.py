@@ -230,8 +230,8 @@ class TestAugmentedMseQuadratic:
             prob = _assemble_subproblem(layout, coefficients + (zero, zero),
                                         PrecoderSet.zeros(4, 4, 2, 1),
                                         op._Floors(stats, None, 10.0), 10.0)
-            quads = [H for g in prob.groups for H in g.H] + [
-                g.Q[b, i] for g in prob.groups for b in range(g.cols.shape[0])
+            quads = [H for g in prob.groups for H in g.quad[:, 0]] + [
+                g.quad[b, 1 + i] for g in prob.groups for b in range(g.cols.shape[0])
                 for i, kind in enumerate(g.kinds) if kind == "q"]
             assert len(quads) == 4 + 8
             for Q in quads:
@@ -290,8 +290,8 @@ class TestStackedEmission:
             for b, cols in enumerate(g.cols):
                 row = int(np.flatnonzero(np.all(rg["cols"] == cols, axis=1))[0])
                 at = rg["row"] == row
-                assert bits(g.H[b]) == bits(rg["H"][row])
-                assert bits(g.Q[b]) == bits(rg["Q"][at])
+                assert bits(g.quad[b, 0]) == bits(rg["H"][row])
+                assert bits(g.quad[b, 1:]) == bits(rg["Q"][at])
                 assert bits(g.lin[b]) == bits(rg["lin"][at])
                 old[rows[b]] = rg["idx"][at]
         old[-1], = ref[p + "span_idx"]

@@ -89,19 +89,19 @@ class TestBatchedContractions:
                 for i in range(len(g.kinds))]
         assert len(rows) == prob.m - 1                 # the budget row is last
         want_c, want_jt, want_jd = np.empty(prob.m), np.zeros(10), np.empty(prob.m)
-        want_H = {id(g): g.H.copy() for g in prob.groups}
+        want_H = {id(g): g.quad[:, 0].copy() for g in prob.groups}
         want_f, want_grad = prob.q0 @ y + prob.c0, prob.q0.copy()
         for g in prob.groups:
             for b, cols in enumerate(g.cols):
-                want_f += y[cols] @ g.H[b] @ y[cols]
-                want_grad[cols] += 2.0 * g.H[b] @ y[cols]
+                want_f += y[cols] @ g.quad[b, 0] @ y[cols]
+                want_grad[cols] += 2.0 * g.quad[b, 0] @ y[cols]
         for r, (g, b, i) in enumerate(rows):
-            yb = y[g.cols[b]]
-            want_c[r] = yb @ g.Q[b, i] @ yb + g.lin[b, i] @ yb + g.const[b, i]
-            grad = 2.0 * g.Q[b, i] @ yb + g.lin[b, i]
+            yb, Q = y[g.cols[b]], g.quad[b, 1 + i]
+            want_c[r] = yb @ Q @ yb + g.lin[b, i] @ yb + g.const[b, i]
+            grad = 2.0 * Q @ yb + g.lin[b, i]
             want_jt[g.cols[b]] += lam[r] * grad
             want_jd[r] = grad @ dy[g.cols[b]]
-            want_H[id(g)][b] += lam[r] * g.Q[b, i]
+            want_H[id(g)][b] += lam[r] * Q
         want_c[-1] = prob.budget @ (y * y) + prob.budget_const
         want_jt += lam[-1] * 2.0 * prob.budget * y
         want_jd[-1] = 2.0 * prob.budget * y @ dy
@@ -227,11 +227,6 @@ class TestDeterminismAndStructure:
                     dict(kinds=g.kinds[:-1] + ("b",))):
             with pytest.raises(ValueError):
                 dataclasses.replace(g, **bad)
-        # H and Q are read-only views of the one quad stack
-        assert np.shares_memory(g.H, g.quad) and np.shares_memory(g.Q, g.quad)
-        for view in (g.H, g.Q):
-            with pytest.raises(ValueError):
-                view[...] = 0.0
         # the blocks must partition the variables: none missing, none twice,
         # none out of range
         moved = dataclasses.replace(other, cols=other.cols + 1)
@@ -241,14 +236,25 @@ class TestDeterminismAndStructure:
         for bad in (dict(budget=np.ones(3)), dict(q0=np.zeros(11))):
             with pytest.raises(ValueError):
                 dataclasses.replace(prob, **bad)
+        # the budget row is required: a missing or None budget, a NaN or
+        # negative entry, or a non-finite constant is rejected up front
+        with pytest.raises(TypeError):
+            ConvexSubproblem(groups=prob.groups, q0=prob.q0)
+        nan, neg = prob.budget.copy(), prob.budget.copy()
+        nan[4], neg[7] = np.nan, -1e-3
+        for bad in (dict(budget=None), dict(budget=nan), dict(budget=neg),
+                    dict(budget=np.full(10, np.inf)), dict(budget_const=np.nan),
+                    dict(budget_const=-np.inf)):
+            with pytest.raises(ValueError, match="budget"):
+                dataclasses.replace(prob, **bad)
 
     @pytest.mark.parametrize("rows", [[lower_bound(2, [0], [1.0], -1.0)], []],
                              ids=["one_row", "no_rows"])
     def test_indefinite_newton_system_raises(self, rows):
         # with H = -I the Newton matrix is not positive definite, with a row or
-        # without (the m == 0 path): its one Cholesky attempt fails and raises
+        # with the budget row alone: its one Cholesky attempt fails and raises
         prob = stacked_problem(2, -np.eye(2), rows)
-        assert prob.m == len(rows)
+        assert prob.m == len(rows) + 1
         with pytest.raises(SolverError, match="could not be factorized"):
             solve(prob, 1e-8)
 
@@ -346,19 +352,26 @@ class TestWarmStart:
 
 class TestSerialization:
     def test_json_round_trip_solves_identically(self):
-        prob = random_block_problem(23)
-        back = problem_from_json(problem_to_json(prob))
-        assert problem_to_json(back) == problem_to_json(prob)
-        for g, h in zip(prob.groups, back.groups):
-            for f in ("cols", "H", "Q", "lin", "const"):
-                assert getattr(g, f).tobytes() == getattr(h, f).tobytes()
-            assert g.kinds == h.kinds
-        for f in ("q0", "budget"):
-            assert getattr(prob, f).tobytes() == getattr(back, f).tobytes()
-        a = solve(prob, 1e-9)
-        b = solve(back, 1e-9)
-        assert np.array_equal(a.primal, b.primal)
+        # the second problem's block z[1:3] carries no row (k = 0), as SDMA's
+        # floor-free blocks do: its empty lists must keep their shapes
+        row_free = stacked_problem(3, np.eye(3), [sign_row(3, 0)], q0=np.array([1.0, -1.0, 0.5]),
+                                   blocks=[[0], [1, 2]])
+        assert [g.lin.shape for g in row_free.groups] == [(1, 1, 1), (1, 0, 2)]
+        for prob in (random_block_problem(23), row_free):
+            back = problem_from_json(problem_to_json(prob))
+            assert problem_to_json(back) == problem_to_json(prob)
+            for g, h in zip(prob.groups, back.groups):
+                for f in ("cols", "quad", "lin", "const"):
+                    assert getattr(g, f).shape == getattr(h, f).shape
+                    assert getattr(g, f).tobytes() == getattr(h, f).tobytes()
+                assert g.kinds == h.kinds
+            for f in ("q0", "budget"):
+                assert getattr(prob, f).tobytes() == getattr(back, f).tobytes()
+            a = solve(prob, 1e-9)
+            b = solve(back, 1e-9)
+            assert np.array_equal(a.primal, b.primal)
         # older texts carry the arrays' variable scale; the arrays are over y
+        prob = random_block_problem(23)
         doc = json.loads(problem_to_json(prob))
         doc["var_scale"] = [3.0] * prob.n_vars
         assert problem_to_json(problem_from_json(json.dumps(doc))) == problem_to_json(prob)
