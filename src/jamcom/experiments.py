@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
         if not -np.inf < self.base_rho < np.inf:
             raise ValueError(f"base_rho must be finite, got {self.base_rho!r}")
+        if not (self.out_dir is None or isinstance(self.out_dir, str)):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         # every cell's power budget and run settings meet SolveConfig's own checks
         for snr in self.snr_db_list:
@@ -242,7 +244,7 @@ def _run_pair(args) -> List[ResultRow]:
     The common-stream-off run executes first so its endpoint can serve as the
     comparison candidate inside the richer scheme's optimization.
     """
-    config, chan, pair, timing, with_trace = args
+    config, chan, pair, timing = args
     snr_i, snr_db, pspec = pair
     pilot_set = config.resolve_pilots(pspec)
     P_t = _total_power(snr_db)
@@ -267,12 +269,9 @@ def _run_pair(args) -> List[ResultRow]:
             thresholds=thr)
 
     def run_one(scheme, restricted):
-        trace: list = []
-        sink = trace.append if with_trace else None
         t0 = time.perf_counter()
         try:
-            res = opt.optimize(csit, stats, solve_cfg(scheme), trace_sink=sink,
-                               restricted=restricted)
+            res = opt.optimize(csit, stats, solve_cfg(scheme), restricted=restricted)
         except opt.OptimizerError as exc:
             wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
             row = ResultRow(
@@ -300,7 +299,6 @@ def _run_pair(args) -> List[ResultRow]:
                                 else report.lambda_realized.tolist()),
             "diagnostics": report.diagnostics,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
-            "trace": trace,
         }
         row = ResultRow(
             snr_db=snr_db, scheme=scheme, strategy=config.strategy,
@@ -320,19 +318,20 @@ def _run_pair(args) -> List[ResultRow]:
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1,
-                   timing: bool = False, with_trace: bool = False) -> ResultTable:
+                   timing: bool = False) -> ResultTable:
     """Run every (snr, scheme, pilot_set) cell and collect one row per cell.
 
-    Optimizer failures are recorded in the affected row (status "infeasible")
-    and the sweep continues.  Rows are ordered by the deterministic cell
-    order, independent of the worker count.  At most ``workers`` processes
+    Each row's ``detail["diagnostics"]`` is its report's, per-iteration
+    ``trace`` included.  Optimizer failures are recorded in the affected row
+    (status "infeasible") and the sweep continues.  Rows are ordered by the
+    deterministic cell order, independent of the worker count.  At most ``workers`` processes
     run the (snr, pilot_set) points, never more than there are points, and
     a sweep with one point or ``workers=1`` runs in this process.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     chan = _build_channels(config)
-    jobs = [(config, chan, pair, timing, with_trace) for pair in _pairs(config)]
+    jobs = [(config, chan, pair, timing) for pair in _pairs(config)]
     # the pool starts all its processes at the first submit, used or not
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -423,7 +422,7 @@ options:
   --scheme S        rsma | sdma | both (override scheme_list)
   --strategy S      1 | 2 (override threshold strategy)
   --quick           reduced scale for CI: N=8, M=4, coarse tolerances
-  --trace           write per-cell convergence traces (JSON lines)
+  --trace           also write each cell's diagnostics trace as trace_cellNNN.jsonl
   --timing          record wall-clock times in the CSV (breaks byte determinism)
   --workers W       worker processes, at most one per SNR/pilot point (default 1)
 """
@@ -489,14 +488,13 @@ def cli_main(argv: Sequence[str]) -> int:
         workers = int(opts["workers"])
         if workers < 1:
             raise ValueError(f"--workers must be >= 1, got {workers}")
+        out_dir = opts["out"] or config.out_dir or "."
+        os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = opts["out"] or config.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    table = run_experiment(config, workers=workers, timing=opts["timing"],
-                           with_trace=opts["trace"])
+    table = run_experiment(config, workers=workers, timing=opts["timing"])
     emit_csv(table, os.path.join(out_dir, "results.csv"))
     emit_plotdata(table, out_dir)
     details = [row.detail for row in table.rows]
@@ -506,7 +504,7 @@ def cli_main(argv: Sequence[str]) -> int:
         for idx, row in enumerate(table.rows):
             path = os.path.join(out_dir, f"trace_cell{idx:03d}.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
-                for entry in row.detail.get("trace", []):
+                for entry in row.detail.get("diagnostics", {}).get("trace", []):
                     fh.write(json.dumps(entry) + "\n")
     n_bad = sum(1 for r in table.rows if r.status == "infeasible")
     print(f"{len(table.rows)} cells -> {out_dir} ({n_bad} failed)")

@@ -162,8 +162,7 @@ class RateReport:
 
 def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
                 C: Optional[np.ndarray] = None, *,
-                stats: Optional[AuStatistics] = None,
-                diagnostics: Optional[dict] = None) -> RateReport:
+                stats: Optional[AuStatistics] = None) -> RateReport:
     """Build a :class:`RateReport` from channels (or CSI samples) and precoders.
 
     ``samples`` is either a ChannelSet (evaluated as a single realization) or
@@ -174,7 +173,8 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     all-private scheme.  A C that is not finite, or below the -1e-9 nats a
     ``CommonSplitVars`` allows, raises ValueError.
     ``stats`` adds the statistically averaged focused power on the pilot set;
-    :func:`attach_realized_jamming` adds the realized one afterwards.
+    :func:`attach_realized_jamming` adds the realized one afterwards.  The
+    report's ``diagnostics`` dict starts empty.
     """
     if isinstance(samples, ChannelSet):
         hs = samples.h[None]
@@ -206,10 +206,7 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     R_k = I_private.sum(axis=1) / N
     R_sum = float(np.sum(C) / N + R_k.sum())
 
-    report = RateReport(
-        I_private=I_private, I_common=I_common, C=C, R_k=R_k, R_sum=R_sum,
-        diagnostics=dict(diagnostics or {}),
-    )
+    report = RateReport(I_private=I_private, I_common=I_common, C=C, R_k=R_k, R_sum=R_sum)
     if stats is not None:
         pil = stats.pilot_idx
         report.pilot_set = stats.pilot_set

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -136,8 +136,8 @@ class SolveConfig:
             raise ValueError("seed must be >= 0")
         if self.thresholds is not None:
             thr = np.asarray(self.thresholds, dtype=np.float64)
-            if not np.all(np.isfinite(thr)):
-                raise ValueError("thresholds must be finite")
+            if not np.all((thr >= 0.0) & (thr < np.inf)):
+                raise ValueError("thresholds must be finite and nonnegative")
             object.__setattr__(self, "thresholds", thr)
 
 
@@ -653,7 +653,6 @@ def _sample_stages(M: int) -> List[int]:
 
 def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                      draws: np.ndarray, floors: _Floors,
-                     trace_sink: Optional[Callable[[dict], None]] = None,
                      start: Optional[PrecoderSet] = None) -> OptimizeResult:
     """One run of ``config.scheme`` on ``draws`` (config.M samples) from
     ``start``, or from ``initialize`` without one; the split starts at zero
@@ -669,7 +668,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
                             config.scheme == "RSMA")
     scale = layout.var_scale(config.P_t)
-    counts, solver_flags, ran = dict.fromkeys(_COUNTERS, 0), [], []
+    counts, solver_flags, ran, trace = dict.fromkeys(_COUNTERS, 0), [], [], []
     prec = _initialize(csit, stats, config, floors) if start is None else start
     X = np.zeros(csit.N)
     stages = _sample_stages(config.M)
@@ -681,7 +680,6 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         warm = None
         wsr_prev = 0.0
         converged = False
-        wsr_trace: List[float] = []
         beta = _BETA_START
         first = outer
         for i in range(first, config.max_outer - (len(stages) - 1 - j)):
@@ -732,10 +730,8 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                 beta = (min(beta * _BETA_GROW, _BETA_MAX) if outcome == "extrapolation_accepted"
                         else max(beta * _BETA_SHRINK, _BETA_MIN))
             solved = new_prec
-            wsr_trace.append(wsr)
-            if trace_sink is not None:
-                trace_sink({"outer": i, "draws": stages[j], "wsr_nats": wsr,
-                            "max_violation": floors.shortfall(prec, config.P_t)})
+            trace.append({"outer": i, "draws": stages[j], "wsr_nats": wsr,
+                          "max_violation": floors.shortfall(prec, config.P_t)})
             if converged:
                 break
             wsr_prev = wsr
@@ -746,23 +742,22 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     if config.scheme == "RSMA":
         X = _clamp_split(state, X)
     split = CommonSplitVars(X=np.tile(X / csit.K, (csit.K, 1)))
-    diagnostics = {
+    report = rate_report(draws, prec, split.C_bits, stats=stats)
+    report.diagnostics = {
         "converged": converged,
         "outer_iterations": outer,
-        "wsr_trace_nats": wsr_trace,
+        "trace": trace,
         "max_violation": floors.shortfall(prec, config.P_t),
         "solver_flags": solver_flags,
         "counts": counts,
         "sample_stages": ran,
         "scheme": config.scheme,
     }
-    report = rate_report(draws, prec, split.C_bits, stats=stats, diagnostics=diagnostics)
     return OptimizeResult(precoders=prec, split=split, report=report,
                           converged=converged, outer_iterations=outer)
 
 
 def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
-             trace_sink: Optional[Callable[[dict], None]] = None,
              restricted: Optional[OptimizeResult] = None) -> OptimizeResult:
     """Run the full alternating optimization and return converged precoders,
     the common-rate split, and a rate report evaluated on the same samples.
@@ -790,27 +785,41 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     reached, then on all M draws; ``sample_stages`` lists [draws, outer
     iterations] per stage that ran.  ``outer_iterations`` and ``counts``
     cover every stage and stay within ``max_outer``, the full-M stage always
-    runs, and ``converged``, ``wsr_trace_nats`` and the report come from it.
-    Each ``trace_sink`` record carries its stage's ``draws``.
+    runs, and ``converged`` and the report come from it.  ``trace`` holds one
+    record per iteration that moves the run, in every stage: ``outer``, its
+    stage's ``draws``, and ``wsr_nats`` and ``max_violation`` at the running
+    point; those with ``draws == config.M`` are the full stage's ascent.
 
     A run with the common stream enabled also evaluates the common-stream-off
     restriction of the same instance, on the same draws (every such solution
     is feasible for the richer scheme with a zero split), and returns whichever
     endpoint achieves
     the higher sum rate, so enabling the common stream can never hurt.  A
-    caller that already solved the restriction can pass it as ``restricted``.
+    caller that already solved the restriction can pass it as ``restricted``:
+    a result with this instance's precoder shape, no common stream or split,
+    that meets its floors and budget, else ValueError.
     Otherwise the restriction starts from the RSMA endpoint with the common
     stream's power moved onto each subcarrier's private streams, or from
     ``initialize`` if that point misses a true floor; ``restriction_start``
     records which (``"endpoint"`` or ``"initialize"``).  From the endpoint
     the restriction polishes the RSMA point, so it is returned more often.
+    A returned restriction keeps its own ``trace`` and counts, and adds
+    ``fallback_from``, ``unrestricted_sum_rate`` and ``unrestricted_trace``.
 
     Raises InfeasibleError when no feasible starting point exists; hitting
     the iteration cap returns the running point with ``converged=False``.
     """
     draws = draw_csit_samples(csit, config.M, config.seed)
     floors = _Floors(stats, config.thresholds, config.P_t)
-    full = _optimize_single(csit, stats, config, draws, floors, trace_sink)
+    if restricted is not None and config.scheme == "RSMA":
+        prec = restricted.precoders
+        if (prec.K, prec.q.shape) != (csit.K, (csit.N, 1 + csit.K + stats.L, csit.n_t)):
+            raise ValueError(f"restricted has precoders {prec.q.shape}, not this instance's")
+        if np.any(prec.p_c) or np.any(restricted.split.X):
+            raise ValueError("restricted carries a common stream or split")
+        if floors.missed(prec, config.P_t):
+            raise ValueError("restricted misses this instance's floors or power budget")
+    full = _optimize_single(csit, stats, config, draws, floors)
     if config.scheme != "RSMA":
         return full
     extra = {}
@@ -825,10 +834,8 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     if restricted.report.R_sum <= full.report.R_sum:
         full.report.diagnostics.update(restricted_sum_rate=restricted.report.R_sum, **extra)
         return full
-    report = dataclasses.replace(
-        restricted.report,
-        diagnostics=dict(restricted.report.diagnostics,
-                         fallback_from="RSMA",
-                         unrestricted_sum_rate=full.report.R_sum,
-                         scheme="RSMA", **extra))
+    diagnostics = dict(restricted.report.diagnostics, fallback_from="RSMA", scheme="RSMA",
+                       unrestricted_sum_rate=full.report.R_sum,
+                       unrestricted_trace=full.report.diagnostics["trace"], **extra)
+    report = dataclasses.replace(restricted.report, diagnostics=diagnostics)
     return dataclasses.replace(restricted, report=report)

@@ -71,7 +71,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class BlockGroup:
-    """nb blocks of width w, each with the same k constraint rows, stacked."""
+    """nb blocks of width w, each with the same k rows, stacked; all finite."""
 
     cols: np.ndarray     # (nb, w) variable columns of each block
     quad: np.ndarray     # (nb, 1 + k, w, w) objective quadratic, then row quadratics
@@ -93,6 +93,8 @@ class BlockGroup:
             a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if a.shape != shape:
                 raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
             setattr(self, name, a)
 
 
@@ -100,8 +102,8 @@ class BlockGroup:
 class ConvexSubproblem:
     """The stacked form of the module docstring.  ``budget`` and
     ``budget_const`` are required: a budget that is not a finite, nonnegative
-    (n_vars,) array, or a non-finite budget_const, raises ValueError.  After
-    construction, ``n_vars`` is q0.size, ``m`` the canonical row count (at
+    (n_vars,) array, or a non-finite budget_const, q0 or c0, raises ValueError.
+    After construction, ``n_vars`` is q0.size, ``m`` the canonical row count (at
     least 1, the budget row), and ``q_constraints``, ``a_constraints`` and
     ``sign_constraints`` the canonical numbers of the rows of each kind."""
 
@@ -126,6 +128,8 @@ class ConvexSubproblem:
         self.c0, self.budget_const = float(self.c0), float(self.budget_const)
         if not np.isfinite(self.budget_const):
             raise ValueError(f"budget_const must be finite, got {self.budget_const!r}")
+        if not (np.isfinite(self.c0) and np.isfinite(self.q0).all()):
+            raise ValueError("q0 and c0 must be finite")
         self._kind = np.concatenate(
             [np.tile(np.array([_KINDS.index(k) for k in g.kinds], dtype=np.int64),
                      g.cols.shape[0]) for g in self.groups]

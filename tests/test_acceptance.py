@@ -148,7 +148,7 @@ def test_criterion_3_monotone_convergence(desk_runs):
     runs, elapsed = desk_runs
     for cfg, stats, thr, res in runs:
         d = res.report.diagnostics
-        wsr = d["wsr_trace_nats"]
+        wsr = [t["wsr_nats"] for t in d["trace"] if t["draws"] == cfg.M]
         assert all(wsr[i + 1] >= wsr[i] - 1e-6 for i in range(len(wsr) - 1)), \
             "outer trace must be non-decreasing"
         assert res.converged, "run must terminate under the iteration caps"

@@ -355,7 +355,8 @@ class TestCli:
         ({"eps_r": True}, "eps_r must be a number"),
         ({"channel_model": {"type": "selective", "channel_seed": 1.7}}, "channel_seed"),
         ({"channel_model": {"type": "selective", "n_taps": 2.5}}, "n_taps"),
-        ({"channel_model": {"type": "deterministic", "theta": True, "beta": BETA}}, "theta")])
+        ({"channel_model": {"type": "deterministic", "theta": True, "beta": BETA}}, "theta"),
+        ({"out_dir": 5}, "out_dir must be a string")])
     def test_bad_cell_inputs_exit_one_before_any_cell(self, tmp_path, capsys, overrides,
                                                       message):
         # each of these once ended in a traceback from inside the first cell
@@ -365,6 +366,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_dir_naming_a_file_exits_one_before_any_cell(self, tmp_path, capsys,
+                                                              monkeypatch, source):
+        # makedirs raised FileExistsError, a traceback, when --out or the
+        # config's out_dir named an existing file
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(op, "optimize", lambda *a, **kw: pytest.fail("a cell ran"))
+        if source == "flag":
+            argv = ["--config", self._write_config(tmp_path), "--out", str(taken)]
+        else:
+            argv = ["--config", self._write_config(tmp_path, out_dir=str(taken))]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert taken.read_text() == ""
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -420,6 +437,10 @@ class TestCli:
         first = json.loads(trace.read_text().splitlines()[0])
         assert {"outer", "draws", "wsr_nats", "max_violation"} <= set(first)
         assert first["draws"] == 2
+        # the file holds the cell's report trace, as details.json records it
+        details = json.loads((out / "details.json").read_text())
+        records = [json.loads(ln) for ln in trace.read_text().splitlines()]
+        assert records == details[0]["diagnostics"]["trace"]
 
     def test_quick_mode_runs_reduced_scale(self, tmp_path):
         cfg = self._write_config(tmp_path, N=32, M=16, pilot_sets=[16],

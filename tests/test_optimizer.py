@@ -238,12 +238,17 @@ class TestAugmentedMseQuadratic:
                 assert np.linalg.eigvalsh((Q + Q.T) / 2).min() >= -1e-10
 
 
-def single(csit, stats, config, trace_sink):
+def single(csit, stats, config):
     """One run of config.scheme alone, without the RSMA restriction, on the
     draws ``optimize`` would make."""
     return _optimize_single(csit, stats, config,
                             op.draw_csit_samples(csit, config.M, config.seed),
-                            op._Floors(stats, config.thresholds, config.P_t), trace_sink)
+                            op._Floors(stats, config.thresholds, config.P_t))
+
+
+def full_stage_wsr(res, M):
+    """The sampled WSR (nats) of a run's trace records on all M draws."""
+    return [t["wsr_nats"] for t in res.report.diagnostics["trace"] if t["draws"] == M]
 
 
 def first_subproblem(csit, stats, config):
@@ -357,8 +362,8 @@ def spy_runs(monkeypatch):
     """Record the config, start and result of every single-scheme run."""
     runs, run = [], op._optimize_single
 
-    def spy(csit, stats, config, draws, floors, trace_sink=None, start=None):
-        runs.append((config, start, run(csit, stats, config, draws, floors, trace_sink, start)))
+    def spy(csit, stats, config, draws, floors, start=None):
+        runs.append((config, start, run(csit, stats, config, draws, floors, start)))
         return runs[-1][2]
 
     monkeypatch.setattr(op, "_optimize_single", spy)
@@ -414,7 +419,7 @@ class TestSampledPassAllocation:
         csit, stats, config = saa_shape_setup()
         config = dataclasses.replace(config, scheme=scheme, max_outer=6)
         nbytes = draw_csit_samples(csit, config.M, 0).nbytes
-        assert self._peak(lambda: single(csit, stats, config, None)) <= 1.35 * nbytes
+        assert self._peak(lambda: single(csit, stats, config)) <= 1.35 * nbytes
 
 
 class TestSampleStages:
@@ -436,8 +441,8 @@ class TestSampleStages:
                             lambda *a: draws.append(draw(*a)) or draws[-1])
         monkeypatch.setattr(op, "_surrogate",
                             lambda samples, *a: seen.append(samples) or surrogate(samples, *a))
-        traced = []
-        res = single(csit, stats, config, traced.append)
+        res = single(csit, stats, config)
+        traced = res.report.diagnostics["trace"]
         assert len(draws) == 1
         full = draw(csit, config.M, config.seed)
         stages = res.report.diagnostics["sample_stages"]
@@ -448,11 +453,13 @@ class TestSampleStages:
             # every stage ascends on a view of the one draw, not on a copy
             assert np.shares_memory(samples, draws[0])
             assert samples.tobytes() == full[:size].tobytes()
-        # each trace record names its stage; the reported trace is the full stage's
+        # each trace record names its stage, and the full stage's records come
+        # last and ascend
         assert [t["draws"] for t in traced] == sorted(t["draws"] for t in traced)
         assert {t["draws"] for t in traced} <= {1024, 4096}
-        wsr = res.report.diagnostics["wsr_trace_nats"]
-        assert wsr == [t["wsr_nats"] for t in traced if t["draws"] == 4096]
+        wsr = full_stage_wsr(res, config.M)
+        assert wsr == [t["wsr_nats"] for t in traced[len(traced) - len(wsr):]]
+        assert all(b >= a - 1e-9 for a, b in zip(wsr, wsr[1:]))
         assert len(wsr) <= stages[-1][1]
 
     def test_prefix_stage_freed_before_full_stage(self):
@@ -464,7 +471,7 @@ class TestSampleStages:
         nbytes = draw_csit_samples(csit, config.M, 0).nbytes
         tracemalloc.start()
         try:
-            res = single(csit, stats, config, None)
+            res = single(csit, stats, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -475,7 +482,7 @@ class TestSampleStages:
     def _check_stage_iterations(M, max_outer, sizes):
         csit, stats, config = saa_shape_setup()
         res = single(csit, stats, dataclasses.replace(
-            config, scheme="SDMA", M=M, max_outer=max_outer), None)
+            config, scheme="SDMA", M=M, max_outer=max_outer))
         stages = res.report.diagnostics["sample_stages"]
         assert sum(n for _, n in stages) == res.outer_iterations <= max_outer
         assert stages[-1][0] == M and stages[-1][1] >= 1   # the full stage runs
@@ -494,7 +501,7 @@ class TestSampleStages:
 
     def test_single_stage_below_4096_draws(self):
         csit, stats, config = desk_instance(0, "SDMA")
-        res = single(csit, stats, config, None)
+        res = single(csit, stats, config)
         assert res.report.diagnostics["sample_stages"] == [[config.M, res.outer_iterations]]
 
     @pytest.mark.parametrize("scheme", ["SDMA", "RSMA"])
@@ -696,6 +703,23 @@ class TestThresholds:
         with pytest.raises(ValueError, match="finite"):
             SolveConfig(P_t=10.0, scheme="SDMA", M=4, thresholds=[[bad, 2.0]])
 
+    @pytest.mark.parametrize("make,match", [
+        # a negative floor ran with no floor there
+        (lambda: SolveConfig(P_t=10.0, M=4, thresholds=[[-1.0, 2.0]]), "nonnegative"),
+        (lambda: SolveConfig(P_t=10.0, M=4, scheme="NOMA"), "unknown scheme"),
+        (lambda: op._Floors(paper_setup()[2], np.ones((1, 3)), 10.0), "shape"),
+        (lambda: op._Floors(paper_setup()[2], np.ones((2, 2)), 10.0), "shape"),
+        (lambda: jamming_threshold(-0.1, 10.0, 4, 1, 1.0), "rho must lie"),
+        (lambda: jamming_threshold(1.5, 10.0, 4, 1, 1.0), "rho must lie"),
+        (lambda: jamming_threshold(np.nan, 10.0, 4, 1, 1.0), "rho must lie"),
+        (lambda: jamming_threshold(0.5, 10.0, 0, 1, 1.0), "pilot_count and L"),
+        (lambda: jamming_threshold(0.5, 10.0, 4, 0, 1.0), "pilot_count and L")],
+        ids=["negative-floor", "scheme", "floors-pilots", "floors-adversaries", "rho-low",
+             "rho-high", "rho-nan", "pilot-count", "L"])
+    def test_bad_threshold_inputs_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
 
 class TestInitialization:
     def test_zero_strictness_all_power_to_comms(self):
@@ -837,7 +861,7 @@ class TestOptimize:
         cfg = SolveConfig(P_t=10.0, scheme="RSMA", M=4, seed=21, thresholds=thr)
         res = optimize(csit, stats, cfg)
         d = res.report.diagnostics
-        wsr = d["wsr_trace_nats"]
+        wsr = full_stage_wsr(res, cfg.M)
         assert all(wsr[i + 1] >= wsr[i] - 1e-6 for i in range(len(wsr) - 1))
         assert d["max_violation"] <= 1e-6
         assert res.precoders.total_power() <= 10.0 + 1e-9
@@ -857,6 +881,63 @@ class TestOptimize:
             eps_r=1e-3), restricted=sdma)
         assert rsma.report.R_sum >= sdma.report.R_sum - 1e-6
         assert "restriction_start" not in rsma.report.diagnostics   # no restriction ran
+
+    def test_report_trace_is_the_returned_runs(self, monkeypatch):
+        # desk instance 0 returns its restriction, instance 1 its RSMA run; the
+        # returned report's trace is the returned run's, one record per moving
+        # iteration, and a fallback keeps the RSMA run's trace beside it
+        for idx, fallback in ((0, True), (1, False)):
+            csit, stats, cfg = desk_instance(idx, "RSMA")
+            runs = spy_runs(monkeypatch)
+            d = optimize(csit, stats, cfg).report.diagnostics
+            (_, _, rsma), (_, _, sdma) = runs[-2:]
+            kept = sdma if fallback else rsma
+            assert ("fallback_from" in d) == fallback
+            assert d["trace"] is kept.report.diagnostics["trace"]
+            counts = kept.report.diagnostics["counts"]
+            assert len(d["trace"]) == (counts["ipm_optimal"] - counts["stop_floor_shortfall"]
+                                       - counts["stop_wsr_decrease"]) >= 1
+            if fallback:
+                assert d["unrestricted_trace"] is rsma.report.diagnostics["trace"]
+                assert d["outer_iterations"] == sdma.outer_iterations
+            else:
+                assert "unrestricted_trace" not in d
+            tol = op._Floors(stats, cfg.thresholds, cfg.P_t).tol
+            for t in d["trace"]:
+                assert set(t) == {"outer", "draws", "wsr_nats", "max_violation"}
+                assert t["draws"] == cfg.M and 0.0 <= t["max_violation"] <= tol
+            assert [t["outer"] for t in d["trace"]] == list(range(len(d["trace"])))
+
+    def _restricted_cases(self):
+        """desk instance 0 (RSMA) and a wrong ``restricted`` for it, by name."""
+        csit, stats, cfg = desk_instance(0, "RSMA")
+        sdma = optimize(csit, stats, sdma_restrict(cfg))
+        rsma = single(csit, stats, cfg)    # the RSMA run, not its restriction
+        # another instance's SDMA result: 10 times this budget
+        other = optimize(*desk_instance(1, "SDMA"))
+        # the same instance's SDMA result with its streams scaled off the floors
+        weak = dataclasses.replace(sdma, precoders=sdma.precoders.scaled(0.25))
+        # an SDMA result of an instance with four users
+        wide = optimize(*random_instance(4, 1, 8, 4, [1], 0.3, 4, cfg.P_t, 0.5, 3))
+        # an RSMA result whose common stream carries power
+        common = rsma if np.any(rsma.precoders.p_c) else None
+        return (csit, stats, cfg, sdma,
+                {"budget": other, "floors": weak, "shape": wide, "common": common})
+
+    def test_wrong_restricted_rejected(self):
+        # each was returned as this run's fallback, the first with total power
+        # 31.6 against this instance's budget of 3.16
+        csit, stats, cfg, sdma, bad = self._restricted_cases()
+        assert bad["budget"].precoders.total_power() > 3.0 * cfg.P_t
+        assert bad["common"] is not None
+        for name, match in (("budget", "floors or power budget"),
+                            ("floors", "floors or power budget"),
+                            ("shape", "not this instance's"), ("common", "common stream")):
+            with pytest.raises(ValueError, match=match):
+                optimize(csit, stats, cfg, restricted=bad[name])
+        # the SDMA run of the same instance is taken, as run_experiment passes it
+        res = optimize(csit, stats, cfg, restricted=sdma)
+        assert res.report.R_sum >= sdma.report.R_sum
 
     def test_restriction_starts_from_the_endpoint(self, monkeypatch):
         # without restricted, the restriction starts where the RSMA run ended,
@@ -1037,11 +1118,11 @@ class TestOptimize:
         stats = au_statistics_isotropic(4, 8, 1, evenly_spaced_pilots(1, 8))
         thr = build_thresholds(stats, threshold_strategy(1, 1, 8), P_t)
         for scheme in ("SDMA", "RSMA"):
-            traced = []
             res = single(csit, stats, SolveConfig(
-                P_t=P_t, scheme=scheme, M=4, seed=100, thresholds=thr), traced.append)
+                P_t=P_t, scheme=scheme, M=4, seed=100, thresholds=thr))
             d = res.report.diagnostics
-            wsr = d["wsr_trace_nats"]
+            traced = d["trace"]
+            wsr = full_stage_wsr(res, 4)
             assert all(b >= a - 1e-9 for a, b in zip(wsr, wsr[1:]))
             # both branches of the safeguard ran: a step was kept, and a step
             # was refused on the true floors before any sampled work
@@ -1056,7 +1137,7 @@ class TestOptimize:
     def test_rsma_step_takes_full_capacity_split(self, monkeypatch):
         csit, stats, cfg = desk_instance(0, "RSMA")
         steps = spy_steps(monkeypatch)
-        res = single(csit, stats, cfg, None)
+        res = single(csit, stats, cfg)
         accepted = [s for s in steps if s[4] == "extrapolation_accepted"]
         assert len(accepted) == res.report.diagnostics["counts"]["extrapolation_accepted"] >= 1
         for _, X, state, wsr, _, _ in accepted:
@@ -1068,7 +1149,7 @@ class TestOptimize:
     def test_floor_free_candidate_taken_on_floored_run(self, monkeypatch, scheme):
         csit, stats, cfg = desk_instance(0, scheme)
         steps = spy_steps(monkeypatch)
-        res = single(csit, stats, cfg, None)
+        res = single(csit, stats, cfg)
         used = [s for s in steps if s[5]]
         assert len(used) == res.report.diagnostics["counts"]["extrapolation_free_projected"]
         kept = [y for y, _, _, _, outcome, _ in used if outcome == "extrapolation_accepted"]
@@ -1104,9 +1185,9 @@ class TestOptimize:
                 return cur, X, state, wsr, "extrapolation_rate_rejected", False
             return y, X_y, state_y, wsr_y, "extrapolation_accepted", False
 
-        res = single(csit, stats, config, None)
+        res = single(csit, stats, config)
         monkeypatch.setattr(op, "_extrapolate", uniform_step)
-        ref = single(csit, stats, config, None)
+        ref = single(csit, stats, config)
         assert res.report.diagnostics["counts"]["extrapolation_accepted"] >= 1
         for f in ("p_c", "p", "f"):
             assert getattr(res.precoders, f).tobytes() == getattr(ref.precoders, f).tobytes()
@@ -1182,7 +1263,7 @@ def test_invariants_on_random_instances(case):
     rsma = optimize(csit, stats, dataclasses.replace(cfg, scheme="RSMA"), restricted=sdma)
     for res in (sdma, rsma):
         prec, rep = res.precoders, res.report
-        wsr = rep.diagnostics["wsr_trace_nats"]
+        wsr = full_stage_wsr(res, cfg.M)
         assert all(b >= a - 1e-9 for a, b in zip(wsr, wsr[1:]))
         counts = rep.diagnostics["counts"]
         tried = sum(counts[k] for k in STEP_OUTCOMES)

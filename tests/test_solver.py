@@ -178,6 +178,25 @@ class TestKktAndCertification:
         res.primal[0] += 10 * 1e-2
         assert not certify(prob, res, 1e-6)
 
+    def test_certify_rejecting_branches(self):
+        # min ||z||^2 s.t. z0 + z1 >= 1, ||z||^2 <= 4: z = (1/2, 1/2), the floor
+        # row's multiplier 1; and the LP min z0 + z1 over the same rows
+        rows = [lower_bound(2, [0, 1], [1.0, 1.0], 1.0)]
+        prob = stacked_problem(2, np.eye(2), rows, budget=np.ones(2), budget_const=-4.0)
+        lp = stacked_problem(2, np.zeros((2, 2)), rows, q0=np.ones(2), budget=np.ones(2),
+                             budget_const=-4.0)
+        res, lp_res = solve(prob, 1e-9), solve(lp, 1e-9)
+        assert certify(prob, res, 1e-6) and certify(lp, lp_res, 1e-6)
+        lam = res.multipliers
+        for bad in (dict(primal=0.5 * res.primal),          # misses the floor row
+                    dict(multipliers=-lam), dict(multipliers=lam[:-1]),
+                    dict(multipliers=None), dict(multipliers=3.0 * lam),
+                    dict(multipliers=np.zeros_like(lam)), dict(status="max_iter")):
+            assert not certify(prob, dataclasses.replace(res, **bad), 1e-6), bad
+        # with zero multipliers the LP's Lagrangian is linear: its dual is unbounded
+        zero = dataclasses.replace(lp_res, multipliers=np.zeros_like(lp_res.multipliers))
+        assert not certify(lp, zero, 1e-6)
+
     def test_certify_rejects_failed_status(self):
         prob = stacked_problem(1, np.eye(1), [lower_bound(1, [0], [1.0], 1.0),
                                               lower_bound(1, [0], [-1.0], 1.0)])
@@ -246,6 +265,20 @@ class TestDeterminismAndStructure:
                     dict(budget=np.full(10, np.inf)), dict(budget_const=np.nan),
                     dict(budget_const=-np.inf)):
             with pytest.raises(ValueError, match="budget"):
+                dataclasses.replace(prob, **bad)
+        # every other array is finite: a NaN quad or q0 ended the solve
+        # "non_finite" after one iteration, an inf lin warned inside the IPM
+        for name in ("quad", "lin", "const"):
+            for v in (np.nan, np.inf):
+                arr = getattr(g, name).copy()
+                arr.flat[1] = v
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    dataclasses.replace(g, **{name: arr})
+        q0 = prob.q0.copy()
+        q0[2] = np.nan
+        for bad in (dict(q0=q0), dict(q0=np.full(prob.n_vars, -np.inf)), dict(c0=np.nan),
+                    dict(c0=np.inf)):
+            with pytest.raises(ValueError, match="q0 and c0 must be finite"):
                 dataclasses.replace(prob, **bad)
 
     @pytest.mark.parametrize("rows", [[lower_bound(2, [0], [1.0], -1.0)], []],
