@@ -110,6 +110,23 @@ class TestSelectiveChannel:
             synth_selective_channel((np.array([0.5, 0.4]), np.zeros(2)), 4, 8, 2)
 
 
+@pytest.mark.parametrize("make,match", [
+    (lambda: exponential_delay_profile(-1e-6, 4), "rms_delay_spread must be nonnegative"),
+    (lambda: synth_selective_channel((np.full(2, 0.5), np.zeros(3)), 4, 8, 2),
+     "tap powers and delays must have equal length"),
+    (lambda: synth_selective_channel((np.array([1.5, -0.5]), np.zeros(2)), 4, 8, 2),
+     "tap powers and delays must be nonnegative"),
+    (lambda: synth_selective_channel((np.full(2, 0.5), np.array([0.0, -1e-6])), 4, 8, 2),
+     "tap powers and delays must be nonnegative"),
+    (lambda: csit_error_variance(10.0, 0, 0.6), r"N must be .*>= 1"),
+    (lambda: draw_csit_samples(CsitModel(h_hat=np.ones((1, 2, 2)), sigma_ie2=0.1), 0, 0),
+     r"M must be .*>= 1")],
+    ids=["delay-spread", "tap-lengths", "tap-power", "tap-delay", "csit-N", "draws"])
+def test_bad_generator_input_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 class TestCsitErrorVariance:
     def test_unit_per_subcarrier_power(self):
         assert csit_error_variance(32.0, 32, 0.6) == 1.0
@@ -320,6 +337,28 @@ class TestContainers:
         R = au_statistics_isotropic(4, 8, 1, (2,)).R
         with pytest.raises(ValueError, match="repeats a subcarrier"):
             AuStatistics(R=R, pilot_set=(2, 2))
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: ChannelSet(n_t=2, N=2, K=1, L=0, h=np.ones((1, 2, 3))), "h has shape"),
+        (lambda: ChannelSet(n_t=2, N=2, K=1, L=1, h=np.ones((1, 2, 2)), g=np.ones((2, 2, 2))),
+         "g has shape"),
+        (lambda: ChannelSet(n_t=2, N=2, K=1, L=1, h=np.ones((1, 2, 2)),
+                            g=np.full((1, 2, 2), np.nan)), "non-finite entries in g"),
+        (lambda: CsitModel(h_hat=np.ones((2, 8)), sigma_ie2=0.1), "h_hat must have shape"),
+        (lambda: AuStatistics(R=np.ones((1, 8, 4, 3)), pilot_set=(1,)), "R must have shape"),
+        (lambda: AuStatistics(R=np.tile(np.eye(2), (1, 8, 1, 1)), pilot_set=(9,)),
+         "pilot_set entries must"),
+        (lambda: AuStatistics(R=np.tile(np.eye(2), (1, 8, 1, 1)), pilot_set=(0, 2)),
+         "pilot_set entries must"),
+        (lambda: AuStatistics(R=np.tile([[1.0, 0.5], [0.0, 1.0]], (1, 4, 1, 1)), pilot_set=(1,)),
+         "R must be Hermitian"),
+        (lambda: AuStatistics(R=np.tile(np.diag([1.0, -1.0]), (1, 4, 1, 1)), pilot_set=(1,)),
+         "R must be positive semidefinite")],
+        ids=["h-shape", "g-shape", "g-nan", "h_hat-shape", "R-shape", "pilot-high", "pilot-zero",
+             "R-hermitian", "R-psd"])
+    def test_malformed_container_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
     def test_isotropic_statistics(self):
         stats = au_statistics_isotropic(4, 8, 2, (1, 3, 5))

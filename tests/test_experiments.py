@@ -137,6 +137,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="repeats a subcarrier"):
             ExperimentConfig.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("overrides,match", [
+        ({"K": 0}, r"K.* must be .*>= 1"),
+        ({"L": -1}, r"L .*>= 0"),
+        ({"scheme_list": ["NOMA"]}, "scheme_list entries must be RSMA or SDMA"),
+        ({"strategy": 3}, "strategy must be 1 or 2"),
+        ({"pilot_sets": []}, "pilot_sets must be nonempty"),
+        ({"channel_model": {"type": "rayleigh"}}, "channel_model.type must be one of")],
+        ids=["K", "L", "scheme", "strategy", "pilot-sets", "channel-type"])
+    def test_bad_config_rejected_with_its_rule(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**overrides)
+
+    def test_non_object_json_rejected(self):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            ExperimentConfig.from_json("[1, 2]")
+
     def test_explicit_pilot_lists(self):
         cfg = tiny_config(pilot_sets=[(1, 4, 7)])
         assert cfg.resolve_pilots(cfg.pilot_sets[0]) == (1, 4, 7)
@@ -313,6 +329,11 @@ class TestCli:
 
     def test_config_flag_required(self, capsys):
         assert cli_main([]) == 1
+
+    def test_flag_without_value_prints_usage(self, capsys):
+        assert cli_main(["--config"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--config needs a value" in err and "usage" in err
 
     def test_bad_scheme_value(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

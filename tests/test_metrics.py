@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamcom.channel import (au_statistics_none, au_statistics_uniform_phase,
+from jamcom.channel import (ChannelSet, au_statistics_none, au_statistics_uniform_phase,
                             exponential_delay_profile, make_deterministic_scenario,
                             synth_selective_channel)
 from jamcom.metrics import (
@@ -354,6 +354,19 @@ class TestRateReport:
         # the least split CommonSplitVars allows, X = 1e-9 nats, still reads
         edge = rate_report(h, pre, CommonSplitVars(X=[[1e-9]]).C_bits)
         assert edge.R_sum == pytest.approx(2.0, abs=1e-8)
+
+    def test_split_of_the_wrong_shape_rejected(self):
+        h, pre = one_subcarrier(SCALAR_H, SCALAR_P)
+        with pytest.raises(ValueError, match="C has shape"):
+            rate_report(h, pre, [[0.0, 0.0]])
+
+    def test_realized_jamming_needs_adversary_channels(self, rng):
+        cs = make_deterministic_scenario(THETA, BETA, 4, 4)
+        stats = au_statistics_uniform_phase(2 * BETA, 4, 4, 1, (1, 3))
+        pre = random_precoders(rng, N=4)
+        bare = ChannelSet(n_t=4, N=4, K=2, L=0, h=cs.h)
+        with pytest.raises(ValueError, match="no adversary ground truth"):
+            attach_realized_jamming(rate_report(cs, pre, None, stats=stats), bare, pre)
 
     def test_non_finite_common_split_vars_rejected(self):
         for X in ([[np.nan]], [[-np.inf]], [[0.0, np.nan]]):
