@@ -14,6 +14,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ._checks import finite_array, hermitian_psd, integer, pilot_set, real
+
 __all__ = [
     "AuStatistics",
     "ChannelSet",
@@ -73,19 +75,11 @@ class ChannelSet:
     g: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.complex128)
-        object.__setattr__(self, "h", h)
-        if h.shape != (self.K, self.N, self.n_t):
-            raise ValueError(f"h has shape {h.shape}, expected {(self.K, self.N, self.n_t)}")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("non-finite entries in h")
+        object.__setattr__(self, "h", finite_array(self.h, "h", (self.K, self.N, self.n_t),
+                                                  np.complex128))
         if self.g is not None:
-            g = np.asarray(self.g, dtype=np.complex128)
-            object.__setattr__(self, "g", g)
-            if g.shape != (self.L, self.N, self.n_t):
-                raise ValueError(f"g has shape {g.shape}, expected {(self.L, self.N, self.n_t)}")
-            if not np.all(np.isfinite(g)):
-                raise ValueError("non-finite entries in g")
+            object.__setattr__(self, "g", finite_array(self.g, "g", (self.L, self.N, self.n_t),
+                                                      np.complex128))
         elif self.L:
             raise ValueError("L >= 1 but no adversary channels were given")
 
@@ -129,15 +123,11 @@ class CsitModel:
     alpha: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "h_hat", np.asarray(self.h_hat, dtype=np.complex128))
+        object.__setattr__(self, "h_hat", finite_array(self.h_hat, "h_hat", dtype=np.complex128))
         if self.h_hat.ndim != 3:
             raise ValueError("h_hat must have shape (K, N, n_t)")
-        if not np.all(np.isfinite(self.h_hat)):
-            raise ValueError("non-finite entries in h_hat")
-        if not 0.0 <= self.sigma_ie2 <= 1.0:
-            raise ValueError("sigma_ie2 must lie in [0, 1]")
-        if not 0.0 <= self.alpha < np.inf:
-            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
+        real(self.sigma_ie2, "sigma_ie2", "lie in [0, 1]", ge=0.0, le=1.0)
+        real(self.alpha, "alpha", "be nonnegative and finite", ge=0.0)
 
     @property
     def K(self) -> int:
@@ -150,9 +140,6 @@ class CsitModel:
     @property
     def n_t(self) -> int:
         return self.h_hat.shape[2]
-
-
-_HERM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,31 +156,14 @@ class AuStatistics:
     tau: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        R = np.asarray(self.R, dtype=np.complex128)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "pilot_set", tuple(sorted(int(p) for p in self.pilot_set)))
+        R = finite_array(self.R, "R", dtype=np.complex128)
         if R.ndim != 4 or R.shape[2] != R.shape[3]:
             raise ValueError("R must have shape (L, N, n_t, n_t)")
-        if not np.all(np.isfinite(R)):
-            raise ValueError("non-finite entries in R")
-        L, N = R.shape[:2]
-        if L >= 1 and not self.pilot_set:
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "tau", hermitian_psd(R)[..., -1])
+        object.__setattr__(self, "pilot_set", pilot_set(self.pilot_set, R.shape[1]))
+        if R.shape[0] and not self.pilot_set:
             raise ValueError("pilot_set must be nonempty when adversaries are present")
-        if any(p < 1 or p > N for p in self.pilot_set):
-            raise ValueError("pilot_set entries must lie in {1..N}")
-        if len(set(self.pilot_set)) < len(self.pilot_set):
-            raise ValueError(f"pilot_set {self.pilot_set} repeats a subcarrier")
-        scale = max(1.0, float(np.max(np.abs(R)))) if R.size else 1.0
-        herm_err = float(np.max(np.abs(R - np.conj(np.swapaxes(R, 2, 3))))) if R.size else 0.0
-        if herm_err > _HERM_TOL * scale:
-            raise ValueError("R must be Hermitian")
-        tau = np.zeros((L, N))
-        if R.size:
-            evals = np.linalg.eigvalsh(R.reshape(L * N, *R.shape[2:]))
-            if float(evals.min()) < -1e-12 * scale:
-                raise ValueError("R must be positive semidefinite")
-            tau = evals[:, -1].reshape(L, N)
-        object.__setattr__(self, "tau", tau)
 
     @property
     def L(self) -> int:
@@ -215,8 +185,7 @@ class AuStatistics:
 
 def steering_channel(phase: float, n_t: int) -> np.ndarray:
     """Unit-modulus steering column: entry m equals exp(-1j * m * phase)."""
-    if n_t < 1:
-        raise ValueError("n_t must be >= 1")
+    integer(n_t, "n_t", 1)
     return np.exp(-1j * phase * np.arange(n_t))
 
 
@@ -240,10 +209,8 @@ def make_deterministic_scenario(theta: float, beta: float, n_t: int, N: int,
 
 def exponential_delay_profile(rms_delay_spread: float = 1.2e-6, n_taps: int = 24):
     """Tap (powers, delays) with exponentially decaying power, normalized to unit sum."""
-    if n_taps < 1:
-        raise ValueError("n_taps must be >= 1")
-    if rms_delay_spread < 0.0:
-        raise ValueError("rms_delay_spread must be nonnegative")
+    integer(n_taps, "n_taps", 1)
+    real(rms_delay_spread, "rms_delay_spread", "be nonnegative and finite", ge=0.0)
     if n_taps == 1 or rms_delay_spread == 0.0:
         return np.ones(1), np.zeros(1)
     delays = np.arange(n_taps) * (rms_delay_spread / 4.0)
@@ -260,13 +227,10 @@ def synth_selective_channel(delay_profile, n_t: int, N: int, K: int, L: int = 0,
     i.i.d. complex Gaussian per (user, tap, antenna), so E||h_{k,n}||^2 = n_t
     for a unit-power profile.  Deterministic given the seed.
     """
-    powers, delays = (np.asarray(a, dtype=np.float64) for a in delay_profile)
-    if powers.size == 0:
-        raise ValueError("delay profile is empty")
-    if powers.shape != delays.shape:
-        raise ValueError("tap powers and delays must have equal length")
-    if np.any(powers < 0.0) or np.any(delays < 0.0):
-        raise ValueError("tap powers and delays must be nonnegative")
+    powers, delays = (finite_array(a, "tap powers and delays", ge=0.0, rule="be nonnegative")
+                      for a in delay_profile)
+    if powers.size == 0 or powers.shape != delays.shape:
+        raise ValueError("tap powers and delays must have equal length, one or more taps")
     if abs(float(powers.sum()) - 1.0) > 1e-9:
         raise ValueError("tap powers must be normalized to unit sum")
 
@@ -287,15 +251,12 @@ def csit_error_variance(P_t: float, N: int, alpha: float) -> float:
     """Estimation error variance (P_t / N) ** (-alpha), clamped to [0, 1].
 
     Clamping only takes effect when P_t < N (per-subcarrier power below one).
-    A NaN P_t or a non-finite alpha raises: the clamp would map it to 0.0,
-    perfect CSIT.
+    A P_t that is not positive and finite, or a non-finite alpha, raises: the
+    clamp would map it to 0.0, perfect CSIT.
     """
-    if not P_t > 0.0:
-        raise ValueError(f"P_t must be positive, got {P_t!r}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    real(P_t, "P_t", "be positive and finite", gt=0.0)
+    integer(N, "N", 1)
+    real(alpha, "alpha", "be finite")
     return float(min(1.0, max(0.0, (P_t / N) ** (-alpha))))
 
 
@@ -303,11 +264,9 @@ def au_covariance_uniform_phase(delta: float, n_t: int) -> np.ndarray:
     """Covariance of a steering channel with phase uniform on [0, delta].
 
     Entry (m, p) is the phase average of exp(-1j*(m-p)*beta); the diagonal is
-    exactly one.  delta = 0 degenerates to the all-ones rank-one matrix.  A
-    negative or non-finite delta raises ValueError.
+    exactly one.  delta = 0 degenerates to the all-ones rank-one matrix.
     """
-    if not 0.0 <= delta < np.inf:
-        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
+    real(delta, "delta", "be finite and nonnegative", ge=0.0)
     m = np.arange(n_t)
     a = m[:, None] - m[None, :]
     if delta == 0.0:
@@ -318,11 +277,7 @@ def au_covariance_uniform_phase(delta: float, n_t: int) -> np.ndarray:
 
 def largest_eigenvalue(R: np.ndarray) -> float:
     """Spectral radius of a Hermitian PSD matrix."""
-    R = np.asarray(R, dtype=np.complex128)
-    scale = max(1.0, float(np.max(np.abs(R))))
-    if float(np.max(np.abs(R - R.conj().T))) > _HERM_TOL * scale:
-        raise ValueError("matrix is not Hermitian")
-    return float(np.linalg.eigvalsh(R)[-1])
+    return float(hermitian_psd(finite_array(R, "R", dtype=np.complex128))[-1])
 
 
 def au_statistics_uniform_phase(delta: float, n_t: int, N: int, L: int,
@@ -345,8 +300,8 @@ def au_statistics_none(n_t: int, N: int) -> AuStatistics:
 
 def evenly_spaced_pilots(count: int, N: int) -> tuple:
     """1-based pilot subcarrier indices, evenly spaced starting at index 1."""
-    if not 1 <= count <= N:
-        raise ValueError("pilot count must lie in {1..N}")
+    if integer(count, "pilot count", 1) > N:
+        raise ValueError(f"pilot count must lie in 1..{N}, got {count}")
     return tuple(1 + (i * N) // count for i in range(count))
 
 
@@ -387,8 +342,7 @@ def draw_csit_samples(csit: CsitModel, M: int, seed: int) -> np.ndarray:
     With sigma_ie2 = 0 every sample equals the estimate exactly; samples are
     deterministic per seed.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    integer(M, "M", 1)
     K, N, n_t = csit.h_hat.shape
     rng = rng_stream(seed, 2)
     out = np.empty((K, N, n_t, M), dtype=np.complex128).transpose(3, 0, 1, 2)

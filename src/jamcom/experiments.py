@@ -22,6 +22,7 @@ import numpy as np
 
 from . import channel as ch
 from . import optimizer as opt
+from ._checks import integer, is_int, is_real, pilot_set, real
 from .metrics import attach_realized_jamming
 
 __all__ = [
@@ -36,14 +37,6 @@ __all__ = [
 ]
 
 _CHANNEL_TYPES = ("deterministic", "selective")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -66,83 +59,61 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("n_t", "K", "L", "N", "strategy"):
-            v = getattr(self, name)
-            if not _is_int(v):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if min(self.n_t, self.K, self.N) < 1 or self.L < 0:
-            raise ValueError("n_t, K, N must be >= 1 and L >= 0")
+        for name, least in (("n_t", 1), ("K", 1), ("L", 0), ("N", 1), ("strategy", 1),
+                            ("seed", 0)):
+            integer(getattr(self, name), name, least)
         # a string would sweep its characters and a bool would run at 1 dB
         if not (isinstance(self.snr_db_list, (list, tuple)) and self.snr_db_list
-                and all(_is_real(s) for s in self.snr_db_list)):
+                and all(is_real(s) for s in self.snr_db_list)):
             raise ValueError(f"snr_db_list must be a nonempty list of numbers, "
                              f"got {self.snr_db_list!r}")
-        if not self.scheme_list:
-            raise ValueError("scheme_list must be nonempty")
-        if any(s not in ("RSMA", "SDMA") for s in self.scheme_list):
-            raise ValueError("scheme_list entries must be RSMA or SDMA")
-        if self.strategy not in (1, 2):
+        if not self.scheme_list or any(s not in ("RSMA", "SDMA") for s in self.scheme_list):
+            raise ValueError(f"scheme_list entries must be RSMA or SDMA, got {self.scheme_list!r}")
+        if self.strategy > 2:
             raise ValueError("strategy must be 1 or 2")
         if not self.pilot_sets:
             raise ValueError("pilot_sets must be nonempty")
         for name in ("alpha", "base_rho", "eps_r"):
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not 0.0 <= self.alpha < np.inf:
-            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
-        if not -np.inf < self.base_rho < np.inf:
-            raise ValueError(f"base_rho must be finite, got {self.base_rho!r}")
+            real(getattr(self, name), name)
         if not (self.out_dir is None or isinstance(self.out_dir, str)):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
-        # every cell's power budget and run settings meet SolveConfig's own checks
-        for snr in self.snr_db_list:
-            try:
-                opt.SolveConfig(P_t=_total_power(snr), M=self.M, seed=self.seed,
-                                eps_r=self.eps_r, max_outer=self.max_outer)
-            except ValueError as exc:
-                raise ValueError(f"at snr_db {snr!r}: {exc}") from None
         model = dict(self.channel_model)
         if model.get("type") not in _CHANNEL_TYPES:
             raise ValueError(f"channel_model.type must be one of {_CHANNEL_TYPES}")
-        for key, ok in (("n_taps", _is_int), ("channel_seed", _is_int), ("theta", _is_real),
-                        ("beta", _is_real), ("au_spread", _is_real),
-                        ("delay_spread", _is_real), ("spacing", _is_real)):
+        for key, ok in (("n_taps", is_int), ("channel_seed", is_int), ("theta", is_real),
+                        ("beta", is_real), ("au_spread", is_real),
+                        ("delay_spread", is_real), ("spacing", is_real)):
             if key in model and not ok(model[key]):
-                kind = "an integer" if ok is _is_int else "a number"
+                kind = "an integer" if ok is is_int else "a number"
                 raise ValueError(f"channel_model.{key} must be {kind}, got {model[key]!r}")
-        # a count is an int and a placement a list of int indices: a bool or a
-        # float would run as some other pilot set than the one the CSV names
-        for spec in self.pilot_sets:
-            if not (_is_int(spec) or isinstance(spec, (list, tuple))
-                    and all(_is_int(i) for i in spec)):
-                raise ValueError(f"pilot_sets entries must be an integer count or a list "
-                                 f"of integer subcarrier indices, got {spec!r}")
-        object.__setattr__(self, "pilot_sets", tuple(
-            int(p) if _is_int(p) else tuple(int(i) for i in p) for p in self.pilot_sets))
-        object.__setattr__(self, "scheme_list", tuple(self.scheme_list))
-        for spec in self.pilot_sets:
-            idx = self.resolve_pilots(spec)
-            if any(i < 1 or i > self.N for i in idx):
-                raise ValueError(f"pilot placement {spec!r} outside 1..{self.N}")
-            if len(set(idx)) < len(idx):
-                raise ValueError(f"pilot placement {spec!r} repeats a subcarrier")
+        # a count is an integer and a placement a list of integer indices: a bool
+        # or a float would run as some other pilot set than the one the CSV names
+        try:
+            counts = [len(self.resolve_pilots(spec)) for spec in self.pilot_sets]
+        except ValueError as exc:
+            raise ValueError(f"pilot_sets entries must be a count or a list of "
+                             f"subcarriers: {exc}") from None
         # result rows and curve files tell cells apart by their pilot count
-        counts = [len(self.resolve_pilots(spec)) for spec in self.pilot_sets]
         if len(set(counts)) < len(counts):
             raise ValueError(f"pilot_sets {self.pilot_sets!r} repeat a pilot count")
-        # the channel model meets the builders' own checks before any cell runs
+        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
+        object.__setattr__(self, "scheme_list", tuple(self.scheme_list))
+        object.__setattr__(self, "pilot_sets", tuple(
+            tuple(int(i) for i in p) if isinstance(p, (list, tuple)) else int(p)
+            for p in self.pilot_sets))
+        # every cell's inputs meet their constructors' own checks before any cell runs
         try:
-            _build_channels(self)
-            for spec in self.pilot_sets:
-                _build_stats(self, self.resolve_pilots(spec))
+            chan = _build_channels(self)
+            for pair in _pairs(self):
+                _cell(self, chan, pair)
         except KeyError as exc:
             raise ValueError(f"channel_model lacks the field {exc.args[0]!r}") from None
 
     def resolve_pilots(self, spec: Union[int, tuple]) -> tuple:
-        if isinstance(spec, int):
-            return ch.evenly_spaced_pilots(spec, self.N)
-        return tuple(sorted(int(i) for i in spec))
+        """The 1-based subcarriers of a pilot_sets entry, a count or a list."""
+        if isinstance(spec, (list, tuple)):
+            return pilot_set(spec, self.N)
+        return ch.evenly_spaced_pilots(spec, self.N)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -238,13 +209,9 @@ def _pairs(config: ExperimentConfig) -> list:
             for pspec in config.pilot_sets]
 
 
-def _run_pair(args) -> List[ResultRow]:
-    """Run all requested schemes for one (snr, pilot_set) point.
-
-    The common-stream-off run executes first so its endpoint can serve as the
-    comparison candidate inside the richer scheme's optimization.
-    """
-    config, chan, pair, timing = args
+def _cell(config: ExperimentConfig, chan: ch.ChannelSet, pair: tuple) -> tuple:
+    """A cell's (pilot_set, sigma_ie2, csit, stats, rho, SolveConfig); the
+    SolveConfig's scheme is RSMA.  Each constructor checks its own inputs."""
     snr_i, snr_db, pspec = pair
     pilot_set = config.resolve_pilots(pspec)
     P_t = _total_power(snr_db)
@@ -261,17 +228,27 @@ def _run_pair(args) -> List[ResultRow]:
     # strategy, or pilot set face identical channel realizations
     cell_seed = int(np.random.SeedSequence(
         entropy=config.seed, spawn_key=(snr_i,)).generate_state(1)[0])
+    return pilot_set, sigma2, csit, stats, rho, opt.SolveConfig(
+        P_t=P_t, M=config.M, seed=cell_seed, eps_r=config.eps_r,
+        max_outer=config.max_outer, thresholds=thr)
 
-    def solve_cfg(scheme):
-        return opt.SolveConfig(
-            P_t=P_t, scheme=scheme, M=config.M, seed=cell_seed,
-            eps_r=config.eps_r, max_outer=config.max_outer,
-            thresholds=thr)
+
+def _run_pair(args) -> List[ResultRow]:
+    """Run all requested schemes for one (snr, pilot_set) point.
+
+    The common-stream-off run executes first so its endpoint can serve as the
+    comparison candidate inside the richer scheme's optimization.
+    """
+    config, chan, pair, timing = args
+    snr_db = pair[1]
+    pilot_set, sigma2, csit, stats, rho, cfg = _cell(config, chan, pair)
+    P_t, thr = cfg.P_t, cfg.thresholds
 
     def run_one(scheme, restricted):
         t0 = time.perf_counter()
         try:
-            res = opt.optimize(csit, stats, solve_cfg(scheme), restricted=restricted)
+            res = opt.optimize(csit, stats, dataclasses.replace(cfg, scheme=scheme),
+                               restricted=restricted)
         except opt.OptimizerError as exc:
             wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
             row = ResultRow(
@@ -328,8 +305,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     run the (snr, pilot_set) points, never more than there are points, and
     a sweep with one point or ``workers=1`` runs in this process.
     """
-    if not _is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    integer(workers, "workers", 1)
     chan = _build_channels(config)
     jobs = [(config, chan, pair, timing) for pair in _pairs(config)]
     # the pool starts all its processes at the first submit, used or not
@@ -462,13 +438,10 @@ def cli_main(argv: Sequence[str]) -> int:
                 return 0
             else:
                 raise ValueError(f"unknown flag {flag!r}")
+        if opts["config"] is None:
+            raise ValueError("--config is required")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(_USAGE, file=sys.stderr)
-        return 1
-
-    if opts["config"] is None:
-        print("error: --config is required", file=sys.stderr)
         print(_USAGE, file=sys.stderr)
         return 1
     try:
@@ -485,9 +458,7 @@ def cli_main(argv: Sequence[str]) -> int:
             config = dataclasses.replace(config, scheme_list=mapping[opts["scheme"]])
         if opts["quick"]:
             config = _apply_quick(config)
-        workers = int(opts["workers"])
-        if workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {workers}")
+        workers = integer(int(opts["workers"]), "--workers", 1)
         out_dir = opts["out"] or config.out_dir or "."
         os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:

@@ -17,6 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._checks import finite_array
 from .channel import AuStatistics, ChannelSet, _chunk_sums
 
 __all__ = [
@@ -53,10 +54,8 @@ class PrecoderSet:
 
     def __init__(self, p_c, p, f):
         p_c, p, f = (np.asarray(a, dtype=np.complex128) for a in (p_c, p, f))
-        if p.ndim != 3 or f.ndim != 3 or p_c.ndim != 2:
+        if p_c.ndim != 2 or p.shape[1:] != p_c.shape or f.shape[1:] != p_c.shape:
             raise ValueError("p_c must be (N, n_t); p and f must be (count, N, n_t)")
-        if p.shape[1:] != p_c.shape or f.shape[1:] != p_c.shape:
-            raise ValueError("inconsistent (N, n_t) across precoder arrays")
         q = np.concatenate([p_c[:, None], p.transpose(1, 0, 2), f.transpose(1, 0, 2)], axis=1)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "K", p.shape[0])
@@ -170,9 +169,8 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     sample averages, summed chunk by chunk (``channel._chunk_sums``) so that
     no per-sample array outlives its chunk.  ``C`` is the common-rate split
     in bits, validated against per-subcarrier decodability; omitted means an
-    all-private scheme.  A C that is not finite, or below the -1e-9 nats a
-    ``CommonSplitVars`` allows, raises ValueError.
-    ``stats`` adds the statistically averaged focused power on the pilot set;
+    all-private scheme.  It may fall below zero by the -1e-9 nats a
+    ``CommonSplitVars`` allows.  ``stats`` adds the statistically averaged focused power on the pilot set;
     :func:`attach_realized_jamming` adds the realized one afterwards.  The
     report's ``diagnostics`` dict starts empty.
     """
@@ -181,13 +179,8 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     else:
         hs = np.asarray(samples, dtype=np.complex128)
     M, K, N, _ = hs.shape
-    if C is None:
-        C = np.zeros((K, N))
-    C = np.asarray(C, dtype=np.float64)
-    if C.shape != (K, N):
-        raise ValueError(f"C has shape {C.shape}, expected {(K, N)}")
-    if not np.all((C >= -_SPLIT_TOL / _LN2) & (C < np.inf)):
-        raise ValueError("C must be finite and nonnegative")
+    C = finite_array(np.zeros((K, N)) if C is None else C, "C", (K, N), ge=-_SPLIT_TOL / _LN2,
+                     rule="be finite and nonnegative")
 
     def part(chunk):
         eps_c, eps_p, *_ = stream_mses(chunk, precoders)

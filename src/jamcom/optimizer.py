@@ -67,6 +67,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._checks import finite_array, is_int, real
 from .channel import AuStatistics, CsitModel, _chunk_sums, draw_csit_samples
 from .metrics import (_LN2, _SPLIT_TOL, NOISE_VAR, PrecoderSet, RateReport, jamming_power_avg,
                       rate_report, stream_mses)
@@ -122,23 +123,16 @@ class SolveConfig:
 
     def __post_init__(self):
         for name in ("P_t", "eps_r"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not 0.0 < v < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            real(getattr(self, name), name, "be positive and finite", gt=0.0)
         if self.scheme not in ("RSMA", "SDMA"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.M, self.max_outer, self.seed)):
-            raise ValueError("M, max_outer and seed must be integers")
-        if self.M < 1 or self.max_outer < 1:
-            raise ValueError("M and the iteration cap must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        counts = (self.M, self.max_outer, self.seed)
+        if not (all(map(is_int, counts)) and min(counts[:2]) >= 1 and self.seed >= 0):
+            raise ValueError(f"M, max_outer and seed must be integers, M and max_outer >= 1 "
+                             f"and seed >= 0, got {counts}")
         if self.thresholds is not None:
-            thr = np.asarray(self.thresholds, dtype=np.float64)
-            if not np.all((thr >= 0.0) & (thr < np.inf)):
-                raise ValueError("thresholds must be finite and nonnegative")
-            object.__setattr__(self, "thresholds", thr)
+            object.__setattr__(self, "thresholds", finite_array(
+                self.thresholds, "thresholds", ge=0.0, rule="be finite and nonnegative"))
 
 
 def sdma_restrict(config: SolveConfig) -> SolveConfig:
@@ -164,9 +158,7 @@ class CommonSplitVars:
     X: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        if not np.all((self.X <= _SPLIT_TOL) & (self.X > -np.inf)):
-            raise ValueError("X must be finite and <= 0")
+        self.X = finite_array(self.X, "X", le=_SPLIT_TOL, rule="be finite and <= 0")
 
     @property
     def C_bits(self) -> np.ndarray:
@@ -226,8 +218,7 @@ def threshold_strategy(strategy: int, pilot_count: int, N: int, base_rho: float 
     clamped to [0, 1]; a non-finite base_rho raises."""
     if not 1 <= pilot_count <= N:
         raise ValueError(f"pilot_count must lie in 1..N = {N}, got {pilot_count!r}")
-    if not np.isfinite(base_rho):
-        raise ValueError(f"base_rho must be finite, got {base_rho!r}")
+    real(base_rho, "base_rho", "be finite")
     if strategy == 1:
         rho = base_rho * pilot_count / (N / 2.0)
     elif strategy == 2:
@@ -239,8 +230,7 @@ def threshold_strategy(strategy: int, pilot_count: int, N: int, base_rho: float 
 
 def jamming_threshold(rho: float, P_t: float, pilot_count: int, L: int, tau):
     """Per-pilot focused-power floor: rho * (P_t / (pilot_count * L)) * tau."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    real(rho, "rho", "lie in [0, 1]", ge=0.0, le=1.0)
     if pilot_count < 1 or L < 1:
         raise ValueError("pilot_count and L must be >= 1")
     return rho * (P_t / (pilot_count * L)) * np.asarray(tau, dtype=np.float64)

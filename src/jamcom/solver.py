@@ -51,6 +51,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._checks import finite_array, integer, real
+
 __all__ = [
     "BlockGroup",
     "ConvexSubproblem",
@@ -90,20 +92,13 @@ class BlockGroup:
         k = len(self.kinds)
         for name, shape in (("quad", (nb, 1 + k, w, w)), ("lin", (nb, k, w)),
                             ("const", (nb, k))):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if a.shape != shape:
-                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} must be finite")
-            setattr(self, name, a)
+            setattr(self, name, finite_array(getattr(self, name), name, shape))
 
 
 @dataclass
 class ConvexSubproblem:
-    """The stacked form of the module docstring.  ``budget`` and
-    ``budget_const`` are required: a budget that is not a finite, nonnegative
-    (n_vars,) array, or a non-finite budget_const, q0 or c0, raises ValueError.
-    After construction, ``n_vars`` is q0.size, ``m`` the canonical row count (at
+    """The stacked form of the module docstring; ``budget`` and
+    ``budget_const`` are required.  After construction, ``n_vars`` is q0.size, ``m`` the canonical row count (at
     least 1, the budget row), and ``q_constraints``, ``a_constraints`` and
     ``sign_constraints`` the canonical numbers of the rows of each kind."""
 
@@ -115,21 +110,17 @@ class ConvexSubproblem:
 
     def __post_init__(self):
         self.groups = list(self.groups)
-        self.q0 = np.asarray(self.q0, dtype=np.float64).reshape(-1)
+        self.q0 = finite_array(self.q0, "q0 and c0").reshape(-1)
+        self.c0 = real(self.c0, "q0 and c0", "be finite")
         n = self.n_vars = self.q0.size
         count = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64)]
                                            + [g.cols.ravel() for g in self.groups]),
                             minlength=n)
         if count.size > n or np.any(count != 1):
             raise ValueError("the blocks must partition the n_vars = q0.size variables")
-        b = self.budget = np.asarray(self.budget, dtype=np.float64).reshape(-1)
-        if b.size != n or not np.all((b >= 0.0) & (b < np.inf)):
-            raise ValueError("budget must be a finite, nonnegative array of length n_vars")
-        self.c0, self.budget_const = float(self.c0), float(self.budget_const)
-        if not np.isfinite(self.budget_const):
-            raise ValueError(f"budget_const must be finite, got {self.budget_const!r}")
-        if not (np.isfinite(self.c0) and np.isfinite(self.q0).all()):
-            raise ValueError("q0 and c0 must be finite")
+        self.budget = finite_array(self.budget, "budget", (n,), ge=0.0,
+                                   rule="be finite and nonnegative")
+        self.budget_const = real(self.budget_const, "budget_const", "be finite")
         self._kind = np.concatenate(
             [np.tile(np.array([_KINDS.index(k) for k in g.kinds], dtype=np.int64),
                      g.cols.shape[0]) for g in self.groups]
@@ -312,13 +303,10 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     max(multipliers, δ), δ = _WARM_GAP; the primal point need not be
     feasible.  Other lengths raise ValueError.  Without a start the IPM
     begins at y = 0, with slacks max(1, -c(0)) and unit multipliers.  The
-    returned primal is a new array, never the start's.  A tol that is not
-    finite and positive, or a max_iter that is not an int >= 1, raises ValueError.
+    returned primal is a new array, never the start's.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    real(tol, "tol", "be finite and positive", gt=0.0)
+    integer(max_iter, "max_iter", 1)
     p = problem
     n, m = p.n_vars, p.m
     cols = [g.cols for g in p.groups]
@@ -414,11 +402,9 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
     Evaluates every constraint at the primal point and computes the Lagrangian
     dual value at the returned multipliers by direct minimization; true iff
     the point is feasible, the multipliers are sign-correct, and the gap is
-    within tol (scaled by 1 + |objective|).  A tol that is not finite and
-    positive raises ValueError.
+    within tol (scaled by 1 + |objective|).
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    real(tol, "tol", "be finite and positive", gt=0.0)
     if result.status != "optimal":
         return False
     p = problem
