@@ -333,7 +333,9 @@ def _fmt(v) -> str:
 
 def emit_csv(table: ResultTable, path: str) -> None:
     """Write the fixed-column CSV; float fields use shortest round-trip repr,
-    so identical tables produce byte-identical files."""
+    so identical tables produce byte-identical files.  The text goes to a
+    temporary file beside path, then replaces path, so a failed write leaves
+    no partial CSV."""
     if not table.rows:
         raise ValueError("refusing to write an empty result table")
     header = (["snr_db", "scheme", "strategy", "pilot_count", "sum_rate", "common_rate"]
@@ -342,8 +344,14 @@ def emit_csv(table: ResultTable, path: str) -> None:
     lines = [",".join(header)]
     for row in table.rows:
         lines.append(",".join(_fmt(v) for v in row.csv_tuple()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def parse_csv(path: str) -> ResultTable:
@@ -466,17 +474,21 @@ def cli_main(argv: Sequence[str]) -> int:
         return 1
 
     table = run_experiment(config, workers=workers, timing=opts["timing"])
-    emit_csv(table, os.path.join(out_dir, "results.csv"))
-    emit_plotdata(table, out_dir)
-    details = [row.detail for row in table.rows]
-    with open(os.path.join(out_dir, "details.json"), "w", encoding="utf-8") as fh:
-        json.dump(details, fh, indent=1, default=str)
-    if opts["trace"]:
-        for idx, row in enumerate(table.rows):
-            path = os.path.join(out_dir, f"trace_cell{idx:03d}.jsonl")
-            with open(path, "w", encoding="utf-8") as fh:
-                for entry in row.detail.get("diagnostics", {}).get("trace", []):
-                    fh.write(json.dumps(entry) + "\n")
+    try:
+        emit_csv(table, os.path.join(out_dir, "results.csv"))
+        emit_plotdata(table, out_dir)
+        details = [row.detail for row in table.rows]
+        with open(os.path.join(out_dir, "details.json"), "w", encoding="utf-8") as fh:
+            json.dump(details, fh, indent=1, default=str)
+        if opts["trace"]:
+            for idx, row in enumerate(table.rows):
+                path = os.path.join(out_dir, f"trace_cell{idx:03d}.jsonl")
+                with open(path, "w", encoding="utf-8") as fh:
+                    for entry in row.detail.get("diagnostics", {}).get("trace", []):
+                        fh.write(json.dumps(entry) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     n_bad = sum(1 for r in table.rows if r.status == "infeasible")
     print(f"{len(table.rows)} cells -> {out_dir} ({n_bad} failed)")
     return 2 if n_bad else 0

@@ -598,10 +598,11 @@ _STAGE_RATIO, _STAGE_MIN = 4, 1024
 
 
 def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
-                 X: np.ndarray, state: WmmseState, wsr: float, beta: float,
+                 X: np.ndarray, state: WmmseState, wsr: float, short: float, beta: float,
                  config: SolveConfig, floors: _Floors):
     """The safeguarded step from the accepted solve ``cur`` (split X, state,
-    sampled WSR wsr) away from the previous solve ``prev``: y = cur + beta
+    sampled WSR wsr, ``floors.shortfall`` short) away from the previous solve
+    ``prev``: y = cur + beta
     (cur - prev) on every precoder, scaled onto the power budget.  The first
     candidate scales y uniformly; if it misses a true floor by more than
     ``floors.tol``, the second scales only the ``floors.free``
@@ -611,24 +612,26 @@ def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
     takes the full-capacity split, the common rate y's weakest user decodes,
     which is feasible for the next subproblem; SDMA keeps X.  The candidate
     replaces cur only if its sampled WSR beats wsr, which costs one WSR-only
-    pass.  Returns the running point (precoders, split, state, wsr), the
-    counter name of the outcome and whether the rate of the second candidate
-    was tested."""
+    pass.  Returns the running point (precoders, split, state, wsr, shortfall),
+    the counter name of the outcome and whether the rate of the second
+    candidate was tested."""
     raw = PrecoderSet.stacked(cur.q + beta * (cur.q - prev.q), cur.K)
     y = _project_power(raw, config.P_t)
     free_projected = False
-    if floors.missed(y, config.P_t):
+    short_y = floors.shortfall(y, config.P_t)
+    if short_y > floors.tol:
         # a raw y inside the budget was not scaled, so it has no second candidate
         y = _project_floor_free(raw, config.P_t, floors.free) if y is not raw else None
-        if y is None or floors.missed(y, config.P_t):
-            return cur, X, state, wsr, "extrapolation_floor_rejected", False
+        short_y = np.inf if y is None else floors.shortfall(y, config.P_t)
+        if short_y > floors.tol:
+            return cur, X, state, wsr, short, "extrapolation_floor_rejected", False
         free_projected = True
     state_y = _sampled_info(samples, y)
     X_y = -_split_capacity(state_y) if config.scheme == "RSMA" else X
     wsr_y = _wsr_nats(state_y, X_y)
     if wsr_y <= wsr:
-        return cur, X, state, wsr, "extrapolation_rate_rejected", free_projected
-    return y, X_y, state_y, wsr_y, "extrapolation_accepted", free_projected
+        return cur, X, state, wsr, short, "extrapolation_rate_rejected", free_projected
+    return y, X_y, state_y, wsr_y, short_y, "extrapolation_accepted", free_projected
 
 
 def _sample_stages(M: int) -> List[int]:
@@ -700,7 +703,8 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             # a candidate is accepted only if it passes both checks below; each
             # failure is reachable only through solver slop, so progress is
             # exhausted and the running point is kept
-            if floors.missed(new_prec, config.P_t):
+            short = floors.shortfall(new_prec, config.P_t)
+            if short > floors.tol:
                 counts["stop_floor_shortfall"] += 1
                 converged = True
                 break
@@ -713,15 +717,16 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             prec, X, state = new_prec, new_X, new_state
             converged = abs(wsr - wsr_prev) <= config.eps_r
             if not converged:
-                prec, X, state, wsr, outcome, free_projected = _extrapolate(
-                    samples, solved, prec, X, state, wsr, beta, config, floors)
+                prec, X, state, wsr, short, outcome, free_projected = _extrapolate(
+                    samples, solved, prec, X, state, wsr, short, beta, config, floors)
                 counts[outcome] += 1
                 counts["extrapolation_free_projected"] += free_projected
                 beta = (min(beta * _BETA_GROW, _BETA_MAX) if outcome == "extrapolation_accepted"
                         else max(beta * _BETA_SHRINK, _BETA_MIN))
             solved = new_prec
+            # short is the running point's shortfall, computed when it was admitted
             trace.append({"outer": i, "draws": stages[j], "wsr_nats": wsr,
-                          "max_violation": floors.shortfall(prec, config.P_t)})
+                          "max_violation": short})
             if converged:
                 break
             wsr_prev = wsr

@@ -127,6 +127,21 @@ def test_bad_generator_input_rejected(make, match):
         make()
 
 
+@pytest.mark.parametrize("make,match", [
+    (lambda: exponential_delay_profile(1.2e-6, 2.5), "n_taps must be an integer"),
+    (lambda: evenly_spaced_pilots(True, 8), "pilot count must be an integer"),
+    (lambda: au_statistics_isotropic(2, 4, 1, (2.5,)), "pilot_set entries must be integers"),
+    (lambda: csit_error_variance(10.0, 2.5, 0.6), "N must be an integer"),
+    (lambda: draw_csit_samples(CsitModel(h_hat=np.ones((1, 2, 2)), sigma_ie2=0.1), 2.5, 0),
+     "M must be an integer")],
+    ids=["n_taps", "pilot-count", "pilot-index", "csit-N", "draws"])
+def test_non_integer_count_rejected(make, match):
+    # these ran as 3 taps, pilot (1,), pilot 2 and 0.435, and a float M
+    # ended in a TypeError inside the sampler
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 class TestCsitErrorVariance:
     def test_unit_per_subcarrier_power(self):
         assert csit_error_variance(32.0, 32, 0.6) == 1.0

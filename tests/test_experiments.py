@@ -404,6 +404,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert taken.read_text() == ""
 
+    def test_output_write_failure_exits_one_without_a_partial_csv(self, tmp_path, capsys):
+        # a directory named results.csv made emit_csv raise IsADirectoryError
+        # after the cells ran: a traceback, exit 1 and no error line
+        out = tmp_path / "out"
+        (out / "results.csv").mkdir(parents=True)
+        cfg = self._write_config(tmp_path, scheme_list=["SDMA"])
+        assert cli_main(["--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in out.iterdir()] == ["results.csv"]
+        assert (out / "results.csv").is_dir()
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_t": 4, "bogus": 1}))

@@ -1138,9 +1138,9 @@ class TestOptimize:
         csit, stats, cfg = desk_instance(0, "RSMA")
         steps = spy_steps(monkeypatch)
         res = single(csit, stats, cfg)
-        accepted = [s for s in steps if s[4] == "extrapolation_accepted"]
+        accepted = [s for s in steps if s[5] == "extrapolation_accepted"]
         assert len(accepted) == res.report.diagnostics["counts"]["extrapolation_accepted"] >= 1
-        for _, X, state, wsr, _, _ in accepted:
+        for _, X, state, wsr, _, _, _ in accepted:
             assert np.array_equal(X, -np.maximum(np.min(state.info_c, axis=0) - 1e-9, 0.0))
             assert wsr == _wsr_nats(state, X)
         assert any(np.any(X < 0.0) for _, X, *_ in accepted), "a step must credit common rate"
@@ -1150,9 +1150,9 @@ class TestOptimize:
         csit, stats, cfg = desk_instance(0, scheme)
         steps = spy_steps(monkeypatch)
         res = single(csit, stats, cfg)
-        used = [s for s in steps if s[5]]
+        used = [s for s in steps if s[6]]
         assert len(used) == res.report.diagnostics["counts"]["extrapolation_free_projected"]
-        kept = [y for y, _, _, _, outcome, _ in used if outcome == "extrapolation_accepted"]
+        kept = [y for y, _, _, _, _, outcome, _ in used if outcome == "extrapolation_accepted"]
         assert kept, "a floor-free projected step must be kept"
         for y in kept:
             assert y.total_power() == pytest.approx(cfg.P_t, rel=1e-12)
@@ -1175,15 +1175,16 @@ class TestOptimize:
         csit, stats, config = saa_shape_setup()
         config = dataclasses.replace(config, scheme="SDMA")
 
-        def uniform_step(samples, prev, cur, X, state, wsr, beta, config, floors):
+        def uniform_step(samples, prev, cur, X, state, wsr, short, beta, config, floors):
             y = op._project_power(PrecoderSet(*(c + beta * (c - p) for c, p in (
                 (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f)))), config.P_t)
             state_y = _sampled_info(samples, y)
             X_y = op._clamp_split(state_y, X)
             wsr_y = _wsr_nats(state_y, X_y)
             if wsr_y <= wsr:
-                return cur, X, state, wsr, "extrapolation_rate_rejected", False
-            return y, X_y, state_y, wsr_y, "extrapolation_accepted", False
+                return cur, X, state, wsr, short, "extrapolation_rate_rejected", False
+            return (y, X_y, state_y, wsr_y, floors.shortfall(y, config.P_t),
+                    "extrapolation_accepted", False)
 
         res = single(csit, stats, config)
         monkeypatch.setattr(op, "_extrapolate", uniform_step)
