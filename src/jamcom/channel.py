@@ -264,7 +264,8 @@ def au_covariance_uniform_phase(delta: float, n_t: int) -> np.ndarray:
     """Covariance of a steering channel with phase uniform on [0, delta].
 
     Entry (m, p) is the phase average of exp(-1j*(m-p)*beta); the diagonal is
-    exactly one.  delta = 0 degenerates to the all-ones rank-one matrix.
+    exactly one.  delta = 0 degenerates to the all-ones rank-one matrix.  A
+    negative or non-finite delta raises ValueError.
     """
     real(delta, "delta", "be finite and nonnegative", ge=0.0)
     m = np.arange(n_t)

@@ -210,8 +210,7 @@ def _pairs(config: ExperimentConfig) -> list:
 
 
 def _cell(config: ExperimentConfig, chan: ch.ChannelSet, pair: tuple) -> tuple:
-    """A cell's (pilot_set, sigma_ie2, csit, stats, rho, SolveConfig); the
-    SolveConfig's scheme is RSMA.  Each constructor checks its own inputs."""
+    """A cell's (pilot_set, sigma_ie2, csit, stats, rho, RSMA SolveConfig)."""
     snr_i, snr_db, pspec = pair
     pilot_set = config.resolve_pilots(pspec)
     P_t = _total_power(snr_db)

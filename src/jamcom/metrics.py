@@ -169,8 +169,9 @@ def rate_report(samples: Union[np.ndarray, ChannelSet], precoders: PrecoderSet,
     sample averages, summed chunk by chunk (``channel._chunk_sums``) so that
     no per-sample array outlives its chunk.  ``C`` is the common-rate split
     in bits, validated against per-subcarrier decodability; omitted means an
-    all-private scheme.  It may fall below zero by the -1e-9 nats a
-    ``CommonSplitVars`` allows.  ``stats`` adds the statistically averaged focused power on the pilot set;
+    all-private scheme.  A C that is not finite, or below the -1e-9 nats a
+    ``CommonSplitVars`` allows, raises ValueError.
+    ``stats`` adds the statistically averaged focused power on the pilot set;
     :func:`attach_realized_jamming` adds the realized one afterwards.  The
     report's ``diagnostics`` dict starts empty.
     """

@@ -97,8 +97,10 @@ class BlockGroup:
 
 @dataclass
 class ConvexSubproblem:
-    """The stacked form of the module docstring; ``budget`` and
-    ``budget_const`` are required.  After construction, ``n_vars`` is q0.size, ``m`` the canonical row count (at
+    """The stacked form of the module docstring.  ``budget`` and
+    ``budget_const`` are required: a budget that is not a finite, nonnegative
+    (n_vars,) array, or a non-finite budget_const, q0 or c0, raises ValueError.
+    After construction, ``n_vars`` is q0.size, ``m`` the canonical row count (at
     least 1, the budget row), and ``q_constraints``, ``a_constraints`` and
     ``sign_constraints`` the canonical numbers of the rows of each kind."""
 
@@ -303,7 +305,8 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     max(multipliers, δ), δ = _WARM_GAP; the primal point need not be
     feasible.  Other lengths raise ValueError.  Without a start the IPM
     begins at y = 0, with slacks max(1, -c(0)) and unit multipliers.  The
-    returned primal is a new array, never the start's.
+    returned primal is a new array, never the start's.  A tol that is not
+    finite and positive, or a max_iter that is not an int >= 1, raises ValueError.
     """
     real(tol, "tol", "be finite and positive", gt=0.0)
     integer(max_iter, "max_iter", 1)
@@ -402,7 +405,8 @@ def certify(problem: ConvexSubproblem, result: SolverResult, tol: float) -> bool
     Evaluates every constraint at the primal point and computes the Lagrangian
     dual value at the returned multipliers by direct minimization; true iff
     the point is feasible, the multipliers are sign-correct, and the gap is
-    within tol (scaled by 1 + |objective|).
+    within tol (scaled by 1 + |objective|).  A tol that is not finite and
+    positive raises ValueError.
     """
     real(tol, "tol", "be finite and positive", gt=0.0)
     if result.status != "optimal":
