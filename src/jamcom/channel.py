@@ -157,8 +157,8 @@ class AuStatistics:
 
     def __post_init__(self):
         R = finite_array(self.R, "R", dtype=np.complex128)
-        if R.ndim != 4 or R.shape[2] != R.shape[3]:
-            raise ValueError("R must have shape (L, N, n_t, n_t)")
+        if R.ndim != 4 or R.shape[2] != R.shape[3] or not R.shape[3]:
+            raise ValueError("R must have shape (L, N, n_t, n_t), n_t >= 1")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "tau", hermitian_psd(R)[..., -1])
         object.__setattr__(self, "pilot_set", pilot_set(self.pilot_set, R.shape[1]))
