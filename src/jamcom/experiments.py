@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _CHANNEL_TYPES = ("deterministic", "selective")
+# output file names: a curve per (scheme, pilot count) and a trace per cell
+_CURVE, _TRACE = "curve_{}_p{}.dat", "trace_cell{:03d}.jsonl"
 
 
 @dataclass(frozen=True)
@@ -147,13 +149,13 @@ class ResultRow:
     jam_margin: float
     iters: int
     wall_ms: float
-    status: str = "optimal"
+    status: str = "optimal"        # optimal | maxiter | solve_failed | infeasible
     detail: dict = field(default_factory=dict)
 
     def csv_tuple(self) -> tuple:
         return (self.snr_db, self.scheme, self.strategy, self.pilot_count,
                 self.sum_rate, self.common_rate, *self.rate_u,
-                self.jam_margin, self.iters, self.wall_ms)
+                self.jam_margin, self.iters, self.wall_ms, self.status)
 
 
 @dataclass
@@ -259,6 +261,13 @@ def _run_pair(args) -> List[ResultRow]:
         wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
 
         report = res.report
+        flags = report.diagnostics["solver_flags"]
+        if res.converged:
+            status = "optimal"
+        elif flags and flags[-1].startswith(f"{res.outer_iterations - 1}:"):
+            status = "solve_failed"    # the final stage stopped on a failed solve
+        else:
+            status = "maxiter"
         if chan.g is not None and report.pilot_set:
             attach_realized_jamming(report, chan, res.precoders)
         if thr is not None and report.lambda_avg is not None and report.lambda_avg.size:
@@ -281,7 +290,7 @@ def _run_pair(args) -> List[ResultRow]:
             pilot_count=len(pilot_set), sum_rate=report.R_sum,
             common_rate=report.common_rate, rate_u=tuple(float(r) for r in report.R_k),
             jam_margin=jam_margin, iters=res.outer_iterations, wall_ms=wall,
-            status="optimal" if res.converged else "maxiter", detail=detail)
+            status=status, detail=detail)
         return row, res
 
     produced = {}
@@ -298,7 +307,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     """Run every (snr, scheme, pilot_set) cell and collect one row per cell.
 
     Each row's ``detail["diagnostics"]`` is its report's, per-iteration
-    ``trace`` included.  Optimizer failures are recorded in the affected row
+    ``trace`` included.  A row's status says why its run stopped: "optimal"
+    (converged), "maxiter" (capped) or "solve_failed" (its last stage ended on
+    a failed solve).  Optimizer failures are recorded in the affected row
     (status "infeasible") and the sweep continues.  Rows are ordered by the
     deterministic cell order, independent of the worker count.  At most ``workers`` processes
     run the (snr, pilot_set) points, never more than there are points, and
@@ -339,7 +350,7 @@ def emit_csv(table: ResultTable, path: str) -> None:
         raise ValueError("refusing to write an empty result table")
     header = (["snr_db", "scheme", "strategy", "pilot_count", "sum_rate", "common_rate"]
               + [f"rate_u{k + 1}" for k in range(table.K)]
-              + ["jam_margin", "iters", "wall_ms"])
+              + ["jam_margin", "iters", "wall_ms", "status"])
     lines = [",".join(header)]
     for row in table.rows:
         lines.append(",".join(_fmt(v) for v in row.csv_tuple()))
@@ -369,7 +380,7 @@ def parse_csv(path: str) -> ResultTable:
             sum_rate=float(rec["sum_rate"]), common_rate=float(rec["common_rate"]),
             rate_u=tuple(float(rec[f"rate_u{k + 1}"]) for k in range(K)),
             jam_margin=float(rec["jam_margin"]), iters=int(rec["iters"]),
-            wall_ms=float(rec["wall_ms"])))
+            wall_ms=float(rec["wall_ms"]), status=rec["status"]))
     return ResultTable(K=K, rows=rows)
 
 
@@ -384,7 +395,7 @@ def emit_plotdata(table: ResultTable, out_dir: str) -> list:
             (row.snr_db, row.sum_rate))
     paths = []
     for (scheme, pc), pts in sorted(curves.items()):
-        path = os.path.join(out_dir, f"curve_{scheme.lower()}_p{pc}.dat")
+        path = os.path.join(out_dir, _CURVE.format(scheme.lower(), pc))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for snr, sr in sorted(pts):
                 fh.write(f"{_fmt(snr)} {_fmt(sr)}\n")
@@ -468,6 +479,18 @@ def cli_main(argv: Sequence[str]) -> int:
         workers = integer(int(opts["workers"]), "--workers", 1)
         out_dir = opts["out"] or config.out_dir or "."
         os.makedirs(out_dir, exist_ok=True)
+        # every output path is checked before the sweep, so a bad --out costs no cell
+        names = ["results.csv", "details.json"] + [
+            _CURVE.format(s.lower(), len(config.resolve_pilots(p)))
+            for s in config.scheme_list for p in config.pilot_sets]
+        if opts["trace"]:
+            cells = len(_pairs(config)) * len(config.scheme_list)
+            names += [_TRACE.format(i) for i in range(cells)]
+        for path in (os.path.join(out_dir, name) for name in names):
+            if os.path.isdir(path):
+                raise OSError(f"output path {path!r} is a directory")
+        if not os.access(out_dir, os.W_OK):
+            raise OSError(f"output directory {out_dir!r} is not writable")
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -481,7 +504,7 @@ def cli_main(argv: Sequence[str]) -> int:
             json.dump(details, fh, indent=1, default=str)
         if opts["trace"]:
             for idx, row in enumerate(table.rows):
-                path = os.path.join(out_dir, f"trace_cell{idx:03d}.jsonl")
+                path = os.path.join(out_dir, _TRACE.format(idx))
                 with open(path, "w", encoding="utf-8") as fh:
                     for entry in row.detail.get("diagnostics", {}).get("trace", []):
                         fh.write(json.dumps(entry) + "\n")

@@ -7,17 +7,17 @@ tight there), linearizes the focused-power constraint at the same point (an
 inner approximation of the true floors that contains it), and solves the
 resulting convex subproblem once, so the sampled sum rate never decreases.
 Successive subproblems differ only in these refreshed terms, so each solve
-after a stage's first is warm-started from the last (optimal) solve.
-After each solve that still makes progress, a safeguarded extrapolation step
-y = z_k + beta (z_k - z_{k-1}) from the last two solves' precoders, projected
-onto the power budget, replaces the running point only if it meets the true
-floors and raises the sampled sum rate, and so becomes the point of the next
-iteration's weights.  The projection first scales every subcarrier; if that
-pushes a focused power under its floor, it scales only the subcarriers that
-carry no floor instead.  With a common stream the step takes the largest
-common rate its weakest user decodes, so common-stream power it adds counts.
-A kept step lengthens beta and a refused one shortens it.  The surrogate is
-tight at the running point either way, so the ascent stays monotone.
+after a run's first, in every sample stage, is warm-started from the last
+(optimal) solve.  After each solve that still makes progress, a safeguarded
+extrapolation step y = z_k + _BETA (z_k - z_{k-1}) from the last two solves'
+precoders, projected onto the power budget, replaces the running point only if
+it meets the true floors and raises the sampled sum rate, and so becomes the
+point of the next iteration's weights.  The projection first scales every
+subcarrier; if that pushes a focused power under its floor, it scales only the
+subcarriers that carry no floor instead.  With a common stream the step takes
+the largest common rate its weakest user decodes, so common-stream power it
+adds counts.  The surrogate is tight at the running point either way, so the
+ascent stays monotone.
 Channel uncertainty enters through sample averaging over draws from the CSI
 error model, which ``draw_csit_samples`` stores subcarrier-major (contiguous
 as (K, N, n_t, M)).  Every sampled pass walks the draws in fixed-size chunks
@@ -93,11 +93,13 @@ __all__ = [
 _SOLVER_TOL = 1e-7    # scaled KKT tolerance of every subproblem solve
 
 # the names of report.diagnostics["counts"]: extrapolation outcomes, cold
-# retries, the exits of every IPM solve and the ascent's early stops
+# retries, the exits of every IPM solve, the ascent's early stops and the
+# repairs of a solve point (budget scaling, split clip) and of the final split
 _COUNTERS = ("extrapolation_accepted", "extrapolation_rate_rejected",
             "extrapolation_floor_rejected", "extrapolation_free_projected",
             "solve_cold_retry", "ipm_optimal", "ipm_infeasible", "ipm_non_finite",
-            "ipm_max_iter", "stop_solve_failed", "stop_floor_shortfall", "stop_wsr_decrease")
+            "ipm_max_iter", "stop_solve_failed", "stop_floor_shortfall", "stop_wsr_decrease",
+            "solve_power_projected", "split_clipped", "split_clamped")
 
 
 class OptimizerError(RuntimeError):
@@ -588,9 +590,8 @@ def _clamp_split(state: WmmseState, X: np.ndarray) -> np.ndarray:
     return np.maximum(X, -_split_capacity(state))
 
 
-# extrapolation weight: first value, growth after an accepted step up to a
-# cap, shrink after a rejected step down to a floor
-_BETA_START, _BETA_GROW, _BETA_MAX, _BETA_SHRINK, _BETA_MIN = 1.0, 1.5, 4.0, 0.5, 0.25
+# extrapolation weight of every step
+_BETA = 1.5
 
 # sample-size continuation: each stage ascends on _STAGE_RATIO times fewer
 # draws than the next, and no stage has fewer than _STAGE_MIN draws
@@ -598,24 +599,23 @@ _STAGE_RATIO, _STAGE_MIN = 4, 1024
 
 
 def _extrapolate(samples: np.ndarray, prev: PrecoderSet, cur: PrecoderSet,
-                 X: np.ndarray, state: WmmseState, wsr: float, short: float, beta: float,
+                 X: np.ndarray, state: WmmseState, wsr: float, short: float,
                  config: SolveConfig, floors: _Floors):
     """The safeguarded step from the accepted solve ``cur`` (split X, state,
     sampled WSR wsr, ``floors.shortfall`` short) away from the previous solve
-    ``prev``: y = cur + beta
-    (cur - prev) on every precoder, scaled onto the power budget.  The first
-    candidate scales y uniformly; if it misses a true floor by more than
-    ``floors.tol``, the second scales only the ``floors.free``
-    subcarriers, which carry no floor, as the raw y usually still meets the
-    floors that the uniform scaling breaks (the focused power is convex).  The
-    floors come first because they cost no sampled pass.  An RSMA candidate
-    takes the full-capacity split, the common rate y's weakest user decodes,
-    which is feasible for the next subproblem; SDMA keeps X.  The candidate
-    replaces cur only if its sampled WSR beats wsr, which costs one WSR-only
-    pass.  Returns the running point (precoders, split, state, wsr, shortfall),
-    the counter name of the outcome and whether the rate of the second
-    candidate was tested."""
-    raw = PrecoderSet.stacked(cur.q + beta * (cur.q - prev.q), cur.K)
+    ``prev``: y = cur + _BETA (cur - prev) on every precoder, scaled onto the
+    power budget.  The first candidate scales y uniformly; if it misses a true
+    floor by more than ``floors.tol``, the second scales only the
+    ``floors.free`` subcarriers, which carry no floor, as the raw y usually
+    still meets the floors that the uniform scaling breaks (the focused power
+    is convex).  The floors come first because they cost no sampled pass.  An
+    RSMA candidate takes the full-capacity split, the common rate y's weakest
+    user decodes, which is feasible for the next subproblem; SDMA keeps X.  The
+    candidate replaces cur only if its sampled WSR beats wsr, which costs one
+    WSR-only pass.  Returns the running point (precoders, split, state, wsr,
+    shortfall), the counter name of the outcome and whether the rate of the
+    second candidate was tested."""
+    raw = PrecoderSet.stacked(cur.q + _BETA * (cur.q - prev.q), cur.K)
     y = _project_power(raw, config.P_t)
     free_projected = False
     short_y = floors.shortfall(y, config.P_t)
@@ -653,8 +653,8 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
 
     Sample-size continuation: stage j ascends on the first
     ``_sample_stages(config.M)[j]`` draws, far from the optimum where fewer
-    draws point the same way, from where stage j - 1 ended, with a cold first
-    solve and a fresh extrapolation weight.  Stage j of S ends at global outer
+    draws point the same way, from where stage j - 1 ended, its first solve
+    warm-started from stage j - 1's last.  Stage j of S ends at global outer
     iteration ``config.max_outer - (S - 1 - j)``, leaving one iteration for
     every later stage, so the last, full-M stage always runs; with
     ``max_outer`` below S the smallest stages are skipped."""
@@ -666,14 +666,13 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     X = np.zeros(csit.N)
     stages = _sample_stages(config.M)
     outer = 0
+    warm = None
     for j in range(max(0, len(stages) - config.max_outer), len(stages)):
         samples = draws[:stages[j]]
         state = _sampled_info(samples, prec)
         solved = prec    # the last solve's point, from which the next step extrapolates
-        warm = None
         wsr_prev = 0.0
         converged = False
-        beta = _BETA_START
         first = outer
         for i in range(first, config.max_outer - (len(stages) - 1 - j)):
             # prec is both the point of the weights and filters and the Taylor
@@ -697,9 +696,10 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                 counts["stop_solve_failed"] += 1
                 break
             warm = (res.primal, res.multipliers)
-            new_prec, new_X = layout.unpack(res.primal * scale)
-            new_prec = _project_power(new_prec, config.P_t)
-            new_X = np.minimum(new_X, 0.0)
+            raw_prec, raw_X = layout.unpack(res.primal * scale)
+            new_prec, new_X = _project_power(raw_prec, config.P_t), np.minimum(raw_X, 0.0)
+            counts["solve_power_projected"] += new_prec is not raw_prec
+            counts["split_clipped"] += bool(np.any(raw_X > 0.0))
             # a candidate is accepted only if it passes both checks below; each
             # failure is reachable only through solver slop, so progress is
             # exhausted and the running point is kept
@@ -718,11 +718,9 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             converged = abs(wsr - wsr_prev) <= config.eps_r
             if not converged:
                 prec, X, state, wsr, short, outcome, free_projected = _extrapolate(
-                    samples, solved, prec, X, state, wsr, short, beta, config, floors)
+                    samples, solved, prec, X, state, wsr, short, config, floors)
                 counts[outcome] += 1
                 counts["extrapolation_free_projected"] += free_projected
-                beta = (min(beta * _BETA_GROW, _BETA_MAX) if outcome == "extrapolation_accepted"
-                        else max(beta * _BETA_SHRINK, _BETA_MIN))
             solved = new_prec
             # short is the running point's shortfall, computed when it was admitted
             trace.append({"outer": i, "draws": stages[j], "wsr_nats": wsr,
@@ -735,7 +733,8 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     # the rate depends on each subcarrier's total only; report it evenly split.
     # SDMA's split is its exact zeros: the clamp would make them -0.0
     if config.scheme == "RSMA":
-        X = _clamp_split(state, X)
+        X, unclamped = _clamp_split(state, X), X
+        counts["split_clamped"] += bool(np.any(X != unclamped))
     split = CommonSplitVars(X=np.tile(X / csit.K, (csit.K, 1)))
     report = rate_report(draws, prec, split.C_bits, stats=stats)
     report.diagnostics = {
@@ -773,7 +772,10 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     ends at its running point, which meets the true floors and budget, with
     ``converged`` False, ``stop_solve_failed`` counted and "iteration:status"
     in ``solver_flags``.  So ``ipm_optimal`` + ``stop_solve_failed`` =
-    ``outer_iterations``.
+    ``outer_iterations``.  The repairs are counted too: ``solve_power_projected``
+    and ``split_clipped`` the optimal solves scaled onto the budget or with a
+    positive split entry set to 0, ``split_clamped`` the final split capped at
+    what the weakest user decodes.
 
     With M >= 4,096 draws the iterations run in stages on the first M/4^j
     draws (each stage at least 1,024), each from the point the last one

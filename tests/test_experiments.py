@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from jamcom import experiments as xp
 from jamcom import optimizer as op
 from jamcom.channel import csit_error_variance, evenly_spaced_pilots
 from jamcom.experiments import (
@@ -280,7 +281,7 @@ class TestPersistence:
         emit_csv(self._table(), str(path))
         header = path.read_text().splitlines()[0]
         assert header == ("snr_db,scheme,strategy,pilot_count,sum_rate,"
-                          "common_rate,rate_u1,rate_u2,jam_margin,iters,wall_ms")
+                          "common_rate,rate_u1,rate_u2,jam_margin,iters,wall_ms,status")
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -404,16 +405,49 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert taken.read_text() == ""
 
-    def test_output_write_failure_exits_one_without_a_partial_csv(self, tmp_path, capsys):
-        # a directory named results.csv made emit_csv raise IsADirectoryError
-        # after the cells ran: a traceback, exit 1 and no error line
+    def test_output_write_failure_exits_one_without_a_partial_csv(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # a directory named results.csv, where emit_csv would raise
+        # IsADirectoryError, is found before the sweep: exit 1, nothing written
+        self._check_output_directory_clash(tmp_path, capsys, monkeypatch, "results.csv")
+
+    @pytest.mark.parametrize("name", ["details.json", "curve_sdma_p2.dat",
+                                      "trace_cell000.jsonl"])
+    def test_output_path_naming_a_directory_exits_one_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch, name):
+        self._check_output_directory_clash(tmp_path, capsys, monkeypatch, name)
+
+    def _check_output_directory_clash(self, tmp_path, capsys, monkeypatch, name):
         out = tmp_path / "out"
-        (out / "results.csv").mkdir(parents=True)
+        (out / name).mkdir(parents=True)
         cfg = self._write_config(tmp_path, scheme_list=["SDMA"])
-        assert cli_main(["--config", cfg, "--out", str(out)]) == 1
+        monkeypatch.setattr(xp, "run_experiment", lambda *a, **kw: pytest.fail("a sweep ran"))
+        assert cli_main(["--config", cfg, "--out", str(out), "--trace"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
-        assert [p.name for p in out.iterdir()] == ["results.csv"]
-        assert (out / "results.csv").is_dir()
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).is_dir()
+
+    def test_unwritable_out_exits_one_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = self._write_config(tmp_path, scheme_list=["SDMA"])
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            False if path == str(out) else access(path, mode)))
+        monkeypatch.setattr(xp, "run_experiment", lambda *a, **kw: pytest.fail("a sweep ran"))
+        assert cli_main(["--config", cfg, "--out", str(out)]) == 1
+        assert "not writable" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_write_failure_after_the_sweep_exits_one(self, tmp_path, capsys, monkeypatch):
+        # an OSError while the outputs are written is still an error line
+        def full(*a):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(xp, "emit_plotdata", full)
+        cfg = self._write_config(tmp_path, scheme_list=["SDMA"])
+        assert cli_main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -428,15 +462,16 @@ class TestCli:
         assert (out / "results.csv").exists()
         assert (out / "details.json").exists()
         assert (out / "curve_sdma_p2.dat").exists()
-        # the extrapolation, cold-retry, IPM-exit and early-stop counters and
-        # the sample stages reach details.json
+        # the extrapolation, cold-retry, IPM-exit, early-stop and repair
+        # counters and the sample stages reach details.json
         for detail in json.loads((out / "details.json").read_text()):
             assert set(detail["diagnostics"]["counts"]) == {
                 "extrapolation_accepted", "extrapolation_rate_rejected",
                 "extrapolation_floor_rejected", "extrapolation_free_projected",
                 "solve_cold_retry", "ipm_optimal", "ipm_infeasible", "ipm_non_finite",
                 "ipm_max_iter", "stop_solve_failed", "stop_floor_shortfall",
-                "stop_wsr_decrease"}
+                "stop_wsr_decrease", "solve_power_projected", "split_clipped",
+                "split_clamped"}
             diag = detail["diagnostics"]
             assert diag["sample_stages"] == [[2, diag["outer_iterations"]]]   # M=2: one stage
 
@@ -482,6 +517,8 @@ class TestCli:
         assert rc == 0
         table = parse_csv(str(out / "results.csv"))
         assert table.rows[0].pilot_count == 8  # pilot counts clamped to quick N
+        # the row names why the run stopped at its start
+        assert table.rows[0].status == "solve_failed"
         # its one solve is not optimal (the floors and margin take the whole
         # budget), so the run stops at its start with the solve counted
         for detail in json.loads((out / "details.json").read_text()):

@@ -462,6 +462,19 @@ class TestSampleStages:
         assert all(b >= a - 1e-9 for a, b in zip(wsr, wsr[1:]))
         assert len(wsr) <= stages[-1][1]
 
+    def test_one_cold_solve_per_run(self, monkeypatch):
+        # the full stage's first solve is warm-started from the prefix stage's
+        # last: the layout, floors and row count are the same in both
+        csit, stats, config = saa_shape_setup()
+        starts, solve = [], cvx.solve
+        monkeypatch.setattr(cvx, "solve",
+                            lambda prob, **kw: starts.append(kw.get("start")) or solve(prob, **kw))
+        res = single(csit, stats, config)
+        assert [d for d, _ in res.report.diagnostics["sample_stages"]] == [1024, 4096]
+        assert res.report.diagnostics["counts"]["solve_cold_retry"] == 0
+        assert len(starts) == res.outer_iterations
+        assert [s is None for s in starts].count(True) == 1 and starts[0] is None
+
     def test_prefix_stage_freed_before_full_stage(self):
         # the run peaks at the draws plus one chunk's temporaries, 1.23 sample
         # arrays, as a one-stage run does; a prefix-stage array over its 1,024
@@ -1111,18 +1124,13 @@ class TestOptimize:
                       >= floors.value - floors.tol)
 
     def test_extrapolation_safeguard(self):
-        # desk instance 0 of the acceptance suite: 5 dB, one pilot, active floors
-        P_t = 10.0 ** 0.5
-        chan = synth_selective_channel(exponential_delay_profile(1.2e-6, 12), 4, 8, 2, 1, seed=0)
-        csit = CsitModel(h_hat=chan.h, sigma_ie2=csit_error_variance(P_t, 8, 0.6), alpha=0.6)
-        stats = au_statistics_isotropic(4, 8, 1, evenly_spaced_pilots(1, 8))
-        thr = build_thresholds(stats, threshold_strategy(1, 1, 8), P_t)
+        # desk instance 3 of the acceptance suite: 5 dB, one pilot, active floors
         for scheme in ("SDMA", "RSMA"):
-            res = single(csit, stats, SolveConfig(
-                P_t=P_t, scheme=scheme, M=4, seed=100, thresholds=thr))
+            csit, stats, cfg = desk_instance(3, scheme)
+            res = single(csit, stats, cfg)
             d = res.report.diagnostics
             traced = d["trace"]
-            wsr = full_stage_wsr(res, 4)
+            wsr = full_stage_wsr(res, cfg.M)
             assert all(b >= a - 1e-9 for a, b in zip(wsr, wsr[1:]))
             # both branches of the safeguard ran: a step was kept, and a step
             # was refused on the true floors before any sampled work
@@ -1132,7 +1140,25 @@ class TestOptimize:
             tried = sum(counts[k] for k in STEP_OUTCOMES)
             assert tried <= res.outer_iterations
             assert len(traced) == len(wsr)
-            assert all(t["max_violation"] <= 1e-9 * (1.0 + float(thr.max())) for t in traced)
+            assert all(t["max_violation"] <= 1e-9 * (1.0 + float(cfg.thresholds.max()))
+                       for t in traced)
+
+    def test_repair_counters_count_the_moves(self, monkeypatch):
+        # every optimal solve point that exceeds the budget is scaled onto it,
+        # every positive split entry is clipped, and the end-of-run clamp moved X
+        csit, stats, cfg = desk_instance(3, "RSMA")
+        solves, solve = [], cvx.solve
+        monkeypatch.setattr(cvx, "solve",
+                            lambda prob, **kw: solves.append(solve(prob, **kw)) or solves[-1])
+        res = single(csit, stats, cfg)
+        layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx, rsma=True)
+        points = [layout.unpack(r.primal * layout.var_scale(cfg.P_t))
+                  for r in solves if r.status == "optimal"]
+        counts = res.report.diagnostics["counts"]
+        assert counts["solve_power_projected"] == sum(
+            p.total_power() > cfg.P_t for p, _ in points) >= 1
+        assert counts["split_clipped"] == sum(bool(np.any(X > 0.0)) for _, X in points) >= 1
+        assert counts["split_clamped"] == 1
 
     def test_rsma_step_takes_full_capacity_split(self, monkeypatch):
         csit, stats, cfg = desk_instance(0, "RSMA")
@@ -1175,8 +1201,8 @@ class TestOptimize:
         csit, stats, config = saa_shape_setup()
         config = dataclasses.replace(config, scheme="SDMA")
 
-        def uniform_step(samples, prev, cur, X, state, wsr, short, beta, config, floors):
-            y = op._project_power(PrecoderSet(*(c + beta * (c - p) for c, p in (
+        def uniform_step(samples, prev, cur, X, state, wsr, short, config, floors):
+            y = op._project_power(PrecoderSet(*(c + op._BETA * (c - p) for c, p in (
                 (cur.p_c, prev.p_c), (cur.p, prev.p), (cur.f, prev.f)))), config.P_t)
             state_y = _sampled_info(samples, y)
             X_y = op._clamp_split(state_y, X)
