@@ -139,6 +139,10 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
+    """One cell's result.  ``status`` is its run's ``OptimizeResult.status``,
+    or "infeasible" when ``optimize`` raised; an RSMA run is compared with
+    its cell's SDMA run, and a row that fell back to it carries its status."""
+
     snr_db: float
     scheme: str
     strategy: int
@@ -235,85 +239,68 @@ def _cell(config: ExperimentConfig, chan: ch.ChannelSet, pair: tuple) -> tuple:
 
 
 def _run_pair(args) -> List[ResultRow]:
-    """Run all requested schemes for one (snr, pilot_set) point.
-
-    The common-stream-off run executes first so its endpoint can serve as the
-    comparison candidate inside the richer scheme's optimization.
-    """
+    """Run one (snr, pilot_set) point: SDMA always, requested or not, then
+    RSMA if requested, handed that SDMA result as its ``restricted``
+    comparison, so an RSMA row reads the same whichever schemes the sweep
+    lists.  Returns the requested rows in ``scheme_list`` order."""
     config, chan, pair, timing = args
     snr_db = pair[1]
     pilot_set, sigma2, csit, stats, rho, cfg = _cell(config, chan, pair)
-    P_t, thr = cfg.P_t, cfg.thresholds
-
-    def run_one(scheme, restricted):
+    rows, restricted = {}, None
+    for scheme in ("SDMA", "RSMA") if "RSMA" in config.scheme_list else ("SDMA",):
         t0 = time.perf_counter()
         try:
             res = opt.optimize(csit, stats, dataclasses.replace(cfg, scheme=scheme),
                                restricted=restricted)
         except opt.OptimizerError as exc:
-            wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
-            row = ResultRow(
-                snr_db=snr_db, scheme=scheme, strategy=config.strategy,
-                pilot_count=len(pilot_set), sum_rate=0.0, common_rate=0.0,
-                rate_u=(0.0,) * config.K, jam_margin=float("nan"), iters=0,
-                wall_ms=wall, status="infeasible", detail={"error": str(exc)})
-            return row, None
-        wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
-
-        report = res.report
-        flags = report.diagnostics["solver_flags"]
-        if res.converged:
-            status = "optimal"
-        elif flags and flags[-1].startswith(f"{res.outer_iterations - 1}:"):
-            status = "solve_failed"    # the final stage stopped on a failed solve
+            res, error = None, str(exc)
+        wall = (time.perf_counter() - t0) * 1e3
+        if res is None:
+            values = dict(sum_rate=0.0, common_rate=0.0, rate_u=(0.0,) * config.K,
+                          jam_margin=float("nan"), iters=0, status="infeasible",
+                          detail={"error": error})
         else:
-            status = "maxiter"
-        if chan.g is not None and report.pilot_set:
-            attach_realized_jamming(report, chan, res.precoders)
-        if thr is not None and report.lambda_avg is not None and report.lambda_avg.size:
-            jam_margin = float(np.min(report.lambda_avg - thr))
-        else:
-            jam_margin = 0.0
-        detail = {
-            "snr_db": snr_db, "scheme": scheme, "pilot_set": list(pilot_set),
-            "rho": rho, "sigma_ie2": sigma2, "P_t": P_t,
-            "sum_rate": report.R_sum, "R_k": report.R_k.tolist(),
-            "common_rate": report.common_rate,
-            "lambda_avg": None if report.lambda_avg is None else report.lambda_avg.tolist(),
-            "lambda_realized": (None if report.lambda_realized is None
-                                else report.lambda_realized.tolist()),
-            "diagnostics": report.diagnostics,
-            "wall_ms": (time.perf_counter() - t0) * 1e3,
-        }
-        row = ResultRow(
-            snr_db=snr_db, scheme=scheme, strategy=config.strategy,
-            pilot_count=len(pilot_set), sum_rate=report.R_sum,
-            common_rate=report.common_rate, rate_u=tuple(float(r) for r in report.R_k),
-            jam_margin=jam_margin, iters=res.outer_iterations, wall_ms=wall,
-            status=status, detail=detail)
-        return row, res
-
-    produced = {}
-    sdma_res = None
-    if "SDMA" in config.scheme_list:
-        produced["SDMA"], sdma_res = run_one("SDMA", None)
-    if "RSMA" in config.scheme_list:
-        produced["RSMA"], _ = run_one("RSMA", sdma_res)
-    return [produced[s] for s in config.scheme_list]
+            report = res.report
+            if chan.g is not None and report.pilot_set:
+                attach_realized_jamming(report, chan, res.precoders)
+            lam = report.lambda_avg
+            values = dict(
+                sum_rate=report.R_sum, common_rate=report.common_rate,
+                rate_u=tuple(float(r) for r in report.R_k),
+                jam_margin=(float(np.min(lam - cfg.thresholds))
+                            if cfg.thresholds is not None and lam is not None and lam.size
+                            else 0.0),
+                iters=res.outer_iterations, status=res.status, detail={
+                    "snr_db": snr_db, "scheme": scheme, "pilot_set": list(pilot_set),
+                    "rho": rho, "sigma_ie2": sigma2, "P_t": cfg.P_t,
+                    "sum_rate": report.R_sum, "R_k": report.R_k.tolist(),
+                    "common_rate": report.common_rate,
+                    "lambda_avg": None if lam is None else lam.tolist(),
+                    "lambda_realized": (None if report.lambda_realized is None
+                                        else report.lambda_realized.tolist()),
+                    "diagnostics": report.diagnostics, "wall_ms": wall})
+        rows[scheme] = ResultRow(snr_db=snr_db, scheme=scheme, strategy=config.strategy,
+                                 pilot_count=len(pilot_set), wall_ms=wall if timing else 0.0,
+                                 **values)
+        restricted = res
+    return [rows[s] for s in config.scheme_list]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1,
                    timing: bool = False) -> ResultTable:
     """Run every (snr, scheme, pilot_set) cell and collect one row per cell.
 
-    Each row's ``detail["diagnostics"]`` is its report's, per-iteration
-    ``trace`` included.  A row's status says why its run stopped: "optimal"
-    (converged), "maxiter" (capped) or "solve_failed" (its last stage ended on
-    a failed solve).  Optimizer failures are recorded in the affected row
-    (status "infeasible") and the sweep continues.  Rows are ordered by the
-    deterministic cell order, independent of the worker count.  At most ``workers`` processes
-    run the (snr, pilot_set) points, never more than there are points, and
-    a sweep with one point or ``workers=1`` runs in this process.
+    Each (snr, pilot_set) point runs SDMA, listed or not, and an RSMA cell is
+    compared with that SDMA run, so its row does not depend on the other
+    schemes listed.  Each row's ``detail["diagnostics"]`` is its report's,
+    per-iteration ``trace`` included.  A row's status says why its run
+    stopped: "optimal" (converged), "maxiter" (capped) or "solve_failed" (its
+    last stage ended on a failed solve).  Optimizer failures are recorded in
+    the affected row (status "infeasible") and the sweep continues.  Rows are
+    ordered by the deterministic cell order, independent of the worker count.
+    At most ``workers`` processes run the (snr, pilot_set) points, never more
+    than there are points, and a sweep with one point or ``workers=1`` runs in
+    this process.
     """
     integer(workers, "workers", 1)
     chan = _build_channels(config)

@@ -94,12 +94,12 @@ _SOLVER_TOL = 1e-7    # scaled KKT tolerance of every subproblem solve
 
 # the names of report.diagnostics["counts"]: extrapolation outcomes, cold
 # retries, the exits of every IPM solve, the ascent's early stops and the
-# repairs of a solve point (budget scaling, split clip) and of the final split
+# repairs of a solve point's split (clip) and of the final split (clamp)
 _COUNTERS = ("extrapolation_accepted", "extrapolation_rate_rejected",
             "extrapolation_floor_rejected", "extrapolation_free_projected",
             "solve_cold_retry", "ipm_optimal", "ipm_infeasible", "ipm_non_finite",
             "ipm_max_iter", "stop_solve_failed", "stop_floor_shortfall", "stop_wsr_decrease",
-            "solve_power_projected", "split_clipped", "split_clamped")
+            "split_clipped", "split_clamped")
 
 
 class OptimizerError(RuntimeError):
@@ -173,8 +173,12 @@ class OptimizeResult:
     precoders: PrecoderSet
     split: CommonSplitVars
     report: RateReport
-    converged: bool
+    status: str                 # optimal | maxiter | solve_failed: the final stage's exit
     outer_iterations: int
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "optimal"
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +661,8 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     warm-started from stage j - 1's last.  Stage j of S ends at global outer
     iteration ``config.max_outer - (S - 1 - j)``, leaving one iteration for
     every later stage, so the last, full-M stage always runs; with
-    ``max_outer`` below S the smallest stages are skipped."""
+    ``max_outer`` below S the smallest stages are skipped.  The result's
+    ``status`` is the last stage's exit."""
     layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx,
                             config.scheme == "RSMA")
     scale = layout.var_scale(config.P_t)
@@ -672,7 +677,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         state = _sampled_info(samples, prec)
         solved = prec    # the last solve's point, from which the next step extrapolates
         wsr_prev = 0.0
-        converged = False
+        status = "maxiter"
         first = outer
         for i in range(first, config.max_outer - (len(stages) - 1 - j)):
             # prec is both the point of the weights and filters and the Taylor
@@ -694,11 +699,11 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
                 # at the running point, which meets the true floors and budget
                 solver_flags.append(f"{i}:{res.status}")
                 counts["stop_solve_failed"] += 1
+                status = "solve_failed"
                 break
             warm = (res.primal, res.multipliers)
             raw_prec, raw_X = layout.unpack(res.primal * scale)
             new_prec, new_X = _project_power(raw_prec, config.P_t), np.minimum(raw_X, 0.0)
-            counts["solve_power_projected"] += new_prec is not raw_prec
             counts["split_clipped"] += bool(np.any(raw_X > 0.0))
             # a candidate is accepted only if it passes both checks below; each
             # failure is reachable only through solver slop, so progress is
@@ -706,17 +711,18 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             short = floors.shortfall(new_prec, config.P_t)
             if short > floors.tol:
                 counts["stop_floor_shortfall"] += 1
-                converged = True
+                status = "optimal"
                 break
             new_state = _sampled_info(samples, new_prec)
             wsr = _wsr_nats(new_state, new_X)
             if wsr < wsr_prev - 1e-9 and i > first:
                 counts["stop_wsr_decrease"] += 1
-                converged = True
+                status = "optimal"
                 break
             prec, X, state = new_prec, new_X, new_state
-            converged = abs(wsr - wsr_prev) <= config.eps_r
-            if not converged:
+            if abs(wsr - wsr_prev) <= config.eps_r:
+                status = "optimal"
+            else:
                 prec, X, state, wsr, short, outcome, free_projected = _extrapolate(
                     samples, solved, prec, X, state, wsr, short, config, floors)
                 counts[outcome] += 1
@@ -725,7 +731,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
             # short is the running point's shortfall, computed when it was admitted
             trace.append({"outer": i, "draws": stages[j], "wsr_nats": wsr,
                           "max_violation": short})
-            if converged:
+            if status == "optimal":
                 break
             wsr_prev = wsr
         ran.append([stages[j], outer - first])
@@ -738,7 +744,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     split = CommonSplitVars(X=np.tile(X / csit.K, (csit.K, 1)))
     report = rate_report(draws, prec, split.C_bits, stats=stats)
     report.diagnostics = {
-        "converged": converged,
+        "status": status,
         "outer_iterations": outer,
         "trace": trace,
         "max_violation": floors.shortfall(prec, config.P_t),
@@ -748,7 +754,7 @@ def _optimize_single(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
         "scheme": config.scheme,
     }
     return OptimizeResult(precoders=prec, split=split, report=report,
-                          converged=converged, outer_iterations=outer)
+                          status=status, outer_iterations=outer)
 
 
 def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
@@ -770,19 +776,20 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     optimal, and ``ipm_<status>`` every solve by its ``SolverResult.status``.
     Only an optimal solve moves the run; a failed one never raises: the stage
     ends at its running point, which meets the true floors and budget, with
-    ``converged`` False, ``stop_solve_failed`` counted and "iteration:status"
-    in ``solver_flags``.  So ``ipm_optimal`` + ``stop_solve_failed`` =
-    ``outer_iterations``.  The repairs are counted too: ``solve_power_projected``
-    and ``split_clipped`` the optimal solves scaled onto the budget or with a
+    ``stop_solve_failed`` counted and "iteration:status" in ``solver_flags``.
+    So ``ipm_optimal`` + ``stop_solve_failed`` = ``outer_iterations``.  The
+    repairs are counted too: ``split_clipped`` the optimal solves with a
     positive split entry set to 0, ``split_clamped`` the final split capped at
-    what the weakest user decodes.
+    what the weakest user decodes.  ``status`` (also in the diagnostics) names
+    the final stage's exit: "optimal" (converged), "solve_failed" (stopped on a
+    failed solve) or "maxiter" (capped); ``converged`` is status == "optimal".
 
     With M >= 4,096 draws the iterations run in stages on the first M/4^j
     draws (each stage at least 1,024), each from the point the last one
     reached, then on all M draws; ``sample_stages`` lists [draws, outer
     iterations] per stage that ran.  ``outer_iterations`` and ``counts``
     cover every stage and stay within ``max_outer``, the full-M stage always
-    runs, and ``converged`` and the report come from it.  ``trace`` holds one
+    runs, and ``status`` and the report come from it.  ``trace`` holds one
     record per iteration that moves the run, in every stage: ``outer``, its
     stage's ``draws``, and ``wsr_nats`` and ``max_violation`` at the running
     point; those with ``draws == config.M`` are the full stage's ascent.
@@ -790,12 +797,13 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     A run with the common stream enabled also evaluates the common-stream-off
     restriction of the same instance, on the same draws (every such solution
     is feasible for the richer scheme with a zero split), and returns whichever
-    endpoint achieves
-    the higher sum rate, so enabling the common stream can never hurt.  A
-    caller that already solved the restriction can pass it as ``restricted``:
-    a result with this instance's precoder shape, no common stream or split,
-    that meets its floors and budget, else ValueError.
-    Otherwise the restriction starts from the RSMA endpoint with the common
+    endpoint achieves the higher sum rate, so enabling the common stream can
+    never hurt.  A caller that already solved the restriction passes it as
+    ``restricted``, which the RSMA run is then compared with, as
+    ``run_experiment`` passes each cell's SDMA run: a result with this
+    instance's precoder shape, no common stream or split, that meets its
+    floors and budget, else ValueError, as for any ``restricted`` handed to an
+    SDMA run, which has no restriction.  Otherwise the restriction starts from the RSMA endpoint with the common
     stream's power moved onto each subcarrier's private streams, or from
     ``initialize`` if that point misses a true floor; ``restriction_start``
     records which (``"endpoint"`` or ``"initialize"``).  From the endpoint
@@ -804,11 +812,13 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     ``fallback_from``, ``unrestricted_sum_rate`` and ``unrestricted_trace``.
 
     Raises InfeasibleError when no feasible starting point exists; hitting
-    the iteration cap returns the running point with ``converged=False``.
+    the iteration cap returns the running point with status "maxiter".
     """
     draws = draw_csit_samples(csit, config.M, config.seed)
     floors = _Floors(stats, config.thresholds, config.P_t)
-    if restricted is not None and config.scheme == "RSMA":
+    if restricted is not None:
+        if config.scheme != "RSMA":
+            raise ValueError("an SDMA run takes no restricted result")
         prec = restricted.precoders
         if (prec.K, prec.q.shape) != (csit.K, (csit.N, 1 + csit.K + stats.L, csit.n_t)):
             raise ValueError(f"restricted has precoders {prec.q.shape}, not this instance's")

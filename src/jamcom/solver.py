@@ -375,7 +375,8 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
             dz_a, ds_a, dlam_a = solve_direction(s * lam)
             mu_aff = float((s + _max_step(s, ds_a) * ds_a)
                            @ (lam + _max_step(lam, dlam_a) * dlam_a)) / m
-            sigma = min(0.999, max((mu_aff / mu) ** 3, 1e-10))
+            # a ratio above 1 gives the cap either way; cubed, it can overflow
+            sigma = min(0.999, max(min(mu_aff / mu, 1.0) ** 3, 1e-10))
             dz, ds, dlam = solve_direction(s * lam - sigma * mu + ds_a * dlam_a)
         if not all(np.isfinite(a).all() for a in (dz, ds, dlam)):
             status = "non_finite"

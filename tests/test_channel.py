@@ -85,6 +85,12 @@ class TestSelectiveChannel:
             for n in range(1, 16):
                 np.testing.assert_allclose(cs.h[k, n], cs.h[k, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("spread, n_taps", [(1.2e-6, 1), (0.0, 8)])
+    def test_one_tap_profile(self, spread, n_taps):
+        # one tap, or no delay spread, is the flat profile
+        powers, delays = exponential_delay_profile(spread, n_taps)
+        assert powers.tolist() == [1.0] and delays.tolist() == [0.0]
+
     def test_same_seed_reproduces(self):
         prof = exponential_delay_profile(1.2e-6, 8)
         a = synth_selective_channel(prof, 4, 8, 2, 1, seed=9)

@@ -223,6 +223,21 @@ class TestRunExperiment:
             else:
                 assert row.jam_margin == 0.0 and row.detail["rho"] == 0.0
 
+    def test_rsma_rows_do_not_depend_on_the_scheme_list(self, tmp_path):
+        # every cell runs SDMA and hands it to RSMA as its restriction: at 5 dB
+        # with two pilots an RSMA-only sweep once compared with its own
+        # restriction instead and read 0.956277706 against 0.956273251
+        cfg = dict(n_t=4, K=2, L=1, N=8, pilot_sets=[2], snr_db_list=[5.0], M=4, seed=0,
+                   strategy=1, channel_model={"type": "selective", "channel_seed": 3})
+        lines = {}
+        for schemes in (["RSMA"], ["RSMA", "SDMA"]):
+            table = run_experiment(ExperimentConfig(scheme_list=schemes, **cfg))
+            rsma = [r for r in table.rows if r.scheme == "RSMA"]
+            path = tmp_path / f"{len(schemes)}.csv"
+            emit_csv(ResultTable(K=2, rows=rsma), str(path))
+            lines[len(schemes)] = (path.read_text(), [(r.iters, r.status) for r in rsma])
+        assert lines[1] == lines[2]
+
     def test_parallel_equals_serial(self):
         cfg = tiny_config(snr_db_list=[8.0, 16.0], scheme_list=["SDMA"])
         serial = run_experiment(cfg, workers=1)
@@ -282,6 +297,15 @@ class TestPersistence:
         header = path.read_text().splitlines()[0]
         assert header == ("snr_db,scheme,strategy,pilot_count,sum_rate,"
                           "common_rate,rate_u1,rate_u2,jam_margin,iters,wall_ms,status")
+
+    def test_failed_replace_removes_the_temporary_file(self, tmp_path):
+        # a path naming a directory fails at the replace: no .tmp is left
+        target = tmp_path / "results.csv"
+        target.mkdir()
+        with pytest.raises(OSError):
+            emit_csv(self._table(), str(target))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+        assert target.is_dir()
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -470,8 +494,7 @@ class TestCli:
                 "extrapolation_floor_rejected", "extrapolation_free_projected",
                 "solve_cold_retry", "ipm_optimal", "ipm_infeasible", "ipm_non_finite",
                 "ipm_max_iter", "stop_solve_failed", "stop_floor_shortfall",
-                "stop_wsr_decrease", "solve_power_projected", "split_clipped",
-                "split_clamped"}
+                "stop_wsr_decrease", "split_clipped", "split_clamped"}
             diag = detail["diagnostics"]
             assert diag["sample_stages"] == [[2, diag["outer_iterations"]]]   # M=2: one stage
 
@@ -508,6 +531,13 @@ class TestCli:
         details = json.loads((out / "details.json").read_text())
         records = [json.loads(ln) for ln in trace.read_text().splitlines()]
         assert records == details[0]["diagnostics"]["trace"]
+
+    def test_timing_records_wall_clock_times(self, tmp_path):
+        cfg = self._write_config(tmp_path, scheme_list=["SDMA"])
+        out = tmp_path / "timed"
+        assert cli_main(["--config", cfg, "--out", str(out), "--timing"]) == 0
+        rows = parse_csv(str(out / "results.csv")).rows
+        assert rows and all(r.wall_ms > 0.0 for r in rows)
 
     def test_quick_mode_runs_reduced_scale(self, tmp_path):
         cfg = self._write_config(tmp_path, N=32, M=16, pilot_sets=[16],

@@ -17,6 +17,14 @@ def test_all_names_exist(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+def test_module_help_exits_zero_with_the_usage():
+    proc = subprocess.run([sys.executable, "-m", "jamcom", "--help"],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("usage: python -m jamcom --config PATH")
+
+
 def test_import_leaves_out_the_process_pool():
     # only a sweep with workers > 1 needs it; at import it cost about 15 ms
     code = "import sys, jamcom; print('concurrent.futures.process' in sys.modules)"

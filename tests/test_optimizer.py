@@ -952,6 +952,13 @@ class TestOptimize:
         res = optimize(csit, stats, cfg, restricted=sdma)
         assert res.report.R_sum >= sdma.report.R_sum
 
+    def test_restricted_on_an_sdma_run_rejected(self):
+        # an SDMA run has no restriction to compare with, so it takes none
+        csit, stats, cfg = desk_instance(0, "SDMA")
+        sdma = optimize(csit, stats, cfg)
+        with pytest.raises(ValueError, match="SDMA run takes no restricted"):
+            optimize(csit, stats, cfg, restricted=sdma)
+
     def test_restriction_starts_from_the_endpoint(self, monkeypatch):
         # without restricted, the restriction starts where the RSMA run ended,
         # its common power moved onto the private streams of each subcarrier
@@ -1097,6 +1104,7 @@ class TestOptimize:
         diag = res.report.diagnostics
         assert diag["counts"]["stop_solve_failed"] == 1 and diag["counts"]["ipm_infeasible"] == 1
         assert diag["solver_flags"] == ["0:infeasible"]
+        assert res.status == diag["status"] == "solve_failed"
         assert not res.converged and res.outer_iterations == 1
         assert res.precoders.q.tobytes() == initialize(csit, stats, cfg).q.tobytes()
         floors = op._Floors(stats, cfg.thresholds, cfg.P_t)
@@ -1117,7 +1125,7 @@ class TestOptimize:
         csit, stats, cfg = desk_instance(0, "SDMA")
         res = optimize(csit, stats, cfg)
         assert res.report.diagnostics["counts"]["stop_floor_shortfall"] == 1
-        assert res.converged
+        assert res.converged and res.status == "optimal"
         floors = op._Floors(stats, cfg.thresholds, cfg.P_t)
         assert floors.sub.size and not floors.missed(res.precoders, cfg.P_t)
         assert np.all(jamming_power_avg(floors.R, res.precoders, floors.sub)
@@ -1144,20 +1152,18 @@ class TestOptimize:
                        for t in traced)
 
     def test_repair_counters_count_the_moves(self, monkeypatch):
-        # every optimal solve point that exceeds the budget is scaled onto it,
-        # every positive split entry is clipped, and the end-of-run clamp moved X
+        # every positive split entry of an optimal solve point is clipped, and
+        # the end-of-run clamp moved X
         csit, stats, cfg = desk_instance(3, "RSMA")
         solves, solve = [], cvx.solve
         monkeypatch.setattr(cvx, "solve",
                             lambda prob, **kw: solves.append(solve(prob, **kw)) or solves[-1])
         res = single(csit, stats, cfg)
         layout = VariableLayout(csit.n_t, csit.N, csit.K, stats.L, stats.pilot_idx, rsma=True)
-        points = [layout.unpack(r.primal * layout.var_scale(cfg.P_t))
+        splits = [layout.unpack(r.primal * layout.var_scale(cfg.P_t))[1]
                   for r in solves if r.status == "optimal"]
         counts = res.report.diagnostics["counts"]
-        assert counts["solve_power_projected"] == sum(
-            p.total_power() > cfg.P_t for p, _ in points) >= 1
-        assert counts["split_clipped"] == sum(bool(np.any(X > 0.0)) for _, X in points) >= 1
+        assert counts["split_clipped"] == sum(bool(np.any(X > 0.0)) for X in splits) >= 1
         assert counts["split_clamped"] == 1
 
     def test_rsma_step_takes_full_capacity_split(self, monkeypatch):

@@ -29,6 +29,12 @@ def floor_beyond_budget_problem():
                            budget=np.ones(2), budget_const=-0.5)
 
 
+def huge_linear_term_problem(q):
+    # min ||z||^2 + q (z0 + z1)  s.t.  z0 + z1 >= 1, with |q| near the float range
+    return stacked_problem(2, np.eye(2), [lower_bound(2, [0, 1], [1.0, 1.0], 1.0)],
+                           q0=np.full(2, q))
+
+
 def random_block_problem(seed, with_signs=True, blocks="two", relax=0.0):
     """Two 5-variable blocks, each with a PSD objective and a quadratic bound,
     an affine floor on block 0 (lowered by ``relax``), the sign of z3 and z8,
@@ -290,6 +296,17 @@ class TestDeterminismAndStructure:
         assert prob.m == len(rows) + 1
         with pytest.raises(SolverError, match="could not be factorized"):
             solve(prob, 1e-8)
+
+    def test_huge_linear_term_ends_with_a_named_status(self):
+        # the centring ratio mu_aff / mu of this finite problem, cubed as a
+        # Python float, raised OverflowError on the first iteration
+        res = solve(huge_linear_term_problem(1e300), 1e-7)
+        assert res.status in ("optimal", "max_iter", "infeasible", "non_finite")
+
+    def test_non_finite_direction_is_named(self):
+        # the first Newton direction overflows to inf: the exit says so
+        res = solve(huge_linear_term_problem(1e200), 1e-7)
+        assert (res.status, res.iterations) == ("non_finite", 1)
 
 
 def perturbed(prob, eps):
