@@ -93,13 +93,14 @@ __all__ = [
 _SOLVER_TOL = 1e-7    # scaled KKT tolerance of every subproblem solve
 
 # the names of report.diagnostics["counts"]: extrapolation outcomes, cold
-# retries, the exits of every IPM solve, the ascent's early stops and the
-# repairs of a solve point's split (clip) and of the final split (clamp)
+# retries, the exits of every IPM solve, the ascent's early stops, the
+# repairs of a solve point's split (clip) and of the final split (clamp), and
+# whether an RSMA run returned its SDMA restriction
 _COUNTERS = ("extrapolation_accepted", "extrapolation_rate_rejected",
             "extrapolation_floor_rejected", "extrapolation_free_projected",
             "solve_cold_retry", "ipm_optimal", "ipm_infeasible", "ipm_non_finite",
             "ipm_max_iter", "stop_solve_failed", "stop_floor_shortfall", "stop_wsr_decrease",
-            "split_clipped", "split_clamped")
+            "split_clipped", "split_clamped", "rsma_fallback")
 
 
 class OptimizerError(RuntimeError):
@@ -808,7 +809,8 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     ``initialize`` if that point misses a true floor; ``restriction_start``
     records which (``"endpoint"`` or ``"initialize"``).  From the endpoint
     the restriction polishes the RSMA point, so it is returned more often.
-    A returned restriction keeps its own ``trace`` and counts, and adds
+    A returned restriction keeps its own ``trace`` and counts, with the
+    counter ``rsma_fallback`` set to 1 (it is 0 on every other run), and adds
     ``fallback_from``, ``unrestricted_sum_rate`` and ``unrestricted_trace``.
 
     Raises InfeasibleError when no feasible starting point exists; hitting
@@ -841,8 +843,10 @@ def optimize(csit: CsitModel, stats: AuStatistics, config: SolveConfig,
     if restricted.report.R_sum <= full.report.R_sum:
         full.report.diagnostics.update(restricted_sum_rate=restricted.report.R_sum, **extra)
         return full
-    diagnostics = dict(restricted.report.diagnostics, fallback_from="RSMA", scheme="RSMA",
-                       unrestricted_sum_rate=full.report.R_sum,
+    # a copy: a caller's restricted run keeps its own counts
+    counts = dict(restricted.report.diagnostics.get("counts", {}), rsma_fallback=1)
+    diagnostics = dict(restricted.report.diagnostics, counts=counts, fallback_from="RSMA",
+                       scheme="RSMA", unrestricted_sum_rate=full.report.R_sum,
                        unrestricted_trace=full.report.diagnostics["trace"], **extra)
     report = dataclasses.replace(restricted.report, diagnostics=diagnostics)
     return dataclasses.replace(restricted, report=report)

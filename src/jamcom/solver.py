@@ -12,20 +12,40 @@ partition the variables.  Blocks of one width that carry the same rows form a
 group (BlockGroup) of stacked arrays: cols (nb, w), quad (nb, 1 + k, w, w),
 lin (nb, k, w) and const (nb, k), where quad[:, 0] = H_b and quad[:, i] = Q_bi.
 Each row has a kind: "q" (quadratic), "a" (affine, Q = 0) or "sign" (y_x <= 0:
-Q = 0, lin = e_x, const = 0).  The diagonal budget row is the only row that
+Q = 0, lin = e_x, const = 0); a BlockGroup whose "a" or "sign" row carries a
+nonzero Q raises ValueError.  The diagonal budget row is the only row that
 spans blocks.  Rows are numbered group by group, block by block, row by row,
 with the budget row last; multipliers, warm starts and violations use this
 canonical numbering, and a violation names its row by kind and rank among
 that kind: "q[i]", "a[j]" or "sign[t]".
 
-With a fixed row count per block, every per-iteration sum over rows is a
-batched contraction: the Lagrangian Hessian blocks are H_b + sum_i lam_bi Q_bi,
-the Newton blocks add G_b' diag(d_b) G_b over the row gradients G_b (k, w) of
-the block, and the budget row's gradient is the one rank-one (Sherman-Morrison)
-correction of the blockwise Newton solve.  One product with each group's quad
-stack evaluates the objective and every row at a point, once per IPM iterate.
-The iteration schedule is fixed and free of randomness, so identical inputs
+The IPM runs on one block stack that the subproblem builds at construction.
+Every block is padded to the widest width W, and each padded column gets a
+decoupled identity in the objective, so a padded variable stays exactly 0.
+The blocks sit contiguous, group by group, in the stack's own variable order.
+Each block has the same row slots: its q rows from slot 0, its other rows from
+slot kq, where kq is the largest q-row count of a block, so the slot count is
+kq plus the largest count of other rows.  Since "a" and "sign" rows have
+Q = 0, the stack keeps the quadratics of the objective and the q rows only,
+and a map takes each canonical row to its slot.  Every per-iterate product is
+then one batched call on the stack: one product with the quadratics evaluates
+the objective and every row, J'v and J dv are one product each with the row
+gradients G_b (slots, W), the Lagrangian Hessian blocks are H_b + sum_i lam_bi
+Q_bi, and the Newton blocks add G_b' diag(d_b) G_b.  The budget row's gradient
+is the one rank-one (Sherman-Morrison) correction of the blockwise Newton
+solve.  The public side, ``evaluate``, ``labels``, ``split``, ``certify`` and
+the JSON format, speaks in the caller's variable order and canonical rows, and
+``evaluate`` runs the stack's own code, so it reproduces the IPM's bits.  The
+iteration schedule is fixed and free of randomness, so identical inputs
 produce bitwise-identical results.
+
+Each group's unpadded leading Newton block M_b is factorized by one Cholesky
+factorization of the augmented matrix [[M_b + reg I, I], [I, c I]] with
+c = _AUG = 1e30: the lower-left block X of its factor is L^-T for the factor L
+of M_b + reg I, so the block inverse is X X'.  The huge c leaves the trailing
+block positive definite, so only the leading block can stop the
+factorization, and a Newton block that is not positive definite still raises
+SolverError.
 
 The Newton step is dual-regularized (Friedlander & Orban, Math. Program.
 Comput. 2012): its rows read J dz + ds - δ dlam = -r_p, δ = _DELTA = 1e-8, so
@@ -73,7 +93,8 @@ class SolverError(RuntimeError):
 
 @dataclass
 class BlockGroup:
-    """nb blocks of width w, each with the same k rows, stacked; all finite."""
+    """nb blocks of width w, each with the same k rows, stacked; all finite,
+    and the quadratic of every "a" and "sign" row zero."""
 
     cols: np.ndarray     # (nb, w) variable columns of each block
     quad: np.ndarray     # (nb, 1 + k, w, w) objective quadratic, then row quadratics
@@ -93,6 +114,8 @@ class BlockGroup:
         for name, shape in (("quad", (nb, 1 + k, w, w)), ("lin", (nb, k, w)),
                             ("const", (nb, k))):
             setattr(self, name, finite_array(getattr(self, name), name, shape))
+        if np.any(self.quad[:, 1:][:, [kind != "q" for kind in self.kinds]]):
+            raise ValueError('a row of kind "a" or "sign" must have a zero quadratic')
 
 
 @dataclass
@@ -135,6 +158,7 @@ class ConvexSubproblem:
         self.feas_scale = 1.0 + max([abs(self.budget_const)]
                                     + [float(np.max(np.abs(g.const), initial=0.0))
                                        for g in self.groups])
+        self._stack = _BlockStack(self)
 
     def labels(self) -> List[str]:
         """Each canonical row's kind and rank among its kind, e.g. "a[0]"."""
@@ -150,53 +174,122 @@ class ConvexSubproblem:
 
     def evaluate(self, y: np.ndarray):
         """(f, grad, c, jac) at the point y: the objective value and gradient,
-        the canonical row values (feasible means <= 0) and the Jacobian, i.e.
-        the (nb, k, w) row gradients of each group and the budget row's (n,)
-        gradient."""
-        f = float(self.q0 @ y) + self.c0
-        grad = self.q0.copy()
-        c = np.empty(self.m)
-        G = []
-        for g, rows in zip(self.groups, self._rows):
-            yb = y[g.cols]
-            nb, k, w = g.lin.shape
-            Ay = np.matmul(g.quad.reshape(nb, (1 + k) * w, w), yb[..., None]).reshape(nb, 1 + k, w)
-            Hy, Qy = Ay[:, 0], Ay[:, 1:]
-            f += float(np.sum(yb * Hy))
-            grad[g.cols] += 2.0 * Hy
-            c[rows] = (g.const + np.sum(yb[:, None, :] * (Qy + g.lin), axis=2)).ravel()
-            G.append(2.0 * Qy + g.lin)
-        c[-1] = self.budget_const + self.budget @ (y * y)
-        return f, grad, c, (G, 2.0 * self.budget * y)
+        the canonical row values (feasible means <= 0) and the block stack's
+        Jacobian, which ``_jac_t`` and ``_jac_dot`` apply.  The values are the
+        stack's own, as the IPM computes them at the same point."""
+        st = self._stack
+        f, grad, c, jac = st.evaluate(st.embed(y))
+        return f, grad[st.pos], c, jac
 
     def _jac_t(self, jac, v: np.ndarray) -> np.ndarray:
-        """J' v."""
-        G, grad_b = jac
-        out = v[-1] * grad_b
-        for g, Gg, vg in zip(self.groups, G, self.split(v)):
-            out[g.cols] += np.matmul(vg[:, None, :], Gg)[:, 0]
-        return out
+        """J' v, in the caller's variable order."""
+        return self._stack.jac_t(jac, v)[self._stack.pos]
 
     def _jac_dot(self, jac, dy: np.ndarray) -> np.ndarray:
-        """J dy."""
+        """J dy, for dy in the caller's variable order."""
+        return self._stack.jac_dot(jac, self._stack.embed(dy))
+
+    def _hessian(self, lam: np.ndarray) -> List[np.ndarray]:
+        """Per group, the (nb, w, w) blocks of the Lagrangian's quadratic part at lam."""
+        H = self._stack.hessian(lam)
+        return [H[at, :w, :w] for at, w in self._stack.spans]
+
+
+class _BlockStack:
+    """The padded block stack of a subproblem (see the module docstring).
+
+    Stacked vectors have B * W entries, block b's variables at b * W + j; row
+    slot arrays are (B, R).  ``pos`` (n,) is the stacked place of each
+    variable, ``slot`` (m - 1,) the flat slot of each canonical row but the
+    budget row, and ``spans`` lists each group's (block slice, width).
+    """
+
+    def __init__(self, p: ConvexSubproblem):
+        widths = [g.cols.shape[1] for g in p.groups]
+        n_q = [g.kinds.count("q") for g in p.groups]
+        W = max(widths, default=0)
+        kq = max(n_q, default=0)
+        R = kq + max([len(g.kinds) - k for g, k in zip(p.groups, n_q)], default=0)
+        B = sum(g.cols.shape[0] for g in p.groups)
+        self.quad = np.zeros((B, 1 + kq, W, W))   # objective, then q-row quadratics
+        self.lin = np.zeros((B, R, W))
+        self.const = np.zeros((B, R))
+        self.pos = np.empty(p.n_vars, dtype=np.int64)
+        self.slot = np.empty(p.m - 1, dtype=np.int64)
+        self.spans = []
+        b0 = 0
+        for g, rows, w in zip(p.groups, p._rows, widths):
+            nb = g.cols.shape[0]
+            at, blocks = slice(b0, b0 + nb), np.arange(b0, b0 + nb)[:, None]
+            q_rows = [i for i, kind in enumerate(g.kinds) if kind == "q"]
+            others = [i for i, kind in enumerate(g.kinds) if kind != "q"]
+            # each row's slot: the q rows from slot 0, the others from slot kq
+            sl = np.empty(len(g.kinds), dtype=np.int64)
+            sl[q_rows + others] = list(range(len(q_rows))) + list(range(kq, kq + len(others)))
+            self.quad[at, :1 + len(q_rows), :w, :w] = g.quad[:, [0] + [1 + i for i in q_rows]]
+            pad = np.arange(w, W)
+            self.quad[at, 0, pad, pad] = 1.0
+            self.lin[at, sl, :w] = g.lin
+            self.const[at, sl] = g.const
+            self.pos[g.cols] = blocks * W + np.arange(w)
+            self.slot[rows] = (blocks * R + sl).ravel()
+            self.spans.append((at, w))
+            b0 = at.stop
+        self.Q = self.quad[:, 1:].reshape(B, kq, W * W)
+        self.zero_rest = np.zeros((B, R - kq, W))   # the other rows' Q y
+        self.q0, self.budget = self.embed(p.q0), self.embed(p.budget)
+        self.c0, self.budget_const, self.m = p.c0, p.budget_const, p.m
+
+    def embed(self, y: np.ndarray) -> np.ndarray:
+        """The stacked vector of y (n,), zero in the padded places."""
+        out = np.zeros(self.quad.shape[0] * self.quad.shape[-1])
+        out[self.pos] = y
+        return out
+
+    def slots(self, v: np.ndarray) -> np.ndarray:
+        """The (B, R) slot array of a canonical row vector, zero in unused slots."""
+        out = np.zeros(self.const.size)
+        out[self.slot] = v[:-1]
+        return out.reshape(self.const.shape)
+
+    def evaluate(self, y: np.ndarray):
+        """(f, grad, c, jac) at the stacked point y, c canonical; jac is the
+        (B, R, W) row gradients and the budget row's stacked gradient."""
+        B, _, W = self.lin.shape
+        Y = y.reshape(B, W)
+        Ay = np.matmul(self.quad.reshape(B, self.quad.shape[1] * W, W),
+                       Y[..., None]).reshape(self.quad.shape[:3])
+        Hy = Ay[:, 0]
+        Qy = np.concatenate((Ay[:, 1:], self.zero_rest), axis=1)
+        f = float(self.q0 @ y) + self.c0 + float((Y * Hy).sum())
+        c = np.empty(self.m)
+        c[:-1] = (self.const + (Y[:, None, :] * (Qy + self.lin)).sum(axis=2)).ravel()[self.slot]
+        c[-1] = self.budget_const + self.budget @ (y * y)
+        return (f, self.q0 + 2.0 * Hy.ravel(), c,
+                (2.0 * Qy + self.lin, 2.0 * self.budget * y))
+
+    def jac_t(self, jac, v: np.ndarray) -> np.ndarray:
+        """J' v, stacked."""
+        G, grad_b = jac
+        return v[-1] * grad_b + np.matmul(self.slots(v)[:, None, :], G).ravel()
+
+    def jac_dot(self, jac, dy: np.ndarray) -> np.ndarray:
+        """J dy, canonical."""
         G, grad_b = jac
         out = np.empty(self.m)
-        for g, Gg, rows in zip(self.groups, G, self._rows):
-            out[rows] = np.matmul(Gg, dy[g.cols][..., None]).ravel()
+        out[:-1] = np.matmul(G, dy.reshape(G.shape[0], G.shape[2], 1)).ravel()[self.slot]
         out[-1] = grad_b @ dy
         return out
 
-    def _hessian(self, lam: np.ndarray) -> List[np.ndarray]:
-        """Per group, the blocks of the Lagrangian's quadratic part at lam."""
-        out = []
-        for g, lg in zip(self.groups, self.split(lam)):
-            nb, k, w = g.lin.shape
-            Hb = np.matmul(lg[:, None, :], g.quad[:, 1:].reshape(nb, k, w * w)).reshape(nb, w, w)
-            Hb += g.quad[:, 0]
-            diag = np.arange(w)
-            Hb[:, diag, diag] += lam[-1] * self.budget[g.cols]
-            out.append(Hb)
-        return out
+    def hessian(self, lam: np.ndarray) -> np.ndarray:
+        """The (B, W, W) blocks of the Lagrangian's quadratic part at lam."""
+        B, _, W = self.lin.shape
+        kq = self.Q.shape[1]
+        H = np.matmul(self.slots(lam)[:, None, :kq], self.Q).reshape(B, W, W)
+        H += self.quad[:, 0]
+        diag = np.einsum("bii->bi", H)   # a writable view
+        diag += lam[-1] * self.budget.reshape(B, W)
+        return H
 
 
 @dataclass
@@ -222,57 +315,67 @@ _FTB_MIN = 0.99
 _DELTA = 1e-8       # dual regularization of the Newton step
 _REG_BASE = 1e-11
 _WARM_GAP = 1e-2    # least slack (relative) and multiplier of a warm start
+_AUG = 1e30         # trailing diagonal of the augmented Cholesky factorization
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     mask = dv < 0.0
-    return float(np.min(-v[mask] / dv[mask], initial=1.0))
+    return float((-v[mask] / dv[mask]).min(initial=1.0))
+
+
+def _augmented(stack: _BlockStack) -> List[np.ndarray]:
+    """Per group, the (nb, 2w, 2w) matrices [[0, I], [I, _AUG I]] whose leading
+    block each factorization overwrites with its Newton blocks."""
+    out = []
+    for at, w in stack.spans:
+        A = np.zeros((at.stop - at.start, 2 * w, 2 * w))
+        eye = np.arange(w)
+        A[:, eye, w + eye] = A[:, w + eye, eye] = 1.0
+        A[:, w + eye, w + eye] = _AUG
+        out.append(A)
+    return out
 
 
 class _BlockKKT:
     """Factorization of blockdiag(M_b) + u u' for one IPM iteration.
 
-    Same-width blocks arrive stacked and are factorized with batched kernels,
-    one Cholesky attempt per group (a block that is not positive definite, for
-    an H outside the PSD contract, raises SolverError); solves use the
-    Sherman-Morrison identity for the rank-one coupling plus one step of
-    iterative refinement, which recovers the accuracy lost when the
-    complementarity scaling becomes extreme near the solution.
+    The Newton blocks M_b arrive as the stack's (B, W, W) array.  Each group's
+    unpadded leading blocks are inverted by one batched augmented Cholesky
+    factorization (module docstring); a block that is not positive definite,
+    for an H outside the PSD contract, raises SolverError.  The inverses sit
+    in a zero-padded (B, W, W) array, so a block solve is one product and
+    leaves every padded place 0.  Solves use the Sherman-Morrison identity for
+    the rank-one coupling plus one step of iterative refinement, which
+    recovers the accuracy lost when the complementarity scaling becomes
+    extreme near the solution.
     """
 
-    def __init__(self, cols: List[np.ndarray], Mg: List[np.ndarray], u: np.ndarray):
-        self.cols = cols  # per group: (nb, w) columns
-        self.Mg = Mg      # per group: stacked (nb, w, w)
-        self.Minv = []
-        for M in Mg:
-            w = M.shape[-1]
-            reg = _REG_BASE * (1.0 + np.einsum("bii->b", M) / max(1, w))
+    def __init__(self, stack: _BlockStack, aug: List[np.ndarray], M: np.ndarray,
+                 u: np.ndarray):
+        self.M = M
+        self.Minv = np.zeros_like(M)
+        for (at, w), A in zip(stack.spans, aug):
+            Mb = M[at, :w, :w]
+            A[:, :w, :w] = Mb
+            diag = np.einsum("bii->bi", A[:, :w, :w])   # a writable view
+            diag += (_REG_BASE * (1.0 + np.einsum("bii->b", Mb) / max(1, w)))[:, None]
             try:
-                L = np.linalg.cholesky(M + reg[:, None, None] * np.eye(w))
+                X = np.linalg.cholesky(A)[:, w:, :w]
             except np.linalg.LinAlgError:
                 raise SolverError("Newton system could not be factorized") from None
-            Li = np.linalg.inv(L)
-            self.Minv.append(np.matmul(Li.swapaxes(-1, -2), Li))
-        self.u = u  # (n,) already scaled by sqrt(weight)
-        self.w = self._block_solve(u[:, None])[:, 0]
+            np.matmul(X, X.swapaxes(-1, -2), out=self.Minv[at, :w, :w])
+        self.u = u  # (B * W,) already scaled by sqrt(weight)
+        self.w = self._block_solve(u)
         self.cap = 1.0 + float(u @ self.w)
 
-    def _block_solve(self, R: np.ndarray) -> np.ndarray:
-        out = np.empty_like(R)
-        for cols, Minv in zip(self.cols, self.Minv):
-            out[cols] = np.matmul(Minv, R[cols])
-        return out
+    def _block_solve(self, r: np.ndarray) -> np.ndarray:
+        return np.matmul(self.Minv, r.reshape(*self.M.shape[:2], 1)).ravel()
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        xc = x.reshape(-1, 1)
-        for cols, M in zip(self.cols, self.Mg):
-            out[cols.reshape(-1)] = np.matmul(M, xc[cols]).reshape(-1)
-        out += self.u * (self.u @ x)
-        return out
+        return np.matmul(self.M, x.reshape(*self.M.shape[:2], 1)).ravel() + self.u * (self.u @ x)
 
     def _solve_once(self, r: np.ndarray) -> np.ndarray:
-        y = self._block_solve(r.reshape(-1, 1))[:, 0]
+        y = self._block_solve(r)
         return y - self.w * (float(self.u @ y) / self.cap)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -280,7 +383,7 @@ class _BlockKKT:
         # a second residual would only confirm it
         x = self._solve_once(r)
         resid = r - self._apply(x)
-        if float(np.max(np.abs(resid))) > 1e-13 * (float(np.max(np.abs(r))) + 1e-300):
+        if float(np.abs(resid).max()) > 1e-13 * (float(np.abs(r).max()) + 1e-300):
             x = x + self._solve_once(resid)
         return x
 
@@ -295,9 +398,14 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     the start included.  ``status`` names the exit: "optimal" (scaled
     violation and gap below tol, dual residual below 100 tol); "infeasible"
     (a row violated beyond tol * feas_scale while a multiplier exceeds
-    1/_DELTA); "non_finite" (no finite step); or "max_iter".  Each Newton
-    matrix is factorized once; one that is not positive definite raises
-    SolverError.
+    1/_DELTA); "non_finite" (no finite step); or "max_iter".
+
+    The iterates live on the subproblem's block stack: each is evaluated once,
+    by one batched product, and each Newton matrix is built on the stack and
+    factorized once, by one augmented Cholesky factorization per group (module
+    docstring); a Newton block that is not positive definite raises
+    SolverError.  Rows, multipliers and the returned primal are canonical and
+    in the caller's variable order.
 
     ``start`` = (primal, multipliers), of lengths n_vars and the canonical
     constraint count (as in a SolverResult), warm-starts the IPM at that
@@ -311,17 +419,19 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
     real(tol, "tol", "be finite and positive", gt=0.0)
     integer(max_iter, "max_iter", 1)
     p = problem
+    st = p._stack
     n, m = p.n_vars, p.m
-    cols = [g.cols for g in p.groups]
     z = np.zeros(n)
     if start is not None:
         z, lam0 = (np.array(a, dtype=np.float64).reshape(-1) for a in start)
         if z.size != n or lam0.size != m:
             raise ValueError(f"start has lengths ({z.size}, {lam0.size}), "
                              f"expected ({n}, {m})")
+    z = st.embed(z)
+    aug = _augmented(st)
 
     # fval, gradf, cvals and jac are always at the current z
-    fval, gradf, cvals, jac = p.evaluate(z)
+    fval, gradf, cvals, jac = st.evaluate(z)
     if start is None:
         s = np.maximum(1.0, -cvals)
         lam = np.ones(m)
@@ -331,13 +441,13 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
 
     status = "max_iter"
     for it in range(1, max_iter + 1):
-        r_d = gradf + p._jac_t(jac, lam)
+        r_d = gradf + st.jac_t(jac, lam)
         r_p = cvals + s
         sl = float(s @ lam)
         mu = sl / m
 
-        violated = float(np.max(cvals, initial=0.0)) > tol * p.feas_scale
-        kkt_rel = float(np.max(np.abs(r_d))) / (1.0 + float(np.max(np.abs(gradf))))
+        violated = float(cvals.max(initial=0.0)) > tol * p.feas_scale
+        kkt_rel = float(np.abs(r_d).max()) / (1.0 + float(np.abs(gradf).max()))
         # a slack that reads 0 on a row that is slack in truth hides a large
         # multiplier's gap, so the true rows' complementarity -lam'c counts too
         gap_rel = max(sl, -float(lam @ cvals)) / (1.0 + abs(fval))
@@ -349,7 +459,7 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
             break
         # only a row that stays violated drives a multiplier past the bound
         # 1/_DELTA of the row scaling
-        if violated and float(np.max(lam)) > 1.0 / _DELTA:
+        if violated and float(lam.max()) > 1.0 / _DELTA:
             status = "infeasible"
             break
         if it == max_iter:
@@ -359,14 +469,14 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
         # its row gradients G, plus the budget row's rank-one term; the dual
         # regularization bounds the row scaling d by 1/_DELTA
         d = lam / (s + _DELTA * lam)
-        Ms = [2.0 * Hb + np.matmul(G.swapaxes(1, 2) * dg[:, None, :], G)
-              for Hb, G, dg in zip(p._hessian(lam), jac[0], p.split(d))]
-        kkt = _BlockKKT(cols, Ms, jac[1] * np.sqrt(d[-1]))
+        G = jac[0]
+        M = 2.0 * st.hessian(lam) + np.matmul(G.swapaxes(1, 2) * st.slots(d)[:, None, :], G)
+        kkt = _BlockKKT(st, aug, M, jac[1] * np.sqrt(d[-1]))
 
         def solve_direction(r_c):
             v = r_p - r_c / lam
-            dz = kkt.solve(-r_d - p._jac_t(jac, d * v))
-            dlam = d * (p._jac_dot(jac, dz) + v)
+            dz = kkt.solve(-r_d - st.jac_t(jac, d * v))
+            dlam = d * (st.jac_dot(jac, dz) + v)
             ds = -(r_c + s * dlam) / lam
             return dz, ds, dlam
 
@@ -387,12 +497,13 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, max_iter: int = 100,
         z = z + alpha_p * dz
         s = np.maximum(s + alpha_p * ds, 1e-30)
         lam = np.maximum(lam + alpha_d * dlam, 1e-30)
-        fval, gradf, cvals, jac = p.evaluate(z)
+        fval, gradf, cvals, jac = st.evaluate(z)
 
     bad = np.flatnonzero(cvals > tol * p.feas_scale)
     labels = p.labels() if bad.size else []
-    return SolverResult(primal=z, objective_value=fval, status=status, kkt_residual=kkt_rel,
-                        duality_gap=gap_rel, iterations=it, multipliers=lam,
+    return SolverResult(primal=z[st.pos], objective_value=fval, status=status,
+                        kkt_residual=kkt_rel, duality_gap=gap_rel, iterations=it,
+                        multipliers=lam,
                         violations=[(int(i), labels[i], float(cvals[i])) for i in bad])
 
 

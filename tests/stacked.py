@@ -40,7 +40,7 @@ def sign_row(n, i):
 
 
 def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
-                    budget_const=0.0) -> ConvexSubproblem:
+                    budget_const=0.0, groups=None) -> ConvexSubproblem:
     """The stacked form of
 
         minimize    z'Hz + q0'z + c0
@@ -51,8 +51,9 @@ def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
     Without a ``budget`` the budget row is the vacuous 0'(z * z) - 1 <= 0.
     ``blocks`` (default: one block) partitions the variables; H and every row
     must lie inside one block.  Blocks of equal width and row kinds form a
-    group, in order of first appearance, and each block keeps its rows in the
-    order given."""
+    group, in order of first appearance, unless ``groups`` lists the block
+    numbers of each group, in group order (the blocks of a group must share
+    width and row kinds).  Each block keeps its rows in the order given."""
     blocks = [np.arange(n)] if blocks is None else [np.asarray(b) for b in blocks]
     owner = np.empty(n, dtype=np.int64)
     for b, cols in enumerate(blocks):
@@ -70,13 +71,18 @@ def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
             raise ValueError("a row may not span blocks")
         per_block[b].append((kind, Q, lin, float(const)))
 
-    members = {}
-    for cols, rs in zip(blocks, per_block):
-        members.setdefault((cols.size, tuple(r[0] for r in rs)), []).append((cols, rs))
-    groups = []
-    for (w, kinds), ms in members.items():
+    keys = [(cols.size, tuple(r[0] for r in rs)) for cols, rs in zip(blocks, per_block)]
+    if groups is None:
+        members = {}
+        for b, key in enumerate(keys):
+            members.setdefault(key, []).append(b)
+        groups = list(members.values())
+    stacked = []
+    for group in groups:
+        (w, kinds), = {keys[b] for b in group}
+        ms = [(blocks[b], per_block[b]) for b in group]
         nb, k = len(ms), len(kinds)
-        groups.append(BlockGroup(
+        stacked.append(BlockGroup(
             cols=np.array([cols for cols, _ in ms]),
             quad=np.array([[H[np.ix_(cols, cols)]] + [Q[np.ix_(cols, cols)] for _, Q, _, _ in rs]
                            for cols, rs in ms]),
@@ -86,5 +92,5 @@ def stacked_problem(n, H, rows=(), q0=None, c0=0.0, blocks=None, budget=None,
     if budget is None:
         budget, budget_const = np.zeros(n), -1.0
     return ConvexSubproblem(
-        groups=groups, q0=np.zeros(n) if q0 is None else q0, budget=budget,
+        groups=stacked, q0=np.zeros(n) if q0 is None else q0, budget=budget,
         budget_const=budget_const, c0=c0)

@@ -486,15 +486,15 @@ class TestCli:
         assert (out / "results.csv").exists()
         assert (out / "details.json").exists()
         assert (out / "curve_sdma_p2.dat").exists()
-        # the extrapolation, cold-retry, IPM-exit, early-stop and repair
-        # counters and the sample stages reach details.json
+        # the extrapolation, cold-retry, IPM-exit, early-stop, repair and
+        # fallback counters and the sample stages reach details.json
         for detail in json.loads((out / "details.json").read_text()):
             assert set(detail["diagnostics"]["counts"]) == {
                 "extrapolation_accepted", "extrapolation_rate_rejected",
                 "extrapolation_floor_rejected", "extrapolation_free_projected",
                 "solve_cold_retry", "ipm_optimal", "ipm_infeasible", "ipm_non_finite",
                 "ipm_max_iter", "stop_solve_failed", "stop_floor_shortfall",
-                "stop_wsr_decrease", "split_clipped", "split_clamped"}
+                "stop_wsr_decrease", "split_clipped", "split_clamped", "rsma_fallback"}
             diag = detail["diagnostics"]
             assert diag["sample_stages"] == [[2, diag["outer_iterations"]]]   # M=2: one stage
 

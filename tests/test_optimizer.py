@@ -921,6 +921,19 @@ class TestOptimize:
                 assert t["draws"] == cfg.M and 0.0 <= t["max_violation"] <= tol
             assert [t["outer"] for t in d["trace"]] == list(range(len(d["trace"])))
 
+    def test_rsma_fallback_is_counted(self):
+        # desk instance 0 returns its SDMA restriction, with or without a
+        # caller's restricted run, and counts it; the caller's run keeps its 0,
+        # and so does instance 1, which keeps its RSMA endpoint
+        csit, stats, cfg = desk_instance(0, "RSMA")
+        sdma = optimize(csit, stats, sdma_restrict(cfg))
+        for res in (optimize(csit, stats, cfg), optimize(csit, stats, cfg, restricted=sdma)):
+            assert res.report.diagnostics["fallback_from"] == "RSMA"
+            assert res.report.diagnostics["counts"]["rsma_fallback"] == 1
+        assert sdma.report.diagnostics["counts"]["rsma_fallback"] == 0
+        kept = optimize(*desk_instance(1, "RSMA")).report.diagnostics
+        assert "fallback_from" not in kept and kept["counts"]["rsma_fallback"] == 0
+
     def _restricted_cases(self):
         """desk instance 0 (RSMA) and a wrong ``restricted`` for it, by name."""
         csit, stats, cfg = desk_instance(0, "RSMA")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from jamcom.channel import (CsitModel, au_statistics_uniform_phase, draw_csit_sa
                             make_deterministic_scenario)
 from jamcom.optimizer import (SolveConfig, VariableLayout, _assemble_subproblem, _Floors,
                               _sampled_info, _surrogate, build_thresholds, initialize)
-from jamcom.solver import (ConvexSubproblem, SolverError, certify, problem_from_json,
-                           problem_to_json, solve)
+from jamcom.solver import (BlockGroup, ConvexSubproblem, SolverError, _BlockStack, certify,
+                           problem_from_json, problem_to_json, solve)
 from stacked import lower_bound, quad_bound, sign_row, stacked_problem
 
 
@@ -56,6 +57,40 @@ def random_block_problem(seed, with_signs=True, blocks="two", relax=0.0):
     return stacked_problem(10, H, rows, q0=rng.standard_normal(10) * 0.5, c0=0.3,
                            blocks=parts if blocks == "two" else blocks,
                            budget=np.ones(10), budget_const=-4.0)
+
+
+def two_width_problem(groups=None, narrow_H=None):
+    """Two blocks of width 3, each with rows (q, q, sign), and two of width 2,
+    each with rows (a, q, sign, a), under a norm budget: the widths differ,
+    the q rows are not first in every block, and the most q rows (2) and the
+    most other rows (3) sit in different blocks.  ``groups`` as in
+    ``stacked_problem``; ``narrow_H`` replaces the objective block of z[6:8]."""
+    rng = np.random.default_rng(12)
+    parts = [np.arange(0, 3), np.arange(3, 6), np.arange(6, 8), np.arange(8, 10)]
+    H = np.zeros((10, 10))
+    rows = []
+    for cols in parts:
+        w = cols.size
+        A = rng.standard_normal((w, w))
+        H[np.ix_(cols, cols)] = A.T @ A / w + 0.1 * np.eye(w)
+        quads = [quad_bound(10, cols, B.T @ B / w, cols[:1], [0.2], 1.0)
+                 for B in rng.standard_normal((w // 2 + 1, w, w))]
+        if w == 3:
+            rows += quads + [sign_row(10, cols[2])]
+        else:
+            rows += [lower_bound(10, cols, [1.0, 0.5], 0.3), quads[0], sign_row(10, cols[1]),
+                     lower_bound(10, cols[:1], [1.0], 0.1)]
+    if narrow_H is not None:
+        H[6:8, 6:8] = narrow_H
+    return stacked_problem(10, H, rows, q0=rng.standard_normal(10), c0=0.5, blocks=parts,
+                           budget=np.ones(10), budget_const=-6.0, groups=groups)
+
+
+def row_keys(groups):
+    """(block, row in block) of each canonical row of ``two_width_problem``
+    under ``groups``, the budget row last."""
+    per_block = (3, 3, 4, 4)
+    return [(b, i) for group in groups for b in group for i in range(per_block[b])] + ["budget"]
 
 
 class TestReferenceSolutions:
@@ -287,6 +322,20 @@ class TestDeterminismAndStructure:
             with pytest.raises(ValueError, match="q0 and c0 must be finite"):
                 dataclasses.replace(prob, **bad)
 
+    def test_quadratic_on_an_affine_or_sign_row_rejected(self):
+        # "a" and "sign" rows are affine: a quadratic on one is refused, on a
+        # q row it is the row's own
+        g = random_block_problem(5).groups[0]
+        assert g.kinds == ("q", "a", "sign")
+        for i in (1, 2):
+            quad = g.quad.copy()
+            quad[0, 1 + i, 0, 0] = 1e-3
+            with pytest.raises(ValueError, match='kind "a" or "sign" must have a zero quadratic'):
+                dataclasses.replace(g, quad=quad)
+        quad = g.quad.copy()
+        quad[0, 1, 0, 0] += 1e-3
+        dataclasses.replace(g, quad=quad)
+
     @pytest.mark.parametrize("rows", [[lower_bound(2, [0], [1.0], -1.0)], []],
                              ids=["one_row", "no_rows"])
     def test_indefinite_newton_system_raises(self, rows):
@@ -358,12 +407,13 @@ class TestWarmStart:
                                                      (1e-16, 100, "optimal"),
                                                      (1e-8, 100, "infeasible")])
     def test_each_iterate_evaluated_once(self, monkeypatch, tol, max_iter, status):
-        # one evaluation per iterate tested, the start included, and the last
-        # one is returned: no exit restores or re-evaluates an earlier point
+        # one evaluation of the block stack per iterate tested, the start
+        # included, and the last one is returned: no exit restores or
+        # re-evaluates an earlier point
         prob = floor_beyond_budget_problem() if status == "infeasible" else random_block_problem(2)
-        points, evaluate = [], ConvexSubproblem.evaluate
-        monkeypatch.setattr(ConvexSubproblem, "evaluate",
-                            lambda p, y: points.append(y.copy()) or evaluate(p, y))
+        points, evaluate = [], _BlockStack.evaluate
+        monkeypatch.setattr(_BlockStack, "evaluate",
+                            lambda st, y: points.append(y[st.pos]) or evaluate(st, y))
         res = solve(prob, tol, max_iter=max_iter)
         assert res.status == status
         assert len(points) == res.iterations
@@ -475,3 +525,76 @@ class TestSerialization:
         lam = res.multipliers
         assert lam.shape == (5,)  # q[0], sign[0], a[0], sign[1], q[1]
         assert min(lam[2], lam[3]) > 1.0 and max(lam[0], lam[4]) < 0.1
+
+
+GROUPINGS = {"one_per_block": [[0], [1], [2], [3]], "merged": [[0, 1], [2, 3]],
+             "reversed": [[2, 3], [0, 1]]}
+
+
+class TestGrouping:
+    """One problem with blocks of two widths, stated with every block its own
+    group, with same-shape blocks merged, and with the groups reversed: the
+    grouping changes only the order of the stack's blocks and rows."""
+
+    @pytest.mark.parametrize("max_iter", [100, 3])
+    def test_grouping_does_not_change_a_solve(self, max_iter):
+        tol = 1e-9
+        out = {}
+        for name, groups in GROUPINGS.items():
+            prob = two_width_problem(groups)
+            assert [g.cols.shape[1] for g in prob.groups] == [3 if group[0] < 2 else 2
+                                                              for group in groups]
+            res = solve(prob, tol, max_iter=max_iter)
+            keys = row_keys(groups)
+            out[name] = (prob, res, dict(zip(keys, res.multipliers)),
+                         [(keys[i], label.split("[")[0], value)
+                          for i, label, value in res.violations])
+        (_, ref, ref_lam, ref_viol), *others = out.values()
+        assert ref.status == ("optimal" if max_iter == 100 else "max_iter")
+        if max_iter == 100:
+            assert min(ref.multipliers) < 1e-6 < max(ref.multipliers[:-1])   # some rows bind
+        else:
+            assert ref_viol    # the capped iterate still violates rows
+        for prob, res, lam, viol in others:
+            assert (res.status, res.iterations) == (ref.status, ref.iterations)
+            np.testing.assert_allclose(res.primal, ref.primal, rtol=0.0, atol=1e-12)
+            for key, value in ref_lam.items():
+                assert lam[key] == pytest.approx(value, rel=1e-9, abs=1e-12)
+            assert [v[:2] for v in viol] == [v[:2] for v in ref_viol]
+            np.testing.assert_allclose([v[2] for v in viol], [v[2] for v in ref_viol],
+                                       rtol=1e-9, atol=1e-12)
+        for prob, res, _, _ in out.values():
+            assert certify(prob, res, 10 * tol) == (max_iter == 100)
+
+    @pytest.mark.parametrize("name", GROUPINGS)
+    def test_indefinite_narrow_block_raises(self, name):
+        # the width-2 blocks sit padded to width 3 in the stack; only their
+        # own Newton blocks are factorized, so an indefinite one still raises
+        prob = two_width_problem(GROUPINGS[name], narrow_H=-10.0 * np.eye(2))
+        with pytest.raises(SolverError, match="could not be factorized"):
+            solve(prob, 1e-9)
+
+
+DESK_CORPUS = os.path.join(os.path.dirname(__file__), "data", "desk_warm_subproblems.npz")
+
+
+@pytest.mark.parametrize("case", ["rsma_4x25_4x33", "rsma_6x25_2x33", "sdma_4x16_4x24",
+                                  "sdma_6x16_2x24"])
+def test_warm_desk_subproblem_replays(case):
+    # tests/data/desk_warm_subproblems.npz holds one warm-started subproblem of
+    # a seed-0 desk benchmark pass per group shape, with the iteration count
+    # the IPM took on it before it ran on the block stack (written by
+    # tests/data/capture_desk_warm_subproblems.py)
+    with np.load(DESK_CORPUS) as data:
+        d = {k[len(case) + 1:]: data[k] for k in data.files if k.startswith(case + "_")}
+    groups = [BlockGroup(d[f"g{i}_cols"], d[f"g{i}_quad"], d[f"g{i}_lin"], d[f"g{i}_const"],
+                         tuple(str(k) for k in d[f"g{i}_kinds"]))
+              for i in range(int(d["n_groups"]))]
+    assert "x".join(f"{g.cols.shape[0]}x{g.cols.shape[1]}" for g in groups) == case[5:].replace("_", "x")
+    prob = ConvexSubproblem(groups=groups, q0=d["q0"], budget=d["budget"],
+                            budget_const=float(d["budget_const"]), c0=float(d["c0"]))
+    tol = float(d["tol"])
+    res = solve(prob, tol, start=(d["start_primal"], d["start_multipliers"]))
+    assert str(d["status"]) == res.status == "optimal"
+    assert res.iterations == int(d["iterations"])
+    assert certify(prob, res, 10 * tol)
